@@ -7,6 +7,16 @@ plant lifetime by discounting both the expense schedule and the delivered
 mass, then expressed per kg of hydrogen (or hydrogen content, when the
 carrier is used directly) leaving the chain.
 
+Capital is spent in year 0 and the running cost (fixed opex plus process
+energy) and the delivered mass are flat over years 1 to N, so the
+discounted ratio has a closed form. With A = annuity_factor(dr, N), each
+stage costs
+
+    (capex / A + running) / delivered_kg_per_yr
+
+which equals levelized_cost([capex] + [running] * N,
+[0] + [delivered] * N, dr), the general schedule form kept as the oracle.
+
 Capital bases follow the parameter table: per tonne of annual throughput
 for process plants, per vehicle for road transport (fleet sized to the
 annual tonnage and route time), per km for pipelines, and per cubic metre
@@ -17,6 +27,7 @@ larger than the 3 percent used for stationary plants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -44,7 +55,8 @@ def annuity_factor(dr: float, years: int) -> float:
         raise InputError("lifetime must be at least one year")
     if dr == 0.0:
         return float(years)
-    return (1.0 - (1.0 + dr) ** -years) / dr
+    # (1 - (1 + dr)^-years) / dr, without the cancellation at small dr
+    return -math.expm1(-years * math.log1p(dr)) / dr
 
 
 def levelized_cost(annual_expense_schedule, annual_energy_schedule, dr: float) -> float:
@@ -109,7 +121,6 @@ class CarrierChain:
 
     medium: str   # "NH3", "LH2" or "GH2_pipeline"
     stages: tuple[StageSpec, ...]
-    include_reconversion: bool = True
     bracket_clamped: bool = False
     storage_stages: tuple[StageSpec, ...] = ()
 
@@ -278,22 +289,20 @@ def _walk_delivery(chain: CarrierChain, q: CostQuery) -> tuple[list[_StageFlow],
 def _levelize(flows: list[_StageFlow], delivered_kg_per_yr: float,
               delivered_fraction: float, q: CostQuery,
               bracket_clamped: bool) -> CostBreakdown:
-    """Apply the discounted-schedule cost rule stage by stage.
+    """Apply the closed-form cost rule stage by stage.
 
     Capital is spent in year 0; opex and energy run flat over the lifetime,
     as does the delivered mass, so every stage shares one denominator and
     the breakdown sums exactly to the total.
     """
-    if delivered_kg_per_yr <= 0:
+    if not delivered_kg_per_yr > 0:
         raise InputError("chain delivers no hydrogen")
-    years = q.lifetime_years
-    energy_schedule = [0.0] + [delivered_kg_per_yr] * years
+    annuity = annuity_factor(q.dr, q.lifetime_years)
     stage_costs = []
     for flow in flows:
         opex = flow.capex_usd * flow.spec.fixed_opex_rate
         running = opex + flow.energy_mwh_per_yr * q.electricity_usd_per_mwh
-        expenses = [flow.capex_usd] + [running] * years
-        cost = levelized_cost(expenses, energy_schedule, q.dr)
+        cost = (flow.capex_usd / annuity + running) / delivered_kg_per_yr
         stage_costs.append(StageCost(flow.spec.name, flow.spec.role, cost))
     total = sum(s.usd_per_kg for s in stage_costs)
     return CostBreakdown(tuple(stage_costs), total, delivered_fraction,
@@ -360,51 +369,6 @@ def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
         h2_out_t = recovered_t
     return _levelize(flows, h2_out_t * 1000.0, h2_out_t / h2_in_t, q,
                      chain.bracket_clamped)
-
-
-# keys the builders read from the carriers parameter namespace
-REQUIRED_KEYS = (
-    "wacc",
-    "lifetime_years",
-    "fixed_opex_rate",
-    "electricity_usd_per_mwh",
-    "nh3_plant_capex_usd_per_t",
-    "nh3_synthesis_energy_mwh_per_t",
-    "nh3_synthesis_conversion",
-    "nh3_reform_energy_mwh_per_t",
-    "nh3_reform_conversion",
-    "nh3_cooling_energy_mwh_per_t",
-    "nh3_storage_energy_kwh_per_t_day",
-    "nh3_vessel_capex_usd_per_t",
-    "nh3_boiloff_per_day",
-    "reformer_capex_10kt",
-    "reformer_capex_30kt",
-    "reformer_capex_50kt",
-    "reformer_capex_100kt",
-    "truck_capex_usd",
-    "truck_payload_t",
-    "truck_daily_range_km",
-    "truck_opex_rate",
-    "delivery_buffer_days",
-    "liquefier_capex_10kt",
-    "liquefier_capex_30kt",
-    "liquefier_capex_50kt",
-    "liquefier_capex_100kt",
-    "lh2_liquefaction_energy_mwh_per_t",
-    "lh2_regas_energy_kwh_per_t",
-    "lh2_boiloff_per_day",
-    "lh2_density_t_per_m3",
-    "lh2_truck_tank_m3",
-    "cryo_tank_capex_usd_per_m3",
-    "vaporizer_capex_kusd_per_10kt",
-    "pipeline_capex_kusd_per_km_10kt",
-    "pipeline_capex_kusd_per_km_30kt",
-    "pipeline_capex_kusd_per_km_50kt",
-    "pipeline_capex_kusd_per_km_100kt",
-    "pipeline_energy_mwh_per_t_100km",
-    "pipeline_leakage_per_1000km",
-    "stored_share",
-)
 
 
 def default_query(params: Mapping[str, float], annual_h2_kt: float,
@@ -523,17 +487,16 @@ def builtin_chains(params: Mapping[str, float],
     return {
         "NH3_with_crack": CarrierChain(
             medium="NH3", stages=(plant, nh3_truck, buffer, cracker),
-            include_reconversion=True, bracket_clamped=clamped,
+            bracket_clamped=clamped,
             storage_stages=nh3_storage_stages),
         "NH3_direct": CarrierChain(
             medium="NH3", stages=(plant, nh3_truck, buffer),
-            include_reconversion=False, bracket_clamped=clamped,
+            bracket_clamped=clamped,
             storage_stages=nh3_storage_stages),
         "LH2": CarrierChain(
             medium="LH2", stages=(liquefier, lh2_truck, vaporizer),
-            include_reconversion=True, bracket_clamped=clamped,
+            bracket_clamped=clamped,
             storage_stages=lh2_storage_stages),
         "pipeline": CarrierChain(
-            medium="GH2_pipeline", stages=(pipeline,),
-            include_reconversion=False, bracket_clamped=clamped),
+            medium="GH2_pipeline", stages=(pipeline,), bracket_clamped=clamped),
     }

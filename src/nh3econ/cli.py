@@ -22,6 +22,7 @@ DELIVERY_VOLUMES_KT = (10.0, 30.0, 50.0, 100.0)
 DELIVERY_DISTANCES_KM = (500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
 STORAGE_DAYS = (30.0, 150.0, 365.0, 1000.0, 2000.0)
 CHAIN_ORDER = ("NH3_with_crack", "NH3_direct", "LH2", "pipeline")
+COST_COLUMNS = ("medium", "volume_kt", "distance_km", "days", "stage", "usd_per_kg")
 
 
 def fmt(value) -> str:
@@ -76,30 +77,22 @@ def _emit(table: Table, output_format: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _dataset_version(args) -> str:
-    manifest = data_io.load_manifest(args.data_dir)
-    return manifest.version
-
-
-def _gtfp_table(args) -> Table:
-    regions_path = args.regions or data_io.bundled_regions_path(args.data_dir)
-    records = data_io.load_regions(regions_path)
+def _gtfp_table(dataset: data_io.Dataset) -> Table:
     table = Table(
-        f"regional efficiency scores and intensity metrics; dataset {_dataset_version(args)}",
+        f"regional efficiency scores and intensity metrics; dataset {dataset.version}",
         ("region", "gtfp", "energy_intensity_kbtu_per_usd",
          "carbon_intensity_kg_per_usd", "efficient"),
     )
-    for row in gtfp.gtfp_scores(records):
+    for row in gtfp.gtfp_scores(dataset.regions):
         table.add(row.name, row.gtfp, row.energy_intensity_kbtu_per_usd,
                   row.carbon_intensity_kg_per_usd, row.efficient)
     return table
 
 
-def _carrier_params(args) -> data_io.ParameterSet:
-    return data_io.load_bundled_params("carriers", args.params, args.data_dir)
-
-
-def _delivery_rows(params, table: Table, volumes, distances) -> None:
+def _delivery_table(dataset: data_io.Dataset, description: str,
+                    volumes, distances) -> Table:
+    params = dataset.params("carriers")
+    table = Table(f"{description}; dataset {dataset.version}", COST_COLUMNS)
     for volume in volumes:
         chains = carriers.builtin_chains(params, volume)
         for name in CHAIN_ORDER:
@@ -110,29 +103,20 @@ def _delivery_rows(params, table: Table, volumes, distances) -> None:
                 for stage in breakdown.stages:
                     table.add(name, volume, distance, 0, stage.name, stage.usd_per_kg)
                 table.add(name, volume, distance, 0, "total", breakdown.total_usd_per_kg)
-
-
-def _delivery_table(args) -> Table:
-    params = _carrier_params(args)
-    table = Table(
-        f"hydrogen delivery cost breakdown by carrier; dataset {_dataset_version(args)}",
-        ("medium", "volume_kt", "distance_km", "days", "stage", "usd_per_kg"),
-    )
-    _delivery_rows(params, table, args.volume, args.distance)
     return table
 
 
-def _storage_table(args) -> Table:
-    params = _carrier_params(args)
+def _storage_table(dataset: data_io.Dataset, volumes, durations) -> Table:
+    params = dataset.params("carriers")
     table = Table(
-        f"hydrogen storage cost breakdown by carrier and duration; dataset {_dataset_version(args)}",
-        ("medium", "volume_kt", "distance_km", "days", "stage", "usd_per_kg"),
+        f"hydrogen storage cost breakdown by carrier and duration; dataset {dataset.version}",
+        COST_COLUMNS,
     )
-    for volume in args.volume:
+    for volume in volumes:
         chains = carriers.builtin_chains(params, volume)
         for name in ("NH3_with_crack", "LH2"):
             medium = "NH3" if name.startswith("NH3") else "LH2"
-            for days in args.days:
+            for days in durations:
                 query = carriers.default_query(params, volume, 0.0, days)
                 breakdown = carriers.storage_cost(chains[name], query)
                 for stage in breakdown.stages:
@@ -141,18 +125,16 @@ def _storage_table(args) -> Table:
     return table
 
 
-def _cofire_table(args) -> Table:
-    params_set = data_io.load_bundled_params("cofiring", args.params, args.data_dir)
-    params = cofiring.CofiringParams.from_mapping(params_set)
-    rates = cofiring.STANDARD_RATES if args.all or args.rate is None else (args.rate,)
+def _cofire_table(dataset: data_io.Dataset, rates, interpolate: bool) -> Table:
+    params = cofiring.CofiringParams.from_mapping(dataset.params("cofiring"))
     table = Table(
-        f"coal/ammonia co-firing costs and emission intensity; dataset {_dataset_version(args)}",
+        f"coal/ammonia co-firing costs and emission intensity; dataset {dataset.version}",
         ("rate", "mixed_fuel_cost_usd_per_tce", "fuel_cost_delta_pct",
          "lcoe_usd_per_mwh", "lcoe_delta_pct", "emission_kg_per_mwh",
          "emission_delta_kg_per_mwh"),
     )
     for rate in rates:
-        result = cofiring.evaluate(params, rate, interpolate_loss=args.interpolate)
+        result = cofiring.evaluate(params, rate, interpolate_loss=interpolate)
         table.add(result.rate, result.mixed_fuel_cost_usd_per_tce,
                   result.fuel_cost_delta * 100.0, result.lcoe_usd_per_mwh,
                   result.lcoe_delta * 100.0, result.emission_kg_per_mwh,
@@ -160,25 +142,20 @@ def _cofire_table(args) -> Table:
     return table
 
 
-def _scenario_tables(args) -> dict[str, Table]:
-    params = data_io.load_bundled_params("scenarios", args.params, args.data_dir)
+def _scenario_tables(dataset: data_io.Dataset, share: float | None = None) -> dict[str, Table]:
+    params = dataset.params("scenarios")
     supply = scenarios.SupplyAssumptions.from_mapping(params)
     demand = scenarios.DemandAssumptions.from_mapping(params)
-    supply_levels = data_io.load_supply_levels(
-        args.data_dir / "supply_levels.csv" if args.data_dir else None)
-    demand_levels = data_io.load_demand_levels(
-        args.data_dir / "demand_levels.csv" if args.data_dir else None)
-    version = _dataset_version(args)
+    version = dataset.version
 
     supply_table = Table(
         f"green ammonia supply capacity by scenario level; dataset {version}",
         ("level", "renewable_share", "supply_mt"),
     )
-    if getattr(args, "share", None) is not None:
-        supply_table.add("custom", args.share,
-                         scenarios.supply_capacity_mt(supply, args.share))
+    if share is not None:
+        supply_table.add("custom", share, scenarios.supply_capacity_mt(supply, share))
     else:
-        for level in supply_levels:
+        for level in dataset.supply_levels:
             supply_table.add(level.name, level.renewable_share,
                              scenarios.supply_capacity_mt(supply, level.renewable_share))
 
@@ -186,7 +163,7 @@ def _scenario_tables(args) -> dict[str, Table]:
         f"green ammonia demand by scenario level and sector; dataset {version}",
         ("level", "sector", "demand_mt"),
     )
-    for level in demand_levels:
+    for level in dataset.demand_levels:
         breakdown = scenarios.demand_breakdown_mt(demand, level)
         for sector in scenarios.SECTORS:
             demand_table.add(level.name, sector, breakdown[sector])
@@ -197,58 +174,33 @@ def _scenario_tables(args) -> dict[str, Table]:
         ("supply_level", "demand_level", "supply_mt", "demand_mt",
          "coverage", "covered"),
     )
-    for row in scenarios.balance_report(supply, demand, supply_levels, demand_levels):
+    for row in scenarios.balance_report(supply, demand, dataset.supply_levels,
+                                        dataset.demand_levels):
         balance_table.add(row.supply_level, row.demand_level, row.supply_mt,
                           row.demand_mt, row.coverage, row.covered)
     return {"supply": supply_table, "demand": demand_table, "balance": balance_table}
 
 
-def _report(args) -> None:
-    output_dir = Path(args.output)
-    version_args = args
-
-    gtfp_table = _gtfp_table(args)
-
-    params = _carrier_params(args)
-    version = _dataset_version(version_args)
-    by_volume = Table(
-        f"delivery cost by volume at 500 km; dataset {version}",
-        ("medium", "volume_kt", "distance_km", "days", "stage", "usd_per_kg"),
-    )
-    _delivery_rows(params, by_volume, DELIVERY_VOLUMES_KT, (500.0,))
-    by_distance = Table(
-        f"delivery cost by distance at 50 and 100 kt/yr; dataset {version}",
-        ("medium", "volume_kt", "distance_km", "days", "stage", "usd_per_kg"),
-    )
-    _delivery_rows(params, by_distance, (50.0, 100.0), DELIVERY_DISTANCES_KM)
-
-    storage_args = argparse.Namespace(params=args.params, data_dir=args.data_dir,
-                                      volume=(100.0,), days=STORAGE_DAYS)
-    storage_table = _storage_table(storage_args)
-
-    cofire_args = argparse.Namespace(params=args.params, data_dir=args.data_dir,
-                                     rate=None, all=True, interpolate=False)
-    cofire_table = _cofire_table(cofire_args)
-
-    scenario_args = argparse.Namespace(params=args.params, data_dir=args.data_dir,
-                                       share=None)
-    scenario_tables = _scenario_tables(scenario_args)
-
+def _report(dataset: data_io.Dataset, output_format: str, output_dir: Path) -> None:
     outputs = {
-        "regional_efficiency": gtfp_table,
-        "delivery_by_volume": by_volume,
-        "delivery_by_distance": by_distance,
-        "storage_by_duration": storage_table,
-        "cofiring_ladder": cofire_table,
-        "scenario_supply": scenario_tables["supply"],
-        "scenario_demand": scenario_tables["demand"],
-        "supply_demand_balance": scenario_tables["balance"],
+        "regional_efficiency": _gtfp_table(dataset),
+        "delivery_by_volume": _delivery_table(
+            dataset, "delivery cost by volume at 500 km", DELIVERY_VOLUMES_KT, (500.0,)),
+        "delivery_by_distance": _delivery_table(
+            dataset, "delivery cost by distance at 50 and 100 kt/yr", (50.0, 100.0),
+            DELIVERY_DISTANCES_KM),
+        "storage_by_duration": _storage_table(dataset, (100.0,), STORAGE_DAYS),
+        "cofiring_ladder": _cofire_table(dataset, cofiring.STANDARD_RATES, False),
     }
-    extension = "json" if args.format == "json" else "csv"
+    scenario_tables = _scenario_tables(dataset)
+    outputs.update(scenario_supply=scenario_tables["supply"],
+                   scenario_demand=scenario_tables["demand"],
+                   supply_demand_balance=scenario_tables["balance"])
+    extension = "json" if output_format == "json" else "csv"
     output_dir.mkdir(parents=True, exist_ok=True)
     for name, table in outputs.items():
         (output_dir / f"{name}.{extension}").write_text(
-            table.render(args.format), encoding="utf-8")
+            table.render(output_format), encoding="utf-8")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -322,20 +274,26 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        dataset = data_io.Dataset(args.data_dir, args.params,
+                                  getattr(args, "regions", None))
         if args.command == "gtfp":
-            _emit(_gtfp_table(args), args.format, args.output)
+            _emit(_gtfp_table(dataset), args.format, args.output)
         elif args.command == "carrier":
             if args.carrier_command == "delivery":
-                _emit(_delivery_table(args), args.format, args.output)
+                table = _delivery_table(
+                    dataset, "hydrogen delivery cost breakdown by carrier",
+                    args.volume, args.distance)
             else:
-                _emit(_storage_table(args), args.format, args.output)
+                table = _storage_table(dataset, args.volume, args.days)
+            _emit(table, args.format, args.output)
         elif args.command == "cofire":
-            _emit(_cofire_table(args), args.format, args.output)
+            rates = cofiring.STANDARD_RATES if args.all or args.rate is None else (args.rate,)
+            _emit(_cofire_table(dataset, rates, args.interpolate), args.format, args.output)
         elif args.command == "scenario":
-            tables = _scenario_tables(args)
+            tables = _scenario_tables(dataset, getattr(args, "share", None))
             _emit(tables[args.scenario_command], args.format, args.output)
         elif args.command == "report":
-            _report(args)
+            _report(dataset, args.format, Path(args.output))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -347,3 +305,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -16,6 +16,7 @@ import hashlib
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import InputError
@@ -187,7 +188,6 @@ def _parse_float(cell: str, path: Path, lineno: int, column: str) -> float:
 class ParamEntry:
     key: str
     value: float
-    raw_value: str
     unit: str
     provenance: str
 
@@ -278,7 +278,7 @@ def load_params(path: Path | str, namespace: str,
             raise InputError(
                 f"{table.path}: line {lineno}: key {key!r} has unit {unit!r}, "
                 f"schema expects {schema[key]!r}")
-        entries[key] = ParamEntry(key, value, raw_value, unit, provenance)
+        entries[key] = ParamEntry(key, value, unit, provenance)
     if schema:
         missing = sorted(set(schema) - set(entries))
         if missing:
@@ -287,16 +287,21 @@ def load_params(path: Path | str, namespace: str,
     return ParameterSet(namespace, entries, table)
 
 
+def _load_namespace(namespace: str, directory: Path) -> ParameterSet:
+    """A namespace's bundled file, checked against its schema."""
+    if namespace not in NAMESPACE_FILES:
+        raise InputError(f"unknown parameter namespace {namespace!r}")
+    return load_params(directory / NAMESPACE_FILES[namespace], namespace,
+                       SCHEMAS[namespace])
+
+
 def load_bundled_params(namespace: str, override_path: Path | str | None = None,
                         directory: Path | None = None) -> ParameterSet:
     """Bundled parameters for a namespace, optionally layered with a user
     override file (override values win). The returned set carries the
     dataset version from the manifest when one is present."""
-    if namespace not in NAMESPACE_FILES:
-        raise InputError(f"unknown parameter namespace {namespace!r}")
     base_dir = directory or data_dir()
-    params = load_params(base_dir / NAMESPACE_FILES[namespace], namespace,
-                         SCHEMAS[namespace])
+    params = _load_namespace(namespace, base_dir)
     try:
         params.version = load_manifest(base_dir, verify=False).version
     except InputError:
@@ -414,6 +419,56 @@ def load_manifest(directory: Path | None = None, verify: bool = True) -> Dataset
                     f"dataset file {name!r} digest mismatch: manifest has "
                     f"{digest[:12]}..., file has {actual[:12]}...")
     return DatasetManifest(version, files, tuple(calibration_ledger(base_dir)))
+
+
+class Dataset:
+    """One run's view of a dataset directory.
+
+    Construction reads manifest.csv and verifies every file digest, once,
+    so a tampered dataset fails before anything is computed from it. The
+    rest is loaded on first use and kept: each namespace's parameters with
+    the override file merged in (the file is read once and layered over
+    every namespace, override values win), the regions table (the given
+    one, or the bundled one) and the scenario levels.
+    """
+
+    def __init__(self, directory: Path | None = None,
+                 params_path: Path | str | None = None,
+                 regions_path: Path | str | None = None):
+        self.directory = directory or data_dir()
+        self.manifest = load_manifest(self.directory)
+        self.version = self.manifest.version
+        self._params_path = params_path
+        self._regions_path = regions_path or bundled_regions_path(self.directory)
+        self._params: dict[str, ParameterSet] = {}
+
+    @cached_property
+    def overrides(self) -> ParameterSet | None:
+        if self._params_path is None:
+            return None
+        return load_params(self._params_path, "overrides")
+
+    def params(self, namespace: str) -> ParameterSet:
+        """Effective parameters of one namespace."""
+        if namespace not in self._params:
+            params = _load_namespace(namespace, self.directory)
+            params.version = self.version
+            if self.overrides is not None:
+                params = params.with_overrides(self.overrides)
+            self._params[namespace] = params
+        return self._params[namespace]
+
+    @cached_property
+    def regions(self) -> list[RegionRecord]:
+        return load_regions(self._regions_path)
+
+    @cached_property
+    def supply_levels(self) -> list[SupplyLevel]:
+        return load_supply_levels(self.directory / "supply_levels.csv")
+
+    @cached_property
+    def demand_levels(self) -> list[DemandLevel]:
+        return load_demand_levels(self.directory / "demand_levels.csv")
 
 
 def check_completeness(directory: Path | None = None) -> dict[str, list[str]]:

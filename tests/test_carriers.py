@@ -1,7 +1,11 @@
 """Carrier chain checks: the discounting engine against an annuity oracle,
 mass balance, and the cost-band properties of the built-in chains."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nh3econ import carriers, data_io
 from nh3econ.errors import InputError
@@ -57,6 +61,34 @@ def test_annuity_factor_edge_cases():
     assert carriers.annuity_factor(0.0, 20) == 20.0
     with pytest.raises(InputError):
         carriers.annuity_factor(0.08, 0)
+
+
+@given(dr=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       years=st.integers(1, 60),
+       capex=st.floats(0.0, 1e12, allow_subnormal=False),
+       running=st.floats(0.0, 1e9, allow_subnormal=False),
+       delivered=st.floats(1e-3, 1e12))
+def test_closed_form_matches_schedule_oracle(dr, years, capex, running, delivered):
+    # one stage whose running cost is all energy at 1 USD/MWh
+    spec = carriers.StageSpec(name="stage", role="conversion",
+                              capex_basis="per_t_per_yr", capex_value=0.0,
+                              fixed_opex_rate=0.0)
+    flow = carriers._StageFlow(spec, capex, running)
+    q = carriers.CostQuery(annual_h2_kt=1.0, dr=dr, lifetime_years=years,
+                           electricity_usd_per_mwh=1.0)
+    closed = carriers._levelize([flow], delivered, 1.0, q, False).total_usd_per_kg
+    oracle = carriers.levelized_cost([capex] + [running] * years,
+                                     [0.0] + [delivered] * years, dr)
+    assert math.isclose(closed, oracle, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("cost", [carriers.delivery_cost, carriers.storage_cost])
+def test_zero_lifetime_is_input_error(params, cost):
+    chain = chains_at(params, 100.0)["NH3_with_crack"]
+    q = carriers.CostQuery(annual_h2_kt=100.0, distance_km=500.0, storage_days=30.0,
+                           dr=0.08, lifetime_years=0)
+    with pytest.raises(InputError, match="lifetime"):
+        cost(chain, q)
 
 
 # --- chain construction ----------------------------------------------------

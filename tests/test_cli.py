@@ -1,10 +1,17 @@
 """Command-line behaviour: table contents, error exit codes, determinism."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from nh3econ import cli
+import nh3econ
+from nh3econ import cli, data_io
 from nh3econ.errors import SolverError
 
 
@@ -120,3 +127,53 @@ def test_float_format_is_trimmed():
     assert cli.fmt(-0.00001) == "0"
     assert cli.fmt(True) == "true"
     assert cli.fmt("NH3") == "NH3"
+
+
+def test_report_hashes_each_manifest_file_once(tmp_path, monkeypatch):
+    hashed = []
+    original = data_io._sha256
+
+    def counting(path):
+        hashed.append(Path(path).name)
+        return original(path)
+
+    monkeypatch.setattr(data_io, "_sha256", counting)
+    assert cli.run(["report", "--output", str(tmp_path / "out")]) == 0
+    manifest = data_io.load_manifest(verify=False)
+    assert Counter(hashed) == {name: 1 for name in manifest.files}
+
+
+def test_report_on_tampered_dataset_exits_2_without_output(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), data)
+    carriers_csv = data / "carriers.csv"
+    carriers_csv.write_text(carriers_csv.read_text().replace("0.08", "0.09", 1))
+    out = tmp_path / "out"
+    assert cli.run(["--data-dir", str(data), "report", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "carriers.csv" in err and "digest mismatch" in err
+    assert not out.exists()
+
+
+def _python_m(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(nh3econ.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "nh3econ", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_prints_what_run_prints(capsys):
+    assert cli.run(["cofire", "--rate", "0.03"]) == 0
+    expected = capsys.readouterr().out
+    result = _python_m("cofire", "--rate", "0.03")
+    assert result.returncode == 0
+    assert result.stdout == expected
+    assert result.stderr == ""
+
+
+def test_python_m_bad_input_exits_2_with_one_line():
+    result = _python_m("cofire", "--rate", "0.07")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr

@@ -177,11 +177,9 @@ def test_calibrated_carrier_knobs_match_dataset():
 def test_completeness_consumers_vs_providers():
     missing = data_io.check_completeness()
     assert missing == {namespace: [] for namespace in data_io.SCHEMAS}
-    # every key the carrier builders consume is provided by the dataset
-    from nh3econ.carriers import REQUIRED_KEYS
-
+    # every key of the carrier schema, which the builders consume, is provided
     params = data_io.load_bundled_params("carriers")
-    params.require(REQUIRED_KEYS)
+    params.require(data_io.CARRIER_SCHEMA)
 
 
 def test_levels_loaders():
