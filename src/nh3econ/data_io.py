@@ -13,6 +13,7 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -167,6 +168,9 @@ def _read_table(path: Path | str) -> _Table:
         cells = tuple(cell.strip() for cell in line.split(","))
         if header is None:
             header = cells
+        elif len(cells) != len(header):
+            raise InputError(
+                f"{path}: line {lineno}: expected {len(header)} cells, got {len(cells)}")
         else:
             rows.append(cells)
             row_lines.append(lineno)
@@ -177,11 +181,14 @@ def _read_table(path: Path | str) -> _Table:
 
 def _parse_float(cell: str, path: Path, lineno: int, column: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise InputError(
             f"{path}: line {lineno}, column {column!r}: "
-            f"cannot parse {cell!r} as a number") from None
+            f"cannot parse {cell!r} as a finite number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -264,10 +271,6 @@ def load_params(path: Path | str, namespace: str,
             f"got {','.join(table.header)}")
     entries: dict[str, ParamEntry] = {}
     for cells, lineno in zip(table.rows, table.row_lines):
-        if len(cells) != len(PARAM_COLUMNS):
-            raise InputError(
-                f"{table.path}: line {lineno}: expected "
-                f"{len(PARAM_COLUMNS)} cells, got {len(cells)}")
         key, raw_value, unit, provenance = cells
         if key in entries:
             raise InputError(f"{table.path}: line {lineno}: duplicate key {key!r}")
@@ -323,10 +326,6 @@ def load_regions(path: Path | str) -> list[RegionRecord]:
         raise InputError(f"{table.path}: no records")
     records = []
     for cells, lineno in zip(table.rows, table.row_lines):
-        if len(cells) != len(REGION_COLUMNS):
-            raise InputError(
-                f"{table.path}: line {lineno}: expected "
-                f"{len(REGION_COLUMNS)} cells, got {len(cells)}")
         name = cells[0]
         values = {}
         for column, cell in zip(REGION_COLUMNS[1:], cells[1:]):

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import lp
 from .errors import InputError, SolverError
 from .units import Quantity, convert
@@ -48,8 +46,8 @@ class RegionRecord:
                 )
 
     @property
-    def inputs(self) -> np.ndarray:
-        return np.array([getattr(self, f) for f in _INPUT_FIELDS])
+    def inputs(self) -> tuple[float, ...]:
+        return tuple(getattr(self, f) for f in _INPUT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -75,32 +73,22 @@ def build_dea_lp(records: list[RegionRecord], i: int) -> lp.LinearProgram:
         raise InputError("at least one region record is required")
     if not 0 <= i < len(records):
         raise InputError(f"region index {i} out of range for {len(records)} records")
-    m = len(records)
-    x = np.array([r.inputs for r in records])          # m regions x 4 inputs
-    y = np.array([r.gdp_busd for r in records])
-    n_inputs = x.shape[1]
-
-    c = np.zeros(1 + m)
-    c[0] = 1.0
-    a_ub = np.zeros((n_inputs + 1, 1 + m))
-    b_ub = np.zeros(n_inputs + 1)
-    for k in range(n_inputs):
-        a_ub[k, 0] = -x[i, k]
-        a_ub[k, 1:] = x[:, k]
-    a_ub[n_inputs, 1:] = -y
-    b_ub[n_inputs] = -y[i]
+    c = [1.0, *[0.0] * len(records)]
+    a_ub = [[-column[i], *column] for column in zip(*(r.inputs for r in records))]
+    a_ub.append([0.0, *(-r.gdp_busd for r in records)])
+    b_ub = [*[0.0] * len(_INPUT_FIELDS), -records[i].gdp_busd]
     return lp.LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub)
 
 
-def dea_score(records: list[RegionRecord], i: int, tol: float = lp.DEFAULT_TOL) -> float:
+def dea_score(records: list[RegionRecord], i: int) -> float:
     """Efficiency score theta for one region."""
-    solution = lp.solve(build_dea_lp(records, i), tol=tol)
+    solution = lp.solve(build_dea_lp(records, i))
     if not solution.is_optimal:
         raise SolverError(
             f"DEA program for region {records[i].name!r} ended "
             f"{solution.status.value}"
         )
-    return float(solution.x[0])
+    return solution.x[0]
 
 
 def intensities(record: RegionRecord) -> tuple[float, float]:
@@ -113,12 +101,12 @@ def intensities(record: RegionRecord) -> tuple[float, float]:
     return energy_kbtu / gdp_usd, co2_kg / gdp_usd
 
 
-def gtfp_scores(records: list[RegionRecord], tol: float = lp.DEFAULT_TOL) -> list[RegionEfficiency]:
+def gtfp_scores(records: list[RegionRecord]) -> list[RegionEfficiency]:
     """Score every region and attach its intensity metrics."""
     report = []
     for i, record in enumerate(records):
         try:
-            theta = dea_score(records, i, tol=tol)
+            theta = dea_score(records, i)
         except SolverError as exc:
             raise SolverError(f"region {record.name!r}: {exc}") from exc
         ei, ci = intensities(record)

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex solver for small linear programs.
+"""Two-phase simplex solver for small linear programs.
 
 Problems are stated in the standard form
 
@@ -9,17 +9,18 @@ Problems are stated in the standard form
 
 The instances this toolkit produces are tiny (a handful of variables and
 rows), so the implementation favours robustness and determinism over
-speed: dense double-precision tableau, Bland's rule for both the entering
-and the leaving variable (ties broken by lowest index), which guarantees
-termination and makes the pivot sequence identical across platforms.
+speed: a dense tableau of double-precision floats held in plain lists,
+Bland's rule for both the entering and the leaving variable (ties broken
+by lowest index), which guarantees termination and makes the pivot
+sequence identical across platforms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from operator import mul
 
 from .errors import InputError, SolverError
 
@@ -33,47 +34,62 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-def _as_matrix(a, rows_name: str, n: int) -> np.ndarray:
-    if a is None:
-        return np.zeros((0, n))
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] != n:
-        raise InputError(f"{rows_name} must be a 2-d array with {n} columns")
-    return a
+def _floats(v, name: str, shape_error: str) -> tuple[float, ...]:
+    """v as a tuple of finite floats; anything but a flat sequence of
+    numbers raises InputError(shape_error)."""
+    try:
+        if isinstance(v, (str, bytes)):
+            raise TypeError
+        values = tuple(map(float, v))
+    except (TypeError, ValueError):
+        raise InputError(shape_error) from None
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{name} contains non-finite entries")
+    return values
 
 
-def _as_vector(b, name: str, m: int) -> np.ndarray:
-    if b is None:
-        return np.zeros(0)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if b.shape[0] != m:
-        raise InputError(f"{name} length {b.shape[0]} does not match {m} rows")
-    return b
+def _as_matrix(a, name: str, n: int) -> tuple[tuple[float, ...], ...]:
+    error = f"{name} must be a 2-d array with {n} columns"
+    try:
+        rows = () if a is None else tuple(a)
+    except TypeError:
+        raise InputError(error) from None
+    rows = tuple(_floats(row, name, error) for row in rows)
+    if any(len(row) != n for row in rows):
+        raise InputError(error)
+    return rows
+
+
+def _as_vector(b, name: str, m: int) -> tuple[float, ...]:
+    values = () if b is None else _floats(b, name, f"{name} must be a sequence of numbers")
+    if len(values) != m:
+        raise InputError(f"{name} length {len(values)} does not match {m} rows")
+    return values
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Immutable container for one standard-form minimization problem."""
+    """Immutable container for one standard-form minimization problem.
 
-    c: np.ndarray
-    a_ub: np.ndarray = None
-    b_ub: np.ndarray = None
-    a_eq: np.ndarray = None
-    b_eq: np.ndarray = None
+    Accepts any sequences of numbers (lists, tuples, arrays) and stores
+    them as tuples of floats, the matrices as tuples of rows.
+    """
+
+    c: tuple[float, ...]
+    a_ub: tuple[tuple[float, ...], ...] = None
+    b_ub: tuple[float, ...] = None
+    a_eq: tuple[tuple[float, ...], ...] = None
+    b_eq: tuple[float, ...] = None
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float).reshape(-1)
-        if c.size == 0:
+        c = _floats(self.c, "c", "c must be a sequence of numbers")
+        if not c:
             raise InputError("objective must have at least one coefficient")
-        n = c.shape[0]
+        n = len(c)
         a_ub = _as_matrix(self.a_ub, "a_ub", n)
-        b_ub = _as_vector(self.b_ub, "b_ub", a_ub.shape[0])
+        b_ub = _as_vector(self.b_ub, "b_ub", len(a_ub))
         a_eq = _as_matrix(self.a_eq, "a_eq", n)
-        b_eq = _as_vector(self.b_eq, "b_eq", a_eq.shape[0])
-        for name, arr in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub),
-                          ("a_eq", a_eq), ("b_eq", b_eq)):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise InputError(f"{name} contains non-finite entries")
+        b_eq = _as_vector(self.b_eq, "b_eq", len(a_eq))
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a_ub", a_ub)
         object.__setattr__(self, "b_ub", b_ub)
@@ -82,13 +98,13 @@ class LinearProgram:
 
     @property
     def n(self) -> int:
-        return self.c.shape[0]
+        return len(self.c)
 
 
 @dataclass(frozen=True)
 class LpSolution:
     status: LpStatus
-    x: np.ndarray = None
+    x: tuple[float, ...] = None
     objective: float = float("nan")
     residual: float = float("nan")
     iterations: int = 0
@@ -98,27 +114,35 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    pivot_col = tableau[:, col].copy()
-    pivot_col[row] = 0.0
-    tableau -= np.outer(pivot_col, tableau[row])
+def _pivot(tableau: list[list[float]], basis: list[int], row: int, col: int) -> None:
+    """Divide the pivot row by the pivot, then subtract from every other row
+    its pivot-column entry times the new pivot row. Adding 0.0 turns the
+    pivot row's -0.0 entries into 0.0, as eliminating it with factor 0.0
+    would, so zeros (and zero-valued x entries) carry the signs of the
+    rank-one update `T -= outer(pivot column, pivot row)`."""
+    pivot = tableau[row][col]
+    prow = tableau[row] = [v / pivot + 0.0 for v in tableau[row]]
+    for i, r in enumerate(tableau):
+        if i != row:
+            f = r[col]
+            tableau[i] = [v - f * p for v, p in zip(r, prow)]
     basis[row] = col
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int,
-                 tol: float, max_iter: int, start_iter: int) -> tuple[int, bool]:
+def _run_simplex(tableau: list[list[float]], basis: list[int], tol: float,
+                 max_iter: int, start_iter: int) -> tuple[int, bool]:
     """Iterate Bland pivots on a tableau whose last row holds reduced costs.
 
     Returns (iterations used, bounded). Row operations keep the last row's
     final entry equal to the negated objective value.
     """
-    m = tableau.shape[0] - 1
+    m = len(tableau) - 1
+    n_cols = len(tableau[-1]) - 1
     iterations = start_iter
     while True:
         if iterations >= max_iter:
             raise SolverError(f"pivot limit {max_iter} exceeded (cycling guard)")
-        reduced = tableau[-1, :n_cols]
+        reduced = tableau[-1]
         entering = -1
         for j in range(n_cols):  # Bland: lowest eligible index enters
             if reduced[j] < -tol and j not in basis:
@@ -126,13 +150,12 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, n_cols: int,
                 break
         if entering < 0:
             return iterations, True
-        col = tableau[:m, entering]
-        rhs = tableau[:m, -1]
-        best_ratio = np.inf
+        best_ratio = math.inf
         leaving = -1
         for i in range(m):
-            if col[i] > tol:
-                ratio = rhs[i] / col[i]
+            col = tableau[i][entering]
+            if col > tol:
+                ratio = tableau[i][-1] / col
                 # lowest ratio; ties broken by lowest basic variable index
                 if ratio < best_ratio - tol or (
                     abs(ratio - best_ratio) <= tol
@@ -157,103 +180,93 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
     if tol <= 0:
         raise InputError("tol must be positive")
     n = lp.n
-    m_ub = lp.a_ub.shape[0]
-    m_eq = lp.a_eq.shape[0]
-    m = m_ub + m_eq
+    m_ub = len(lp.a_ub)
+    m = m_ub + len(lp.a_eq)
 
     if m == 0:
         # only x >= 0 constrains the problem
-        if np.all(lp.c >= -tol):
-            x = np.zeros(n)
-            return LpSolution(LpStatus.OPTIMAL, x, 0.0, 0.0, 0)
+        if all(v >= -tol for v in lp.c):
+            return LpSolution(LpStatus.OPTIMAL, (0.0,) * n, 0.0, 0.0, 0)
         return LpSolution(LpStatus.UNBOUNDED)
 
     # Equality rows with slack columns for the inequalities.
-    a = np.zeros((m, n + m_ub))
-    b = np.zeros(m)
-    a[:m_ub, :n] = lp.a_ub
-    a[:m_ub, n:n + m_ub] = np.eye(m_ub)
-    b[:m_ub] = lp.b_ub
-    a[m_ub:, :n] = lp.a_eq
-    b[m_ub:] = lp.b_eq
-
-    # Normalize to b >= 0 (flips slack signs for the affected rows).
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
     n_slack = n + m_ub
-    # A slack column can seed the basis when its row kept b >= 0.
-    basis = np.full(m, -1, dtype=int)
+    a = [[*row, *(1.0 if k == i else 0.0 for k in range(m_ub))]
+         for i, row in enumerate(lp.a_ub)]
+    a += [[*row, *[0.0] * m_ub] for row in lp.a_eq]
+    b = [*lp.b_ub, *lp.b_eq]
+
+    # Normalize to b >= 0 (flips slack signs for the affected rows). A
+    # slack column can seed the basis when its row kept b >= 0.
+    basis = [-1] * m
     needs_artificial = []
     for i in range(m):
-        if i < m_ub and not neg[i]:
+        if b[i] < 0:
+            a[i] = [-v for v in a[i]]
+            b[i] = -b[i]
+            needs_artificial.append(i)
+        elif i < m_ub:
             basis[i] = n + i
         else:
             needs_artificial.append(i)
 
-    n_art = len(needs_artificial)
-    n_total = n_slack + n_art
-    tableau = np.zeros((m + 1, n_total + 1))
-    tableau[:m, :n_slack] = a
-    tableau[:m, -1] = b
+    # Artificial variables n_slack, n_slack + 1, ... seed the other rows.
+    # Only structural and slack columns may enter, so an artificial never
+    # re-enters the basis and no step reads its column: the tableau leaves
+    # those columns out (every column is updated on its own).
+    tableau = [[*a[i], b[i]] for i in range(m)]
+    tableau.append([0.0] * (n_slack + 1))
     for k, i in enumerate(needs_artificial):
-        tableau[i, n_slack + k] = 1.0
         basis[i] = n_slack + k
 
     iterations = 0
-    if n_art:
-        # Phase 1: minimize the sum of artificials. Entering candidates are
-        # restricted to structural and slack columns so that an artificial
-        # never re-enters the basis once it has left.
-        tableau[-1, :] = 0.0
+    if needs_artificial:
+        # Phase 1: minimize the sum of artificials.
         for i in needs_artificial:
-            tableau[-1, :] -= tableau[i, :]
-        iterations, _ = _run_simplex(tableau, basis, n_slack, tol, max_iter, 0)
-        phase1_obj = -tableau[-1, -1]
-        if phase1_obj > tol * max(1.0, float(np.abs(b).max(initial=1.0))):
+            tableau[-1] = [o - v for o, v in zip(tableau[-1], tableau[i])]
+        iterations, _ = _run_simplex(tableau, basis, tol, max_iter, 0)
+        phase1_obj = -tableau[-1][-1]
+        if phase1_obj > tol * max(1.0, *map(abs, b)):
             return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
         # Drive leftover zero-valued artificials out of the basis.
-        keep_rows = np.ones(m, dtype=bool)
+        keep_rows = [True] * m
         for i in range(m):
             if basis[i] >= n_slack:
-                row = tableau[i, :n_slack]
-                candidates = np.nonzero(np.abs(row) > tol)[0]
-                if candidates.size:
-                    _pivot(tableau, basis, i, int(candidates[0]))
+                j = next((j for j in range(n_slack) if abs(tableau[i][j]) > tol), -1)
+                if j >= 0:
+                    _pivot(tableau, basis, i, j)
                 else:
                     keep_rows[i] = False  # redundant constraint
-        if not np.all(keep_rows):
-            tableau = np.vstack([tableau[:m][keep_rows], tableau[-1:]])
-            basis = basis[keep_rows]
-            m = int(keep_rows.sum())
+        tableau = [r for r, keep in zip(tableau, keep_rows) if keep] + tableau[-1:]
+        basis = [col for col, keep in zip(basis, keep_rows) if keep]
+        m = len(basis)
 
     # Phase 2 objective row: reduced costs of the original objective.
-    tableau = np.hstack([tableau[:, :n_slack], tableau[:, -1:]])
-    tableau[-1, :] = 0.0
-    tableau[-1, :n] = lp.c
+    tableau[-1] = [*lp.c, *[0.0] * (n_slack - n + 1)]
     for i in range(m):
-        if tableau[-1, basis[i]] != 0.0:
-            tableau[-1, :] -= tableau[-1, basis[i]] * tableau[i, :]
+        f = tableau[-1][basis[i]]
+        if f != 0.0:
+            tableau[-1] = [o - f * v for o, v in zip(tableau[-1], tableau[i])]
 
-    iterations, bounded = _run_simplex(tableau, basis, n_slack, tol,
-                                       max_iter, iterations)
+    iterations, bounded = _run_simplex(tableau, basis, tol, max_iter, iterations)
     if not bounded:
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
 
-    x_full = np.zeros(n_slack)
-    x_full[basis[:m]] = tableau[:m, -1]
-    x = x_full[:n]
-    objective = float(lp.c @ x)
+    values = dict(zip(basis, (r[-1] for r in tableau)))
+    x = tuple(values.get(j, 0.0) for j in range(n))
     residual = _max_violation(lp, x)
-    return LpSolution(LpStatus.OPTIMAL, x, objective, residual, iterations)
+    return LpSolution(LpStatus.OPTIMAL, x, _dot(lp.c, x), residual, iterations)
 
 
-def _max_violation(lp: LinearProgram, x: np.ndarray) -> float:
+def _dot(u, v) -> float:
+    return math.fsum(map(mul, u, v))
+
+
+def _max_violation(lp: LinearProgram, x: tuple[float, ...]) -> float:
     """Largest constraint violation of x, including negativity of x."""
-    worst = float(max(0.0, -x.min(initial=0.0)))
-    if lp.a_ub.shape[0]:
-        worst = max(worst, float(np.max(lp.a_ub @ x - lp.b_ub, initial=0.0)))
-    if lp.a_eq.shape[0]:
-        worst = max(worst, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq), initial=0.0)))
+    worst = max(0.0, -min(x))
+    for row, b in zip(lp.a_ub, lp.b_ub):
+        worst = max(worst, _dot(row, x) - b)
+    for row, b in zip(lp.a_eq, lp.b_eq):
+        worst = max(worst, abs(_dot(row, x) - b))
     return worst

@@ -177,3 +177,49 @@ def test_python_m_bad_input_exits_2_with_one_line():
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert "Traceback" not in result.stderr
+
+
+def _rehash(data, name):
+    manifest = data / "manifest.csv"
+    digest = data_io._sha256(data / name)
+    lines = [f"{name},{digest}" if line.startswith(f"{name},") else line
+             for line in manifest.read_text().splitlines()]
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name", ["supply_levels.csv", "demand_levels.csv",
+                                  "calibration.csv", "manifest.csv"])
+def test_short_row_exits_2_without_output(name, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), data)
+    target = data / name
+    lines = target.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    width = len(lines[header].split(","))
+    lines[header + 1] = lines[header + 1].rsplit(",", 1)[0]
+    target.write_text("\n".join(lines) + "\n")
+    if name != "manifest.csv":
+        _rehash(data, name)
+    out = tmp_path / "out"
+    assert cli.run(["--data-dir", str(data), "report", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert (f"{name}: line {header + 2}: expected {width} cells, got {width - 1}"
+            in captured.err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, argv", [
+    ("lifetime_years,nan,yr,x", ["carrier", "delivery"]),
+    ("gross_margin,nan,fraction,x", ["cofire", "--rate", "0.03", "--format", "json"]),
+    ("gross_margin,inf,fraction,x", ["cofire", "--rate", "0.03", "--format", "json"]),
+])
+def test_non_finite_override_exits_2_without_output(row, argv, tmp_path, capsys):
+    params = tmp_path / "params.csv"
+    params.write_text(f"key,value,unit,provenance\n{row}\n")
+    assert cli.run([*argv, "--params", str(params)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "finite number" in captured.err
