@@ -3,7 +3,14 @@
 Every subcommand computes its full table first and only then writes, so a
 failing run leaves no partial output. Output is deterministic: fixed row
 ordering and a fixed float format (four decimals, trailing zeros
-trimmed), which makes runs byte-comparable.
+trimmed), which makes runs byte-comparable. A table never holds NaN or
+an infinity: adding one is an input error.
+
+JSON output is the text of `json.dumps(payload, indent=2, sort_keys=True)`
+plus a newline, written directly: 2-space indent, keys `columns`,
+`description`, `rows` in that order, strings with ASCII escapes, booleans
+as `true`/`false`, and every other cell as the shortest repr of the value
+rounded to four decimals (`0.65`, `1.0`, never `-0.0`).
 
 Exit codes: 0 success, 2 input error (including usage), 3 solver failure.
 """
@@ -11,8 +18,10 @@ Exit codes: 0 success, 2 input error (including usage), 3 solver failure.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
+from json.encoder import encode_basestring_ascii
+from math import isfinite, nan
 from pathlib import Path
 
 from . import carriers, cofiring, data_io, gtfp, scenarios
@@ -27,12 +36,38 @@ COST_COLUMNS = ("medium", "volume_kt", "distance_km", "days", "stage", "usd_per_
 
 def fmt(value) -> str:
     """Four decimals with trailing zeros trimmed; stable across runs."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
+    if type(value) is not float:    # most cells are floats: skip the checks
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, str):
+            return value
     text = f"{float(value):.4f}".rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
+
+
+def _json_cell(value) -> str:
+    """JSON text of a cell, as json.dumps writes float(fmt(value)).
+
+    Distinct decimals of up to 15 significant digits are distinct doubles,
+    so a number text of at most 15 characters is already the shortest
+    repr of the double it reads as, short of the ".0" that repr gives a
+    whole number; a longer one goes through repr."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    text = fmt(value)
+    if len(text) > 15:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of already encoded items, laid out as json.dumps(indent=2)."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
 class Table:
@@ -46,24 +81,26 @@ class Table:
     def add(self, *row) -> None:
         if len(row) != len(self.columns):
             raise ValueError("row width mismatch")
+        for column, cell in zip(self.columns, row):
+            if isinstance(cell, float) and not isfinite(cell):
+                raise InputError(
+                    f"{self.description}: column {column!r} is {cell}, "
+                    "not a finite number")
         self.rows.append(row)
 
     def to_csv(self) -> str:
         lines = [f"# {self.description}", ",".join(self.columns)]
-        lines.extend(",".join(fmt(cell) for cell in row) for row in self.rows)
+        lines += [",".join(map(fmt, row)) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        def cell(value):
-            if isinstance(value, (bool, str)):
-                return value
-            return float(fmt(value))
-        payload = {
-            "description": self.description,
-            "columns": list(self.columns),
-            "rows": [[cell(v) for v in row] for row in self.rows],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        rows = [_json_list(list(map(_json_cell, row)), "    ") for row in self.rows]
+        return (
+            '{\n  "columns": '
+            + _json_list(list(map(encode_basestring_ascii, self.columns)), "  ")
+            + ',\n  "description": ' + encode_basestring_ascii(self.description)
+            + ',\n  "rows": ' + _json_list(rows, "  ")
+            + "\n}\n")
 
     def render(self, output_format: str) -> str:
         return self.to_json() if output_format == "json" else self.to_csv()
@@ -205,12 +242,17 @@ def _report(dataset: data_io.Dataset, output_format: str, output_dir: Path) -> N
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated number list, got {text!r}")
+        values = (nan,)
+    if not all(map(isfinite, values)):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of finite numbers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line; `run` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="nh3econ",
         description="Green-ammonia techno-economic analyses over the bundled datasets.",
@@ -270,9 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` uses, built on first use and kept for the process:
+    parse_args leaves a parser as it found it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         dataset = data_io.Dataset(args.data_dir, args.params,
                                   getattr(args, "regions", None))

@@ -290,6 +290,22 @@ def load_params(path: Path | str, namespace: str,
     return ParameterSet(namespace, entries, table)
 
 
+def load_overrides(path: Path | str) -> ParameterSet:
+    """A user override file, each key checked against every schema, so
+    that one file can serve every namespace: a key that no schema declares,
+    or a unit other than the declaring schema's, is an input error."""
+    overrides = load_params(path, "overrides")
+    for key, _, unit, _ in overrides.rows():
+        expected = {schema[key] for schema in SCHEMAS.values() if key in schema}
+        if not expected:
+            raise InputError(f"{path}: unknown parameter key {key!r}: no namespace declares it")
+        if expected != {unit}:
+            raise InputError(
+                f"{path}: key {key!r} has unit {unit!r}, schema expects "
+                + " and ".join(map(repr, sorted(expected))))
+    return overrides
+
+
 def _load_namespace(namespace: str, directory: Path) -> ParameterSet:
     """A namespace's bundled file, checked against its schema."""
     if namespace not in NAMESPACE_FILES:
@@ -301,8 +317,9 @@ def _load_namespace(namespace: str, directory: Path) -> ParameterSet:
 def load_bundled_params(namespace: str, override_path: Path | str | None = None,
                         directory: Path | None = None) -> ParameterSet:
     """Bundled parameters for a namespace, optionally layered with a user
-    override file (override values win). The returned set carries the
-    dataset version from the manifest when one is present."""
+    override file read by `load_overrides` (override values win). The
+    returned set carries the dataset version from the manifest when one is
+    present."""
     base_dir = directory or data_dir()
     params = _load_namespace(namespace, base_dir)
     try:
@@ -310,8 +327,7 @@ def load_bundled_params(namespace: str, override_path: Path | str | None = None,
     except InputError:
         pass   # datasets without a manifest stay unversioned
     if override_path is not None:
-        overrides = load_params(override_path, namespace)
-        params = params.with_overrides(overrides)
+        params = params.with_overrides(load_overrides(override_path))
     return params
 
 
@@ -424,10 +440,10 @@ class Dataset:
     """One run's view of a dataset directory.
 
     Construction reads manifest.csv and verifies every file digest, once,
-    so a tampered dataset fails before anything is computed from it. The
-    rest is loaded on first use and kept: each namespace's parameters with
-    the override file merged in (the file is read once and layered over
-    every namespace, override values win), the regions table (the given
+    so a tampered dataset fails before anything is computed from it, and
+    reads and checks the override file, if one is given. The rest is loaded
+    on first use and kept: each namespace's parameters with the overrides
+    layered over them (override values win), the regions table (the given
     one, or the bundled one) and the scenario levels.
     """
 
@@ -437,15 +453,9 @@ class Dataset:
         self.directory = directory or data_dir()
         self.manifest = load_manifest(self.directory)
         self.version = self.manifest.version
-        self._params_path = params_path
+        self.overrides = None if params_path is None else load_overrides(params_path)
         self._regions_path = regions_path or bundled_regions_path(self.directory)
         self._params: dict[str, ParameterSet] = {}
-
-    @cached_property
-    def overrides(self) -> ParameterSet | None:
-        if self._params_path is None:
-            return None
-        return load_params(self._params_path, "overrides")
 
     def params(self, namespace: str) -> ParameterSet:
         """Effective parameters of one namespace."""

@@ -215,13 +215,18 @@ class BalanceRow:
 def balance_report(s: SupplyAssumptions, d: DemandAssumptions,
                    supply_levels: list[SupplyLevel],
                    demand_levels: list[DemandLevel]) -> list[BalanceRow]:
-    """Cross every supply level with every demand level."""
+    """Cross every supply level with every demand level. Coverage is
+    supply over demand, so a demand level with no demand is an input error."""
     rows = []
     for sl in supply_levels:
         supply = supply_capacity_mt(s, sl.renewable_share)
         for dl in demand_levels:
             demand = sum(demand_breakdown_mt(d, dl).values())
-            coverage = supply / demand if demand > 0 else float("inf")
+            if not demand > 0:
+                raise InputError(
+                    f"demand level {dl.name!r} has a total demand of {demand} Mt; "
+                    "supply coverage needs a positive demand")
+            coverage = supply / demand
             rows.append(BalanceRow(
                 supply_level=sl.name,
                 demand_level=dl.name,

@@ -223,3 +223,79 @@ def test_non_finite_override_exits_2_without_output(row, argv, tmp_path, capsys)
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "finite number" in captured.err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("coal_prise_usd_per_tce,999,USD_per_tce,typo",
+     "unknown parameter key 'coal_prise_usd_per_tce'"),
+    ("coal_price_usd_per_tce,150,USD_per_MWh,x",
+     "key 'coal_price_usd_per_tce' has unit 'USD_per_MWh', schema expects 'USD_per_tce'"),
+])
+def test_override_key_outside_the_schemas_exits_2(row, message, tmp_path, capsys):
+    params = tmp_path / "params.csv"
+    params.write_text(f"key,value,unit,provenance\n{row}\n")
+    assert cli.run(["cofire", "--rate", "0.03", "--params", str(params)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert message in captured.err
+
+
+def test_zero_demand_level_exits_2_without_output(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), data)
+    demand = data / "demand_levels.csv"
+    demand.write_text(demand.read_text().replace(
+        "Level 1,0.10,0.01,0.03,0.10", "Level 1,0,0,0,0"))
+    _rehash(data, "demand_levels.csv")
+    out = tmp_path / "out"
+    assert cli.run(["--data-dir", str(data), "report", "--format", "json",
+                    "--output", str(out)]) == 2
+    assert cli.run(["--data-dir", str(data), "scenario", "balance", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: demand level 'Level 1' has a total demand of 0.0 Mt; "
+        "supply coverage needs a positive demand"] * 2
+    assert not out.exists()
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run(["report", "--format", "xml"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert cli.run(["report", "--output", str(tmp_path / "run")]) == 0
+    result = _python_m("report", "--output", str(tmp_path / "fresh"))
+    assert result.returncode == 0, result.stderr
+    for path in sorted((tmp_path / "fresh").iterdir()):
+        assert (tmp_path / "run" / path.name).read_bytes() == path.read_bytes()
+    assert len(list((tmp_path / "run").iterdir())) == 8
+    for argv in (["carrier", "delivery", "--volume", "10"], ["carrier", "delivery"]):
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == _python_m(*argv).stdout, argv
+
+
+def test_build_parser_returns_a_parser_run_does_not_share(capsys):
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser()
+    parser.set_defaults(format="json")
+    parser.add_argument("--extra")
+    with pytest.raises(SystemExit):
+        cli.run(["--extra", "1", "gtfp"])
+    assert cli.run(["gtfp"]) == 0
+    assert capsys.readouterr().out.startswith("# regional efficiency scores")
+
+
+@pytest.mark.parametrize("argv", [
+    ["carrier", "delivery", "--distance", "inf"],
+    ["carrier", "delivery", "--volume", "10,nan"],
+    ["carrier", "storage", "--days=-inf"],
+])
+def test_non_finite_sweep_argument_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "list of finite numbers" in captured.err

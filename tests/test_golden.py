@@ -1,10 +1,12 @@
 """Golden report trees: `report` output compared byte for byte with trees
 recorded under tests/golden/.
 
-default_csv and default_json are the default report; override_csv is the
-report with tests/golden/overrides.csv, which overrides one key in each of
-the carriers, cofiring and scenarios namespaces. A change that is meant to
-move an output byte re-records the affected tree in the same change.
+default_csv and default_json are the default report; override_csv and
+override_json are the report with tests/golden/overrides.csv, which
+overrides one key in each of the carriers, cofiring and scenarios
+namespaces. tests/golden/stdout/ holds what each analysis command prints,
+in CSV and JSON. A change that is meant to move an output byte re-records
+the affected files in the same change.
 """
 
 import os
@@ -23,6 +25,19 @@ TREES = {
     "default_csv": [],
     "default_json": ["--format", "json"],
     "override_csv": ["--params", str(GOLDEN / "overrides.csv")],
+    "override_json": ["--params", str(GOLDEN / "overrides.csv"), "--format", "json"],
+}
+
+# tests/golden/stdout/<name>.<format>: the stdout of each command.
+COMMANDS = {
+    "gtfp": ["gtfp"],
+    "carrier_delivery": ["carrier", "delivery"],
+    "carrier_storage": ["carrier", "storage"],
+    "cofire_all": ["cofire", "--all"],
+    "cofire_rate_0.03": ["cofire", "--rate", "0.03"],
+    "scenario_supply": ["scenario", "supply"],
+    "scenario_demand": ["scenario", "demand"],
+    "scenario_balance": ["scenario", "balance"],
 }
 
 
@@ -38,6 +53,14 @@ def test_report_tree_matches_golden(tree, tmp_path):
     out = tmp_path / tree
     assert cli.run(["report", "--output", str(out), *TREES[tree]]) == 0
     _assert_matches_golden(out, tree)
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_stdout_matches_golden(name, output_format, capsys):
+    assert cli.run([*COMMANDS[name], "--format", output_format]) == 0
+    expected = (GOLDEN / "stdout" / f"{name}.{output_format}").read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == expected
 
 
 NO_NUMPY_REPORT = """

@@ -1,0 +1,106 @@
+"""Table rendering: the direct CSV and JSON writers against the formulas
+they replace, kept here as the oracle."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nh3econ import cli
+from nh3econ.errors import InputError
+
+
+def _oracle_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    text = f"{float(value):.4f}".rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
+
+
+def _oracle_csv(table) -> str:
+    lines = [f"# {table.description}", ",".join(table.columns)]
+    lines.extend(",".join(_oracle_fmt(cell) for cell in row) for row in table.rows)
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_json(table) -> str:
+    def cell(value):
+        if isinstance(value, (bool, str)):
+            return value
+        return float(_oracle_fmt(value))
+    payload = {
+        "description": table.description,
+        "columns": list(table.columns),
+        "rows": [[cell(v) for v in row] for row in table.rows],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+TEXT = st.text(st.characters(), max_size=12) | st.sampled_from(
+    ['say "hi"', "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f", "Ürümqi 北京",
+     "emoji \U0001F600", "\ud800 lone surrogate", "", ","])
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-5e-5, max_value=5e-5),         # rounds to 0 or -0
+    st.floats(min_value=-1e6, max_value=1e6).map(lambda x: round(x, 5)),  # ties
+    st.floats(min_value=-1e16, max_value=1e16),
+    st.just(-0.0),
+    st.integers(min_value=-2**62, max_value=2**62),
+    st.booleans(),
+    TEXT,
+)
+
+
+@st.composite
+def tables(draw):
+    columns = tuple(draw(st.lists(TEXT, max_size=5)))
+    table = cli.Table(draw(TEXT), columns)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        table.add(*draw(st.lists(CELLS, min_size=len(columns), max_size=len(columns))))
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(tables())
+def test_writers_match_the_oracle(table):
+    assert table.to_csv() == _oracle_csv(table)
+    assert table.to_json() == _oracle_json(table)
+    assert table.render("csv") == _oracle_csv(table)
+    assert table.render("json") == _oracle_json(table)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.floats(min_value=-1e16, max_value=1e16))
+def test_json_number_is_float_of_fmt(value):
+    assert cli._json_cell(value) == repr(float(_oracle_fmt(value)))
+    assert cli.fmt(value) == _oracle_fmt(value)
+
+
+@pytest.mark.parametrize("value, text", [
+    (-0.0, "0.0"), (-0.00004, "0.0"), (0.00005, "0.0001"), (1.0, "1.0"), (0, "0.0"),
+    (7, "7.0"), (0.65304, "0.653"), (1e300, "1e+300"), (5e-324, "0.0"), (-123.45675, "-123.4567"),
+    (-123456789.12345, "-123456789.1234"), (99999999999.99995, "100000000000.0"),
+    (123456789012345.67, "123456789012345.67"), (2**70, "1.1805916207174113e+21"),
+])
+def test_json_number_edge_cases(value, text):
+    assert cli._json_cell(value) == text == repr(float(_oracle_fmt(value)))
+
+
+def test_empty_table_layout():
+    table = cli.Table("nothing", ())
+    assert table.to_json() == '{\n  "columns": [],\n  "description": "nothing",\n  "rows": []\n}\n'
+    table.add()
+    assert table.to_json() == _oracle_json(table)
+    assert table.to_csv() == "# nothing\n\n\n"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_table_rejects_non_finite_cells(value):
+    table = cli.Table("balance", ("level", "coverage"))
+    with pytest.raises(InputError, match="'coverage' is .*not a finite number"):
+        table.add("Level 1", value)
+    assert table.rows == []
