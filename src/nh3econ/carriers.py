@@ -28,8 +28,7 @@ larger than the 3 percent used for stationary plants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import InputError
 from .units import NH3_T_PER_T_H2
@@ -78,107 +77,126 @@ def levelized_cost(annual_expense_schedule, annual_energy_schedule, dr: float) -
     return disc_exp / disc_energy
 
 
-@dataclass(frozen=True)
 class StageSpec:
     """One stage of a carrier chain.
 
     energy_use_mwh_per_t applies per tonne handled, or per tonne per 100 km
     for pipeline transport. loss_rate is a fraction per day in transit or
-    storage (boil-off), or per 1000 km for pipeline leakage.
+    storage (boil-off), or per 1000 km for pipeline leakage. payload_t and
+    daily_range_km size road transport (per_asset basis); hold_days and
+    density_t_per_m3 size storage.
     """
 
-    name: str
-    role: str
-    capex_basis: str
-    capex_value: float
-    fixed_opex_rate: float = 0.03
-    energy_use_mwh_per_t: float = 0.0
-    loss_rate: float = 0.0
-    conversion_efficiency: float = 1.0
-    # transport sizing (per_asset basis)
-    payload_t: float = 0.0
-    daily_range_km: float = 0.0
-    # storage sizing
-    hold_days: float = 0.0
-    density_t_per_m3: float = 0.0
+    __slots__ = ("name", "role", "capex_basis", "capex_value", "fixed_opex_rate",
+                 "energy_use_mwh_per_t", "loss_rate", "conversion_efficiency",
+                 "payload_t", "daily_range_km", "hold_days", "density_t_per_m3")
 
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise InputError(f"stage {self.name!r}: unknown role {self.role!r}")
-        if self.capex_basis not in CAPEX_BASES:
-            raise InputError(f"stage {self.name!r}: unknown capex basis {self.capex_basis!r}")
-        if self.capex_value < 0:
-            raise InputError(f"stage {self.name!r}: capex must be nonnegative")
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise InputError(f"stage {self.name!r}: loss rate must be in [0, 1)")
-        if not 0.0 < self.conversion_efficiency <= 1.0:
-            raise InputError(f"stage {self.name!r}: conversion efficiency must be in (0, 1]")
+    def __init__(self, name: str, role: str, capex_basis: str, capex_value: float,
+                 fixed_opex_rate: float = 0.03, energy_use_mwh_per_t: float = 0.0,
+                 loss_rate: float = 0.0, conversion_efficiency: float = 1.0,
+                 payload_t: float = 0.0, daily_range_km: float = 0.0,
+                 hold_days: float = 0.0, density_t_per_m3: float = 0.0):
+        if role not in ROLES:
+            raise InputError(f"stage {name!r}: unknown role {role!r}")
+        if capex_basis not in CAPEX_BASES:
+            raise InputError(f"stage {name!r}: unknown capex basis {capex_basis!r}")
+        if capex_value < 0:
+            raise InputError(f"stage {name!r}: capex must be nonnegative")
+        if not 0.0 <= loss_rate < 1.0:
+            raise InputError(f"stage {name!r}: loss rate must be in [0, 1)")
+        if not 0.0 < conversion_efficiency <= 1.0:
+            raise InputError(f"stage {name!r}: conversion efficiency must be in (0, 1]")
+        self.name = name
+        self.role = role
+        self.capex_basis = capex_basis
+        self.capex_value = capex_value
+        self.fixed_opex_rate = fixed_opex_rate
+        self.energy_use_mwh_per_t = energy_use_mwh_per_t
+        self.loss_rate = loss_rate
+        self.conversion_efficiency = conversion_efficiency
+        self.payload_t = payload_t
+        self.daily_range_km = daily_range_km
+        self.hold_days = hold_days
+        self.density_t_per_m3 = density_t_per_m3
 
 
-@dataclass(frozen=True)
 class CarrierChain:
-    """Ordered stages moving hydrogen via one medium."""
+    """Ordered stages moving hydrogen via one medium: "NH3", "LH2" or
+    "GH2_pipeline"."""
 
-    medium: str   # "NH3", "LH2" or "GH2_pipeline"
-    stages: tuple[StageSpec, ...]
-    bracket_clamped: bool = False
-    storage_stages: tuple[StageSpec, ...] = ()
+    __slots__ = ("medium", "stages", "bracket_clamped", "storage_stages")
 
-    def __post_init__(self):
-        if self.medium not in ("NH3", "LH2", "GH2_pipeline"):
-            raise InputError(f"unknown carrier medium {self.medium!r}")
+    def __init__(self, medium: str, stages: tuple[StageSpec, ...],
+                 bracket_clamped: bool = False,
+                 storage_stages: tuple[StageSpec, ...] = ()):
+        if medium not in ("NH3", "LH2", "GH2_pipeline"):
+            raise InputError(f"unknown carrier medium {medium!r}")
         last = -1
-        for stage in self.stages:
+        for stage in stages:
             order = _ROLE_ORDER[stage.role]
             if order < last:
                 raise InputError(
                     f"stage {stage.name!r} out of order: expected "
                     "conversion -> transport -> storage -> reconversion")
             last = order
-            if self.medium == "GH2_pipeline" and stage.role in ("conversion", "reconversion"):
+            if medium == "GH2_pipeline" and stage.role in ("conversion", "reconversion"):
                 raise InputError("pipeline chains carry gaseous hydrogen end to end")
+        self.medium = medium
+        self.stages = stages
+        self.bracket_clamped = bracket_clamped
+        self.storage_stages = storage_stages
 
 
-@dataclass(frozen=True)
 class CostQuery:
     """Sizing and financial context for one cost evaluation."""
 
-    annual_h2_kt: float
-    distance_km: float = 0.0
-    storage_days: float = 0.0
-    dr: float = DEFAULT_DISCOUNT_RATE
-    lifetime_years: int = DEFAULT_LIFETIME_YEARS
-    electricity_usd_per_mwh: float = DEFAULT_ELECTRICITY_USD_PER_MWH
-    stored_share: float = DEFAULT_STORED_SHARE
+    __slots__ = ("annual_h2_kt", "distance_km", "storage_days", "dr",
+                 "lifetime_years", "electricity_usd_per_mwh", "stored_share")
 
-    def __post_init__(self):
-        if not self.annual_h2_kt > 0:
+    def __init__(self, annual_h2_kt: float, distance_km: float = 0.0,
+                 storage_days: float = 0.0, dr: float = DEFAULT_DISCOUNT_RATE,
+                 lifetime_years: int = DEFAULT_LIFETIME_YEARS,
+                 electricity_usd_per_mwh: float = DEFAULT_ELECTRICITY_USD_PER_MWH,
+                 stored_share: float = DEFAULT_STORED_SHARE):
+        if not annual_h2_kt > 0:
             raise InputError("annual hydrogen volume must be positive")
-        if self.distance_km < 0:
+        if distance_km < 0:
             raise InputError("distance must be nonnegative")
-        if self.storage_days < 0:
+        if storage_days < 0:
             raise InputError("storage days must be nonnegative")
-        if not 0.0 < self.dr < 1.0:
+        if not 0.0 < dr < 1.0:
             raise InputError("discount rate must be in (0, 1)")
-        if not 0.0 < self.stored_share <= 1.0:
+        if not 0.0 < stored_share <= 1.0:
             raise InputError("stored share must be in (0, 1]")
+        self.annual_h2_kt = annual_h2_kt
+        self.distance_km = distance_km
+        self.storage_days = storage_days
+        self.dr = dr
+        self.lifetime_years = lifetime_years
+        self.electricity_usd_per_mwh = electricity_usd_per_mwh
+        self.stored_share = stored_share
 
 
-@dataclass(frozen=True)
 class StageCost:
-    name: str
-    role: str
-    usd_per_kg: float
+    __slots__ = ("name", "role", "usd_per_kg")
+
+    def __init__(self, name: str, role: str, usd_per_kg: float):
+        self.name = name
+        self.role = role
+        self.usd_per_kg = usd_per_kg
 
 
-@dataclass(frozen=True)
 class CostBreakdown:
     """Levelized cost split by stage; stage costs sum to the total."""
 
-    stages: tuple[StageCost, ...]
-    total_usd_per_kg: float
-    delivered_fraction: float
-    bracket_clamped: bool = False
+    __slots__ = ("stages", "total_usd_per_kg", "delivered_fraction", "bracket_clamped")
+
+    def __init__(self, stages: tuple[StageCost, ...], total_usd_per_kg: float,
+                 delivered_fraction: float, bracket_clamped: bool = False):
+        self.stages = stages
+        self.total_usd_per_kg = total_usd_per_kg
+        self.delivered_fraction = delivered_fraction
+        self.bracket_clamped = bracket_clamped
 
     def stage_share(self, role: str) -> float:
         """Fraction of the total contributed by stages of one role."""
@@ -207,13 +225,9 @@ def _bracket_param(params: Mapping[str, float], stem: str,
     return _param(params, f"{stem}_{int(bracket)}kt"), clamped
 
 
-@dataclass
-class _StageFlow:
-    """Sizing of one stage inside a concrete evaluation."""
-
-    spec: StageSpec
-    capex_usd: float
-    energy_mwh_per_yr: float
+# A stage sized inside one evaluation, as a (spec, capex_usd,
+# energy_mwh_per_yr) tuple.
+_StageFlow = tuple[StageSpec, float, float]
 
 
 def _transport_fleet(spec: StageSpec, tonnage_per_yr: float, distance_km: float) -> float:
@@ -279,7 +293,7 @@ def _walk_delivery(chain: CarrierChain, q: CostQuery) -> tuple[list[_StageFlow],
                 medium = "H2"
             else:
                 out_mass = mass_t * spec.conversion_efficiency
-        flows.append(_StageFlow(spec, capex, energy))
+        flows.append((spec, capex, energy))
         mass_t = out_mass
 
     h2_equiv_t = mass_t / NH3_T_PER_T_H2 if medium == "NH3" else mass_t
@@ -298,15 +312,13 @@ def _levelize(flows: list[_StageFlow], delivered_kg_per_yr: float,
     if not delivered_kg_per_yr > 0:
         raise InputError("chain delivers no hydrogen")
     annuity = annuity_factor(q.dr, q.lifetime_years)
-    stage_costs = []
-    for flow in flows:
-        opex = flow.capex_usd * flow.spec.fixed_opex_rate
-        running = opex + flow.energy_mwh_per_yr * q.electricity_usd_per_mwh
-        cost = (flow.capex_usd / annuity + running) / delivered_kg_per_yr
-        stage_costs.append(StageCost(flow.spec.name, flow.spec.role, cost))
-    total = sum(s.usd_per_kg for s in stage_costs)
-    return CostBreakdown(tuple(stage_costs), total, delivered_fraction,
-                         bracket_clamped)
+    price = q.electricity_usd_per_mwh
+    # (capex / annuity + fixed opex + process energy) per delivered kg
+    costs = [(capex / annuity + (capex * spec.fixed_opex_rate + energy * price))
+             / delivered_kg_per_yr for spec, capex, energy in flows]
+    stages = tuple([StageCost(spec.name, spec.role, cost)
+                    for (spec, _, _), cost in zip(flows, costs)])
+    return CostBreakdown(stages, sum(costs), delivered_fraction, bracket_clamped)
 
 
 def delivery_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
@@ -360,7 +372,7 @@ def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
         else:   # preparation before, or retrieval processing after, the hold
             capex = spec.capex_value * mass_t
             energy = spec.energy_use_mwh_per_t * mass_t
-        flows.append(_StageFlow(spec, capex, energy))
+        flows.append((spec, capex, energy))
     recovered_t = mass_t
 
     if chain.medium == "NH3":

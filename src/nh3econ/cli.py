@@ -13,6 +13,9 @@ as `true`/`false`, and every other cell as the shortest repr of the value
 rounded to four decimals (`0.65`, `1.0`, never `-0.0`).
 
 Exit codes: 0 success, 2 input error (including usage), 3 solver failure.
+An `--output` path that cannot be written (a `report` directory that is
+an existing file, a file in a missing directory) is an input error, and
+so is `cofire --all` together with `--rate`.
 """
 
 from __future__ import annotations
@@ -109,7 +112,10 @@ class Table:
 def _emit(table: Table, output_format: str, output: str | None) -> None:
     text = table.render(output_format)
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -234,10 +240,13 @@ def _report(dataset: data_io.Dataset, output_format: str, output_dir: Path) -> N
                    scenario_demand=scenario_tables["demand"],
                    supply_demand_balance=scenario_tables["balance"])
     extension = "json" if output_format == "json" else "csv"
-    output_dir.mkdir(parents=True, exist_ok=True)
-    for name, table in outputs.items():
-        (output_dir / f"{name}.{extension}").write_text(
-            table.render(output_format), encoding="utf-8")
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+        for name, table in outputs.items():
+            (output_dir / f"{name}.{extension}").write_text(
+                table.render(output_format), encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write output: {exc}") from None
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -287,10 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cofire = sub.add_parser("cofire", help="co-firing cost and emission ladder")
     add_common(p_cofire)
-    p_cofire.add_argument("--rate", type=float, default=None,
-                          help="single co-firing rate, e.g. 0.03")
-    p_cofire.add_argument("--all", action="store_true",
-                          help="evaluate the whole standard ladder")
+    ladder = p_cofire.add_mutually_exclusive_group()
+    ladder.add_argument("--rate", type=float, default=None,
+                        help="single co-firing rate, e.g. 0.03")
+    ladder.add_argument("--all", action="store_true",
+                        help="evaluate the whole standard ladder (the default)")
     p_cofire.add_argument("--interpolate", action="store_true",
                           help="linearly interpolate efficiency loss between tabulated rates")
 
@@ -335,7 +345,7 @@ def run(argv=None) -> int:
                 table = _storage_table(dataset, args.volume, args.days)
             _emit(table, args.format, args.output)
         elif args.command == "cofire":
-            rates = cofiring.STANDARD_RATES if args.all or args.rate is None else (args.rate,)
+            rates = cofiring.STANDARD_RATES if args.rate is None else (args.rate,)
             _emit(_cofire_table(dataset, rates, args.interpolate), args.format, args.output)
         elif args.command == "scenario":
             tables = _scenario_tables(dataset, getattr(args, "share", None))

@@ -9,8 +9,7 @@ non-fuel part held constant at its share of the coal-only baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import InputError
 from .units import TCE_GJ
@@ -21,29 +20,41 @@ STANDARD_RATES = (0.0, 0.03, 0.05, 0.10, 0.15, 0.20)
 DEFAULT_EFFICIENCY_LOSS = {0.03: 0.01, 0.05: 0.02, 0.10: 0.03, 0.15: 0.04, 0.20: 0.06}
 
 
-@dataclass(frozen=True)
 class CofiringParams:
-    """Parameter bundle for the co-firing cost and emission model."""
+    """Parameter bundle for the co-firing cost and emission model.
 
-    coal_price_usd_per_tce: float
-    ammonia_production_cost_usd_per_t: float = 820.0
-    gross_margin: float = 0.05
-    lhv_nh3_gj_per_t: float = 18.6
-    coal_consumption_tce_per_mwh: float = 0.31
-    base_emission_kg_per_mwh: float = 838.0
-    fuel_cost_share: float = 0.70
-    efficiency_loss: dict[float, float] = field(
-        default_factory=lambda: dict(DEFAULT_EFFICIENCY_LOSS))
+    efficiency_loss maps a co-firing rate to the boiler's fractional
+    efficiency loss; None stands for a copy of DEFAULT_EFFICIENCY_LOSS.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("coal_price_usd_per_tce", "ammonia_production_cost_usd_per_t",
+                 "gross_margin", "lhv_nh3_gj_per_t", "coal_consumption_tce_per_mwh",
+                 "base_emission_kg_per_mwh", "fuel_cost_share", "efficiency_loss")
+
+    def __init__(self, coal_price_usd_per_tce: float,
+                 ammonia_production_cost_usd_per_t: float = 820.0,
+                 gross_margin: float = 0.05, lhv_nh3_gj_per_t: float = 18.6,
+                 coal_consumption_tce_per_mwh: float = 0.31,
+                 base_emission_kg_per_mwh: float = 838.0,
+                 fuel_cost_share: float = 0.70,
+                 efficiency_loss: dict[float, float] | None = None):
+        self.coal_price_usd_per_tce = coal_price_usd_per_tce
+        self.ammonia_production_cost_usd_per_t = ammonia_production_cost_usd_per_t
+        self.gross_margin = gross_margin
+        self.lhv_nh3_gj_per_t = lhv_nh3_gj_per_t
+        self.coal_consumption_tce_per_mwh = coal_consumption_tce_per_mwh
+        self.base_emission_kg_per_mwh = base_emission_kg_per_mwh
+        self.fuel_cost_share = fuel_cost_share
+        self.efficiency_loss = (dict(DEFAULT_EFFICIENCY_LOSS) if efficiency_loss is None
+                                else efficiency_loss)
         for name in ("coal_price_usd_per_tce", "ammonia_production_cost_usd_per_t",
                      "lhv_nh3_gj_per_t", "coal_consumption_tce_per_mwh",
                      "base_emission_kg_per_mwh"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive")
-        if not 0.0 < self.fuel_cost_share < 1.0:
+        if not 0.0 < fuel_cost_share < 1.0:
             raise InputError("fuel_cost_share must be in (0, 1)")
-        if self.gross_margin < 0:
+        if gross_margin < 0:
             raise InputError("gross_margin must be nonnegative")
         for rate, loss in self.efficiency_loss.items():
             if not 0.0 <= loss < 1.0:
@@ -66,18 +77,27 @@ class CofiringParams:
         )
 
 
-@dataclass(frozen=True)
 class CofiringResult:
     """Costs and emission intensity at one co-firing rate, with deltas
-    against the coal-only base case."""
+    against the coal-only base case: fuel_cost_delta and lcoe_delta are
+    relative changes, emission_delta_kg_per_mwh an absolute (negative)
+    change."""
 
-    rate: float
-    mixed_fuel_cost_usd_per_tce: float
-    lcoe_usd_per_mwh: float
-    emission_kg_per_mwh: float
-    fuel_cost_delta: float          # relative change vs rate 0
-    lcoe_delta: float               # relative change vs rate 0
-    emission_delta_kg_per_mwh: float  # absolute change vs rate 0 (negative)
+    __slots__ = ("rate", "mixed_fuel_cost_usd_per_tce", "lcoe_usd_per_mwh",
+                 "emission_kg_per_mwh", "fuel_cost_delta", "lcoe_delta",
+                 "emission_delta_kg_per_mwh")
+
+    def __init__(self, rate: float, mixed_fuel_cost_usd_per_tce: float,
+                 lcoe_usd_per_mwh: float, emission_kg_per_mwh: float,
+                 fuel_cost_delta: float, lcoe_delta: float,
+                 emission_delta_kg_per_mwh: float):
+        self.rate = rate
+        self.mixed_fuel_cost_usd_per_tce = mixed_fuel_cost_usd_per_tce
+        self.lcoe_usd_per_mwh = lcoe_usd_per_mwh
+        self.emission_kg_per_mwh = emission_kg_per_mwh
+        self.fuel_cost_delta = fuel_cost_delta
+        self.lcoe_delta = lcoe_delta
+        self.emission_delta_kg_per_mwh = emission_delta_kg_per_mwh
 
 
 def ammonia_fuel_price_per_tce(params: CofiringParams) -> float:

@@ -16,7 +16,6 @@ import hashlib
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -133,15 +132,19 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-@dataclass(frozen=True)
 class _Table:
-    """Raw parsed file: comment lines, header cells, row cells."""
+    """Raw parsed file: comment lines, header cells, row cells and the
+    line number of each row."""
 
-    path: Path
-    comments: tuple[str, ...]
-    header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-    row_lines: tuple[int, ...]
+    __slots__ = ("path", "comments", "header", "rows", "row_lines")
+
+    def __init__(self, path: Path, comments: tuple[str, ...], header: tuple[str, ...],
+                 rows: tuple[tuple[str, ...], ...], row_lines: tuple[int, ...]):
+        self.path = path
+        self.comments = comments
+        self.header = header
+        self.rows = rows
+        self.row_lines = row_lines
 
     def serialize(self) -> str:
         lines = list(self.comments)
@@ -191,12 +194,14 @@ def _parse_float(cell: str, path: Path, lineno: int, column: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
 class ParamEntry:
-    key: str
-    value: float
-    unit: str
-    provenance: str
+    __slots__ = ("key", "value", "unit", "provenance")
+
+    def __init__(self, key: str, value: float, unit: str, provenance: str):
+        self.key = key
+        self.value = value
+        self.unit = unit
+        self.provenance = provenance
 
 
 class ParameterSet(Mapping):
@@ -381,14 +386,16 @@ def load_demand_levels(path: Path | str | None = None) -> list[DemandLevel]:
     return levels
 
 
-@dataclass(frozen=True)
 class CalibrationEntry:
     """A back-solved constant and the recipe that reproduces it."""
 
-    constant: str
-    value: float
-    unit: str
-    oracle: str
+    __slots__ = ("constant", "value", "unit", "oracle")
+
+    def __init__(self, constant: str, value: float, unit: str, oracle: str):
+        self.constant = constant
+        self.value = value
+        self.unit = unit
+        self.oracle = oracle
 
 
 def calibration_ledger(directory: Path | None = None) -> list[CalibrationEntry]:
@@ -401,13 +408,17 @@ def calibration_ledger(directory: Path | None = None) -> list[CalibrationEntry]:
             for row, ln in zip(table.rows, table.row_lines)]
 
 
-@dataclass(frozen=True)
 class DatasetManifest:
-    """File list with content digests plus the calibration ledger."""
+    """File list with content digests (filename -> sha256) plus the
+    calibration ledger."""
 
-    version: str
-    files: dict[str, str]    # filename -> sha256
-    calibration: tuple[CalibrationEntry, ...]
+    __slots__ = ("version", "files", "calibration")
+
+    def __init__(self, version: str, files: dict[str, str],
+                 calibration: tuple[CalibrationEntry, ...]):
+        self.version = version
+        self.files = files
+        self.calibration = calibration
 
 
 def _sha256(path: Path) -> str:

@@ -13,8 +13,6 @@ thousands of Btu per dollar, not Btu as sometimes labelled).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import lp
 from .errors import InputError, SolverError
 from .units import Quantity, convert
@@ -25,40 +23,45 @@ DEFAULT_DEPRECIATION = 0.096
 _INPUT_FIELDS = ("energy_mtce", "labour_m", "capital_busd", "co2_mt")
 
 
-@dataclass(frozen=True)
 class RegionRecord:
     """One region's annual inputs and output for the efficiency model."""
 
-    name: str
-    energy_mtce: float
-    labour_m: float
-    capital_busd: float
-    co2_mt: float
-    gdp_busd: float
+    __slots__ = ("name", *_INPUT_FIELDS, "gdp_busd")
 
-    def __post_init__(self):
-        for field_name in (*_INPUT_FIELDS, "gdp_busd"):
-            value = getattr(self, field_name)
+    def __init__(self, name: str, energy_mtce: float, labour_m: float,
+                 capital_busd: float, co2_mt: float, gdp_busd: float):
+        values = (energy_mtce, labour_m, capital_busd, co2_mt, gdp_busd)
+        for field_name, value in zip(self.__slots__[1:], values):
             if not value > 0:
                 raise InputError(
-                    f"region {self.name!r}: {field_name} must be strictly "
+                    f"region {name!r}: {field_name} must be strictly "
                     f"positive, got {value}"
                 )
+        self.name = name
+        self.energy_mtce = energy_mtce
+        self.labour_m = labour_m
+        self.capital_busd = capital_busd
+        self.co2_mt = co2_mt
+        self.gdp_busd = gdp_busd
 
     @property
     def inputs(self) -> tuple[float, ...]:
-        return tuple(getattr(self, f) for f in _INPUT_FIELDS)
+        return (self.energy_mtce, self.labour_m, self.capital_busd, self.co2_mt)
 
 
-@dataclass(frozen=True)
 class RegionEfficiency:
     """Scored row: efficiency in (0, 1], intensities per dollar of GDP."""
 
-    name: str
-    gtfp: float
-    energy_intensity_kbtu_per_usd: float
-    carbon_intensity_kg_per_usd: float
-    efficient: bool
+    __slots__ = ("name", "gtfp", "energy_intensity_kbtu_per_usd",
+                 "carbon_intensity_kg_per_usd", "efficient")
+
+    def __init__(self, name: str, gtfp: float, energy_intensity_kbtu_per_usd: float,
+                 carbon_intensity_kg_per_usd: float, efficient: bool):
+        self.name = name
+        self.gtfp = gtfp
+        self.energy_intensity_kbtu_per_usd = energy_intensity_kbtu_per_usd
+        self.carbon_intensity_kg_per_usd = carbon_intensity_kg_per_usd
+        self.efficient = efficient
 
 
 def build_dea_lp(records: list[RegionRecord], i: int) -> lp.LinearProgram:

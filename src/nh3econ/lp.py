@@ -18,7 +18,6 @@ sequence identical across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import mul
 
@@ -67,47 +66,42 @@ def _as_vector(b, name: str, m: int) -> tuple[float, ...]:
     return values
 
 
-@dataclass(frozen=True)
 class LinearProgram:
-    """Immutable container for one standard-form minimization problem.
+    """Container for one standard-form minimization problem.
 
     Accepts any sequences of numbers (lists, tuples, arrays) and stores
     them as tuples of floats, the matrices as tuples of rows.
     """
 
-    c: tuple[float, ...]
-    a_ub: tuple[tuple[float, ...], ...] = None
-    b_ub: tuple[float, ...] = None
-    a_eq: tuple[tuple[float, ...], ...] = None
-    b_eq: tuple[float, ...] = None
+    __slots__ = ("c", "a_ub", "b_ub", "a_eq", "b_eq")
 
-    def __post_init__(self):
-        c = _floats(self.c, "c", "c must be a sequence of numbers")
+    def __init__(self, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+        c = _floats(c, "c", "c must be a sequence of numbers")
         if not c:
             raise InputError("objective must have at least one coefficient")
         n = len(c)
-        a_ub = _as_matrix(self.a_ub, "a_ub", n)
-        b_ub = _as_vector(self.b_ub, "b_ub", len(a_ub))
-        a_eq = _as_matrix(self.a_eq, "a_eq", n)
-        b_eq = _as_vector(self.b_eq, "b_eq", len(a_eq))
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a_ub", a_ub)
-        object.__setattr__(self, "b_ub", b_ub)
-        object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
+        self.c = c
+        self.a_ub = _as_matrix(a_ub, "a_ub", n)
+        self.b_ub = _as_vector(b_ub, "b_ub", len(self.a_ub))
+        self.a_eq = _as_matrix(a_eq, "a_eq", n)
+        self.b_eq = _as_vector(b_eq, "b_eq", len(self.a_eq))
 
     @property
     def n(self) -> int:
         return len(self.c)
 
 
-@dataclass(frozen=True)
 class LpSolution:
-    status: LpStatus
-    x: tuple[float, ...] = None
-    objective: float = float("nan")
-    residual: float = float("nan")
-    iterations: int = 0
+    __slots__ = ("status", "x", "objective", "residual", "iterations")
+
+    def __init__(self, status: LpStatus, x: tuple[float, ...] | None = None,
+                 objective: float = float("nan"), residual: float = float("nan"),
+                 iterations: int = 0):
+        self.status = status
+        self.x = x
+        self.objective = objective
+        self.residual = residual
+        self.iterations = iterations
 
     @property
     def is_optimal(self) -> bool:

@@ -10,8 +10,7 @@ refilling stations with ammonia as the carrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import InputError
 from .units import (
@@ -27,29 +26,36 @@ from .units import (
 SECTORS = ("power", "ammonia", "shipping", "mobility")
 
 
-@dataclass(frozen=True)
 class SupplyAssumptions:
-    """Renewable build-out and conversion-chain efficiencies for 2030."""
+    """Renewable build-out and conversion-chain efficiencies for 2030.
 
-    wind_gw: float = 780.0
-    solar_gw: float = 840.0
-    wind_hours: float = 2246.0
-    solar_hours: float = 1163.0
-    electrolyser_efficiency: float = 0.70
-    synthesis_conversion: float = 0.95
-    # Electrolysis accounting basis for the hydrogen energy content. The
-    # higher heating value is the default: it reproduces the model's
-    # renewable-share anchors, whereas an LHV basis understates demand.
-    h2_energy_basis: str = "hhv"
+    h2_energy_basis is the electrolysis accounting basis for the hydrogen
+    energy content. The higher heating value is the default: it reproduces
+    the model's renewable-share anchors, whereas an LHV basis understates
+    demand.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("wind_gw", "solar_gw", "wind_hours", "solar_hours",
+                 "electrolyser_efficiency", "synthesis_conversion", "h2_energy_basis")
+
+    def __init__(self, wind_gw: float = 780.0, solar_gw: float = 840.0,
+                 wind_hours: float = 2246.0, solar_hours: float = 1163.0,
+                 electrolyser_efficiency: float = 0.70,
+                 synthesis_conversion: float = 0.95, h2_energy_basis: str = "hhv"):
+        self.wind_gw = wind_gw
+        self.solar_gw = solar_gw
+        self.wind_hours = wind_hours
+        self.solar_hours = solar_hours
+        self.electrolyser_efficiency = electrolyser_efficiency
+        self.synthesis_conversion = synthesis_conversion
+        self.h2_energy_basis = h2_energy_basis
         for name in ("wind_gw", "solar_gw", "wind_hours", "solar_hours"):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be nonnegative")
         for name in ("electrolyser_efficiency", "synthesis_conversion"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise InputError(f"{name} must be in (0, 1]")
-        if self.h2_energy_basis not in ("hhv", "lhv"):
+        if h2_energy_basis not in ("hhv", "lhv"):
             raise InputError("h2_energy_basis must be 'hhv' or 'lhv'")
 
     @property
@@ -70,26 +76,32 @@ class SupplyAssumptions:
         )
 
 
-@dataclass(frozen=True)
 class DemandAssumptions:
     """Sector baselines that the penetration rates act on."""
 
-    conventional_ammonia_mt: float = 52.0
-    shipping_fuel_mt: float = 20.0
-    thermal_gw: float = 1450.0
-    coal_share: float = 0.87
-    coal_hours: float = 4000.0
-    coal_consumption_tce_per_mwh: float = 0.31
-    hrs_count: float = 1000.0
-    hrs_capacity_kg_per_day: float = 1000.0
+    __slots__ = ("conventional_ammonia_mt", "shipping_fuel_mt", "thermal_gw",
+                 "coal_share", "coal_hours", "coal_consumption_tce_per_mwh",
+                 "hrs_count", "hrs_capacity_kg_per_day")
 
-    def __post_init__(self):
+    def __init__(self, conventional_ammonia_mt: float = 52.0,
+                 shipping_fuel_mt: float = 20.0, thermal_gw: float = 1450.0,
+                 coal_share: float = 0.87, coal_hours: float = 4000.0,
+                 coal_consumption_tce_per_mwh: float = 0.31,
+                 hrs_count: float = 1000.0, hrs_capacity_kg_per_day: float = 1000.0):
+        self.conventional_ammonia_mt = conventional_ammonia_mt
+        self.shipping_fuel_mt = shipping_fuel_mt
+        self.thermal_gw = thermal_gw
+        self.coal_share = coal_share
+        self.coal_hours = coal_hours
+        self.coal_consumption_tce_per_mwh = coal_consumption_tce_per_mwh
+        self.hrs_count = hrs_count
+        self.hrs_capacity_kg_per_day = hrs_capacity_kg_per_day
         for name in ("conventional_ammonia_mt", "shipping_fuel_mt", "thermal_gw",
                      "coal_hours", "coal_consumption_tce_per_mwh",
                      "hrs_count", "hrs_capacity_kg_per_day"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive")
-        if not 0.0 < self.coal_share <= 1.0:
+        if not 0.0 < coal_share <= 1.0:
             raise InputError("coal_share must be in (0, 1]")
 
     @classmethod
@@ -105,30 +117,31 @@ class DemandAssumptions:
         )
 
 
-@dataclass(frozen=True)
 class SupplyLevel:
-    name: str
-    renewable_share: float
+    __slots__ = ("name", "renewable_share")
 
-    def __post_init__(self):
-        if not 0.0 <= self.renewable_share <= 1.0:
-            raise InputError(f"supply level {self.name!r}: share must be in [0, 1]")
+    def __init__(self, name: str, renewable_share: float):
+        if not 0.0 <= renewable_share <= 1.0:
+            raise InputError(f"supply level {name!r}: share must be in [0, 1]")
+        self.name = name
+        self.renewable_share = renewable_share
 
 
-@dataclass(frozen=True)
 class DemandLevel:
-    name: str
-    pr_ammonia: float
-    pr_power: float
-    pr_shipping: float
-    pr_mobility: float
+    __slots__ = ("name", "pr_ammonia", "pr_power", "pr_shipping", "pr_mobility")
 
-    def __post_init__(self):
-        for field_name in ("pr_ammonia", "pr_power", "pr_shipping", "pr_mobility"):
-            value = getattr(self, field_name)
+    def __init__(self, name: str, pr_ammonia: float, pr_power: float,
+                 pr_shipping: float, pr_mobility: float):
+        values = (pr_ammonia, pr_power, pr_shipping, pr_mobility)
+        for field_name, value in zip(self.__slots__[1:], values):
             if not 0.0 <= value <= 1.0:
                 raise InputError(
-                    f"demand level {self.name!r}: {field_name} must be in [0, 1]")
+                    f"demand level {name!r}: {field_name} must be in [0, 1]")
+        self.name = name
+        self.pr_ammonia = pr_ammonia
+        self.pr_power = pr_power
+        self.pr_shipping = pr_shipping
+        self.pr_mobility = pr_mobility
 
 
 def _check_share(value: float, name: str) -> None:
@@ -200,16 +213,20 @@ def demand_breakdown_mt(d: DemandAssumptions, level: DemandLevel) -> dict[str, f
     }
 
 
-@dataclass(frozen=True)
 class BalanceRow:
     """One supply-level / demand-level pairing of the balance table."""
 
-    supply_level: str
-    demand_level: str
-    supply_mt: float
-    demand_mt: float
-    coverage: float
-    covered: bool
+    __slots__ = ("supply_level", "demand_level", "supply_mt", "demand_mt",
+                 "coverage", "covered")
+
+    def __init__(self, supply_level: str, demand_level: str, supply_mt: float,
+                 demand_mt: float, coverage: float, covered: bool):
+        self.supply_level = supply_level
+        self.demand_level = demand_level
+        self.supply_mt = supply_mt
+        self.demand_mt = demand_mt
+        self.coverage = coverage
+        self.covered = covered
 
 
 def balance_report(s: SupplyAssumptions, d: DemandAssumptions,

@@ -9,7 +9,6 @@ conversions agree to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DimensionError, InputError
 
@@ -71,18 +70,18 @@ def dimension_of(unit: str) -> str:
         raise InputError(f"unknown unit tag {unit!r}") from None
 
 
-@dataclass(frozen=True)
 class Quantity:
     """A finite numeric value tagged with one unit from the closed set."""
 
-    value: float
-    unit: str
+    __slots__ = ("value", "unit")
 
-    def __post_init__(self):
-        if self.unit not in _UNITS:
-            raise InputError(f"unknown unit tag {self.unit!r}")
-        if not math.isfinite(self.value):
-            raise InputError(f"non-finite value {self.value!r} for unit {self.unit}")
+    def __init__(self, value: float, unit: str):
+        if unit not in _UNITS:
+            raise InputError(f"unknown unit tag {unit!r}")
+        if not math.isfinite(value):
+            raise InputError(f"non-finite value {value!r} for unit {unit}")
+        self.value = value
+        self.unit = unit
 
     def to(self, target_unit: str) -> "Quantity":
         return convert(self, target_unit)
@@ -103,16 +102,16 @@ def convert(q: Quantity, target_unit: str) -> Quantity:
     return Quantity(q.value * src_factor / tgt_factor, target_unit)
 
 
-@dataclass(frozen=True)
 class FuelSpec:
     """A fuel with its lower heating value (GJ per tonne, i.e. MJ/kg)."""
 
-    name: str
-    lhv_gj_per_t: float
+    __slots__ = ("name", "lhv_gj_per_t")
 
-    def __post_init__(self):
-        if self.lhv_gj_per_t <= 0:
-            raise InputError(f"fuel {self.name!r}: LHV must be positive")
+    def __init__(self, name: str, lhv_gj_per_t: float):
+        if lhv_gj_per_t <= 0:
+            raise InputError(f"fuel {name!r}: LHV must be positive")
+        self.name = name
+        self.lhv_gj_per_t = lhv_gj_per_t
 
 
 FUELS: dict[str, FuelSpec] = {

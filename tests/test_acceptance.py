@@ -15,7 +15,6 @@ anchors pinning the coal/ammonia price ratio, no coal price brings that
 delta within 1% while keeping the 5% blend-cost anchor within 1%.
 """
 
-import dataclasses
 import time
 from collections.abc import Sequence
 
@@ -138,8 +137,8 @@ def test_criterion_3_rule_keeps_published_precision():
     passes only by its printed digits."""
     params = _bundled_cofiring_params()
     for loss, lcoe_delta in ((0.0, 0.1646), (0.015, 0.1778)):
-        moved = dataclasses.replace(
-            params, efficiency_loss={**params.efficiency_loss, 0.03: loss})
+        moved = cofiring.CofiringParams.from_mapping(
+            {**data_io.load_bundled_params("cofiring"), "efficiency_loss_3pct": loss})
         anchors = _cofiring_anchors(moved)
         assert round(dict(anchors)["dLCOE(3%)=+17%"], 4) == lcoe_delta
         failures: list[str] = []

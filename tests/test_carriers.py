@@ -73,7 +73,7 @@ def test_closed_form_matches_schedule_oracle(dr, years, capex, running, delivere
     spec = carriers.StageSpec(name="stage", role="conversion",
                               capex_basis="per_t_per_yr", capex_value=0.0,
                               fixed_opex_rate=0.0)
-    flow = carriers._StageFlow(spec, capex, running)
+    flow = (spec, capex, running)
     q = carriers.CostQuery(annual_h2_kt=1.0, dr=dr, lifetime_years=years,
                            electricity_usd_per_mwh=1.0)
     closed = carriers._levelize([flow], delivered, 1.0, q, False).total_usd_per_kg
@@ -137,6 +137,72 @@ def test_query_validation():
         carriers.CostQuery(annual_h2_kt=10.0, distance_km=-5.0)
     with pytest.raises(InputError):
         carriers.CostQuery(annual_h2_kt=10.0, dr=1.5)
+
+
+STAGE = {"name": "s", "role": "conversion", "capex_basis": "per_t_per_yr",
+         "capex_value": 1.0}
+PLANT = carriers.StageSpec(**STAGE)
+TRUCK = carriers.StageSpec(**{**STAGE, "name": "t", "role": "transport"})
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (carriers.StageSpec, {**STAGE, "role": "storing"}, "stage 's': unknown role 'storing'"),
+    (carriers.StageSpec, {**STAGE, "capex_basis": "per_kg"},
+     "stage 's': unknown capex basis 'per_kg'"),
+    (carriers.StageSpec, {**STAGE, "capex_value": -1.0}, "stage 's': capex must be nonnegative"),
+    (carriers.StageSpec, {**STAGE, "loss_rate": -0.1}, "stage 's': loss rate must be in [0, 1)"),
+    (carriers.StageSpec, {**STAGE, "loss_rate": 1.0}, "stage 's': loss rate must be in [0, 1)"),
+    (carriers.StageSpec, {**STAGE, "conversion_efficiency": 0.0},
+     "stage 's': conversion efficiency must be in (0, 1]"),
+    (carriers.StageSpec, {**STAGE, "conversion_efficiency": 1.2},
+     "stage 's': conversion efficiency must be in (0, 1]"),
+    (carriers.CarrierChain, {"medium": "CH4", "stages": ()}, "unknown carrier medium 'CH4'"),
+    (carriers.CarrierChain, {"medium": "NH3", "stages": (TRUCK, PLANT)},
+     "stage 's' out of order: expected conversion -> transport -> storage -> reconversion"),
+    (carriers.CarrierChain, {"medium": "GH2_pipeline", "stages": (PLANT,)},
+     "pipeline chains carry gaseous hydrogen end to end"),
+    (carriers.CostQuery, {"annual_h2_kt": 0.0}, "annual hydrogen volume must be positive"),
+    (carriers.CostQuery, {"annual_h2_kt": math.nan}, "annual hydrogen volume must be positive"),
+    (carriers.CostQuery, {"annual_h2_kt": 10.0, "distance_km": -5.0},
+     "distance must be nonnegative"),
+    (carriers.CostQuery, {"annual_h2_kt": 10.0, "storage_days": -1.0},
+     "storage days must be nonnegative"),
+    (carriers.CostQuery, {"annual_h2_kt": 10.0, "dr": 0.0}, "discount rate must be in (0, 1)"),
+    (carriers.CostQuery, {"annual_h2_kt": 10.0, "dr": 1.5}, "discount rate must be in (0, 1)"),
+    (carriers.CostQuery, {"annual_h2_kt": 10.0, "stored_share": 0.0},
+     "stored share must be in (0, 1]"),
+    (carriers.CostQuery, {"annual_h2_kt": 10.0, "stored_share": 1.5},
+     "stored share must be in (0, 1]"),
+])
+def test_record_checks_name_the_problem(cls, kwargs, message):
+    with pytest.raises(InputError) as excinfo:
+        cls(**kwargs)
+    assert str(excinfo.value) == message
+
+
+def test_records_keep_field_order_and_defaults():
+    q = carriers.CostQuery(10.0, 500.0, 30.0, 0.07, 25, 40.0, 0.5)
+    assert (q.annual_h2_kt, q.distance_km, q.storage_days, q.dr, q.lifetime_years,
+            q.electricity_usd_per_mwh, q.stored_share) == (10.0, 500.0, 30.0, 0.07,
+                                                           25, 40.0, 0.5)
+    q = carriers.CostQuery(annual_h2_kt=10.0)
+    assert (q.distance_km, q.storage_days, q.dr, q.lifetime_years,
+            q.electricity_usd_per_mwh, q.stored_share) == (0.0, 0.0, 0.08, 20, 56.0, 0.2)
+    spec = carriers.StageSpec("s", "storage", "per_m3", 2.0, 0.04, 0.5, 0.01, 0.9,
+                              20.0, 800.0, 3.0, 0.07)
+    assert (spec.name, spec.role, spec.capex_basis, spec.capex_value,
+            spec.fixed_opex_rate, spec.energy_use_mwh_per_t, spec.loss_rate,
+            spec.conversion_efficiency, spec.payload_t, spec.daily_range_km,
+            spec.hold_days, spec.density_t_per_m3) == ("s", "storage", "per_m3", 2.0,
+                                                       0.04, 0.5, 0.01, 0.9, 20.0,
+                                                       800.0, 3.0, 0.07)
+    spec = PLANT
+    assert (spec.fixed_opex_rate, spec.energy_use_mwh_per_t, spec.loss_rate,
+            spec.conversion_efficiency, spec.payload_t, spec.daily_range_km,
+            spec.hold_days, spec.density_t_per_m3) == (0.03, 0.0, 0.0, 1.0, 0.0,
+                                                       0.0, 0.0, 0.0)
+    chain = carriers.CarrierChain("LH2", (spec,))
+    assert (chain.stages, chain.bracket_clamped, chain.storage_stages) == ((spec,), False, ())
 
 
 def test_pipeline_requires_distance(params):

@@ -107,6 +107,39 @@ def test_output_file_writing(tmp_path, capsys):
     assert "Northwest" in target.read_text()
 
 
+def test_report_into_an_existing_file_exits_2_without_output(tmp_path, capsys):
+    target = tmp_path / "F"
+    target.write_text("kept\n")
+    assert cli.run(["report", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot write output: ")
+    assert str(target) in captured.err
+    assert target.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
+def test_output_in_a_missing_directory_exits_2_without_output(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert cli.run(["gtfp", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot write output: ")
+    assert str(target) in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cofire_all_with_rate_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run(["cofire", "--all", "--rate", "0.03"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --rate: not allowed with argument --all" in captured.err
+
+
 def test_report_tree_is_deterministic(tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"

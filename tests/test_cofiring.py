@@ -152,3 +152,38 @@ def test_params_validation():
     with pytest.raises(InputError):
         cofiring.CofiringParams(coal_price_usd_per_tce=150.0,
                                 efficiency_loss={0.03: 1.0})
+
+
+@pytest.mark.parametrize("changes, message", [
+    *(({name: 0.0}, f"{name} must be positive")
+      for name in ("coal_price_usd_per_tce", "ammonia_production_cost_usd_per_t",
+                   "lhv_nh3_gj_per_t", "coal_consumption_tce_per_mwh",
+                   "base_emission_kg_per_mwh")),
+    ({"fuel_cost_share": 0.0}, "fuel_cost_share must be in (0, 1)"),
+    ({"fuel_cost_share": 1.0}, "fuel_cost_share must be in (0, 1)"),
+    ({"gross_margin": -0.01}, "gross_margin must be nonnegative"),
+    ({"efficiency_loss": {0.03: 1.0}}, "efficiency loss at rate 0.03 must be in [0, 1)"),
+    ({"efficiency_loss": {0.05: -0.1}}, "efficiency loss at rate 0.05 must be in [0, 1)"),
+])
+def test_params_checks_name_the_problem(changes, message):
+    with pytest.raises(InputError) as excinfo:
+        cofiring.CofiringParams(**{"coal_price_usd_per_tce": 150.0, **changes})
+    assert str(excinfo.value) == message
+
+
+def test_params_keep_field_order_and_defaults():
+    p = cofiring.CofiringParams(150.0, 800.0, 0.1, 18.0, 0.3, 800.0, 0.6, {0.03: 0.02})
+    assert (p.coal_price_usd_per_tce, p.ammonia_production_cost_usd_per_t,
+            p.gross_margin, p.lhv_nh3_gj_per_t, p.coal_consumption_tce_per_mwh,
+            p.base_emission_kg_per_mwh, p.fuel_cost_share, p.efficiency_loss) == (
+                150.0, 800.0, 0.1, 18.0, 0.3, 800.0, 0.6, {0.03: 0.02})
+    first = cofiring.CofiringParams(150.0)
+    assert (first.ammonia_production_cost_usd_per_t, first.gross_margin,
+            first.lhv_nh3_gj_per_t, first.coal_consumption_tce_per_mwh,
+            first.base_emission_kg_per_mwh, first.fuel_cost_share) == (
+                820.0, 0.05, 18.6, 0.31, 838.0, 0.70)
+    # each bundle gets its own copy of the default loss table
+    second = cofiring.CofiringParams(150.0)
+    assert first.efficiency_loss == cofiring.DEFAULT_EFFICIENCY_LOSS
+    assert first.efficiency_loss is not second.efficiency_loss
+    assert first.efficiency_loss is not cofiring.DEFAULT_EFFICIENCY_LOSS

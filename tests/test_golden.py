@@ -67,6 +67,8 @@ NO_NUMPY_REPORT = """
 import sys
 import nh3econ.cli
 assert "numpy" not in sys.modules, "importing nh3econ imported numpy"
+for name in ("dataclasses", "inspect"):
+    assert name not in sys.modules, f"importing nh3econ.cli imported {name}"
 sys.modules["numpy"] = None   # any later import of numpy raises ImportError
 sys.exit(nh3econ.cli.run(["report", "--output", sys.argv[1]]))
 """

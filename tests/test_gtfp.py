@@ -75,6 +75,28 @@ def test_record_requires_positive_values():
         gtfp.RegionRecord("bad", 1.0, 1.0, 1.0, 1.0, -2.0)
 
 
+ROW = {"name": "bad", "energy_mtce": 1.0, "labour_m": 2.0, "capital_busd": 3.0,
+       "co2_mt": 4.0, "gdp_busd": 5.0}
+
+
+@pytest.mark.parametrize("field", ["energy_mtce", "labour_m", "capital_busd",
+                                   "co2_mt", "gdp_busd"])
+@pytest.mark.parametrize("value", [0.0, -2.0, float("nan")])
+def test_record_check_names_field_and_value(field, value):
+    with pytest.raises(InputError) as excinfo:
+        gtfp.RegionRecord(**{**ROW, field: value})
+    assert str(excinfo.value) == (
+        f"region 'bad': {field} must be strictly positive, got {value}")
+
+
+def test_record_from_keywords_matches_positional():
+    by_keyword = gtfp.RegionRecord(**ROW)
+    positional = gtfp.RegionRecord(*ROW.values())
+    for field in ROW:
+        assert getattr(by_keyword, field) == getattr(positional, field) == ROW[field]
+    assert by_keyword.inputs == (1.0, 2.0, 3.0, 4.0)
+
+
 def test_intensities_frozen_values(regions):
     kbtu_per_tce = 29.3076 / (1055.06 * 1e3 / 1e9)
     by_name = {r.name: r for r in regions}

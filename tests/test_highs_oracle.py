@@ -1,6 +1,7 @@
 """Cross-check of the simplex solver and the CCR DEA model against an
-independent solver: scipy's HiGHS (Huangfu & Hall 2018). scipy is not a
-dependency of the package, so these checks skip where it is missing."""
+independent solver: scipy's HiGHS (Huangfu & Hall 2018). scipy is in the
+`test` extra, not a dependency of the package, so these checks skip where
+it is missing."""
 
 import numpy as np
 import pytest

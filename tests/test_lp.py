@@ -87,6 +87,31 @@ def test_input_validation():
         solve(LinearProgram(c=[1.0]), tol=0.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"c": []}, "objective must have at least one coefficient"),
+    ({"c": "12"}, "c must be a sequence of numbers"),
+    ({"c": [np.nan]}, "c contains non-finite entries"),
+    ({"c": [1.0], "a_ub": [[1.0, 2.0]], "b_ub": [1.0]}, "a_ub must be a 2-d array with 1 columns"),
+    ({"c": [1.0], "a_ub": [[1.0]], "b_ub": [1.0, 2.0]}, "b_ub length 2 does not match 1 rows"),
+    ({"c": [1.0], "a_ub": [[1.0]], "b_ub": [np.nan]}, "b_ub contains non-finite entries"),
+    ({"c": [1.0], "a_eq": [[np.inf]], "b_eq": [1.0]}, "a_eq contains non-finite entries"),
+    ({"c": [1.0], "a_eq": [[1.0]]}, "b_eq length 0 does not match 1 rows"),
+])
+def test_input_checks_name_the_problem(kwargs, message):
+    with pytest.raises(InputError) as excinfo:
+        LinearProgram(**kwargs)
+    assert str(excinfo.value) == message
+
+
+def test_arrays_are_stored_as_tuples_of_floats():
+    lp = LinearProgram(np.array([1.0, 2.0]), np.eye(2), np.ones(2), b_eq=None)
+    assert lp.c == (1.0, 2.0) and type(lp.c[0]) is float
+    assert lp.a_ub == ((1.0, 0.0), (0.0, 1.0)) and type(lp.a_ub[1]) is tuple
+    assert lp.b_ub == (1.0, 1.0)
+    assert lp.a_eq == () and lp.b_eq == ()
+    assert lp.n == 2
+
+
 def test_pivot_guard_raises():
     lp = LinearProgram(c=[-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
     with pytest.raises(SolverError):

@@ -161,3 +161,56 @@ def test_share_validation(assumptions):
         scenarios.DemandLevel("bad", 0.1, 0.1, 0.1, 1.4)
     with pytest.raises(InputError):
         scenarios.SupplyLevel("bad", -0.2)
+
+
+LEVEL = {"name": "bad", "pr_ammonia": 0.1, "pr_power": 0.1, "pr_shipping": 0.1,
+         "pr_mobility": 0.1}
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    *((scenarios.SupplyAssumptions, {name: -1.0}, f"{name} must be nonnegative")
+      for name in ("wind_gw", "solar_gw", "wind_hours", "solar_hours")),
+    *((scenarios.SupplyAssumptions, {name: value}, f"{name} must be in (0, 1]")
+      for name in ("electrolyser_efficiency", "synthesis_conversion")
+      for value in (0.0, 1.1)),
+    (scenarios.SupplyAssumptions, {"h2_energy_basis": "primary"},
+     "h2_energy_basis must be 'hhv' or 'lhv'"),
+    *((scenarios.DemandAssumptions, {name: 0.0}, f"{name} must be positive")
+      for name in ("conventional_ammonia_mt", "shipping_fuel_mt", "thermal_gw",
+                   "coal_hours", "coal_consumption_tce_per_mwh", "hrs_count",
+                   "hrs_capacity_kg_per_day")),
+    (scenarios.DemandAssumptions, {"coal_share": 0.0}, "coal_share must be in (0, 1]"),
+    (scenarios.DemandAssumptions, {"coal_share": 1.1}, "coal_share must be in (0, 1]"),
+    (scenarios.SupplyLevel, {"name": "bad", "renewable_share": -0.2},
+     "supply level 'bad': share must be in [0, 1]"),
+    (scenarios.SupplyLevel, {"name": "bad", "renewable_share": 1.5},
+     "supply level 'bad': share must be in [0, 1]"),
+    *((scenarios.DemandLevel, {**LEVEL, name: 1.4},
+       f"demand level 'bad': {name} must be in [0, 1]")
+      for name in ("pr_ammonia", "pr_power", "pr_shipping", "pr_mobility")),
+    (scenarios.DemandLevel, {**LEVEL, "pr_power": -0.1},
+     "demand level 'bad': pr_power must be in [0, 1]"),
+])
+def test_record_checks_name_the_problem(cls, kwargs, message):
+    with pytest.raises(InputError) as excinfo:
+        cls(**kwargs)
+    assert str(excinfo.value) == message
+
+
+def test_records_keep_field_order_and_defaults():
+    supply = scenarios.SupplyAssumptions(1.0, 2.0, 3.0, 4.0, 0.5, 0.6, "lhv")
+    assert (supply.wind_gw, supply.solar_gw, supply.wind_hours, supply.solar_hours,
+            supply.electrolyser_efficiency, supply.synthesis_conversion,
+            supply.h2_energy_basis) == (1.0, 2.0, 3.0, 4.0, 0.5, 0.6, "lhv")
+    supply = scenarios.SupplyAssumptions()
+    assert (supply.wind_gw, supply.solar_gw, supply.wind_hours, supply.solar_hours,
+            supply.electrolyser_efficiency, supply.synthesis_conversion,
+            supply.h2_energy_basis) == (780.0, 840.0, 2246.0, 1163.0, 0.70, 0.95, "hhv")
+    demand = scenarios.DemandAssumptions()
+    assert (demand.conventional_ammonia_mt, demand.shipping_fuel_mt, demand.thermal_gw,
+            demand.coal_share, demand.coal_hours, demand.coal_consumption_tce_per_mwh,
+            demand.hrs_count, demand.hrs_capacity_kg_per_day) == (
+                52.0, 20.0, 1450.0, 0.87, 4000.0, 0.31, 1000.0, 1000.0)
+    level = scenarios.DemandLevel("L", 0.1, 0.2, 0.3, 0.4)
+    assert (level.name, level.pr_ammonia, level.pr_power, level.pr_shipping,
+            level.pr_mobility) == ("L", 0.1, 0.2, 0.3, 0.4)

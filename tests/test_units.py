@@ -7,6 +7,7 @@ import pytest
 from nh3econ.errors import DimensionError, InputError
 from nh3econ.units import (
     FUELS,
+    FuelSpec,
     Quantity,
     convert,
     dimension_of,
@@ -107,7 +108,18 @@ def test_unknown_fuel():
 
 
 def test_fuel_spec_requires_positive_lhv():
-    from nh3econ.units import FuelSpec
-
     with pytest.raises(InputError):
         FuelSpec("broken", 0.0)
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    (Quantity, (1.0, "furlong"), "unknown unit tag 'furlong'"),
+    (Quantity, (math.inf, "GJ"), "non-finite value inf for unit GJ"),
+    (Quantity, (math.nan, "USD"), "non-finite value nan for unit USD"),
+    (FuelSpec, ("broken", 0.0), "fuel 'broken': LHV must be positive"),
+    (FuelSpec, ("broken", -1.0), "fuel 'broken': LHV must be positive"),
+])
+def test_record_checks_name_the_problem(cls, args, message):
+    with pytest.raises(InputError) as excinfo:
+        cls(*args)
+    assert str(excinfo.value) == message
