@@ -16,10 +16,9 @@ from .carriers import (
     levelized_cost,
     storage_cost,
 )
-from .cofiring import CofiringParams, CofiringResult, evaluate, scenario_table
-from .errors import DimensionError, InputError, Nh3EconError, SolverError
+from .cofiring import CofiringParams, CofiringResult, evaluate
+from .errors import InputError, Nh3EconError, SolverError
 from .gtfp import RegionRecord, build_dea_lp, gtfp_scores, intensities
 from .lp import LinearProgram, LpSolution, LpStatus, solve
-from .units import FuelSpec, Quantity, convert, fuel_energy
 
 __version__ = "0.1.0"

@@ -198,11 +198,6 @@ class CostBreakdown:
         self.delivered_fraction = delivered_fraction
         self.bracket_clamped = bracket_clamped
 
-    def stage_share(self, role: str) -> float:
-        """Fraction of the total contributed by stages of one role."""
-        part = sum(s.usd_per_kg for s in self.stages if s.role == role)
-        return part / self.total_usd_per_kg if self.total_usd_per_kg else 0.0
-
 
 def _bracket(volume_kt: float) -> tuple[float, bool]:
     """Nearest tabulated volume bracket and whether clamping occurred."""

@@ -14,13 +14,16 @@ rounded to four decimals (`0.65`, `1.0`, never `-0.0`).
 
 Exit codes: 0 success, 2 input error (including usage), 3 solver failure.
 An `--output` path that cannot be written (a `report` directory that is
-an existing file, a file in a missing directory) is an input error, and
-so is `cofire --all` together with `--rate`.
+an existing file, a `report` file name taken by a directory, a file in a
+missing directory) is an input error, and so is `cofire --all` together
+with `--rate`. `report` checks every target before its first write; if a
+write still fails, it removes the files and directories it created.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from json.encoder import encode_basestring_ascii
@@ -138,10 +141,11 @@ def _delivery_table(dataset: data_io.Dataset, description: str,
     table = Table(f"{description}; dataset {dataset.version}", COST_COLUMNS)
     for volume in volumes:
         chains = carriers.builtin_chains(params, volume)
+        queries = [(distance, carriers.default_query(params, volume, distance))
+                   for distance in distances]
         for name in CHAIN_ORDER:
             chain = chains[name]
-            for distance in distances:
-                query = carriers.default_query(params, volume, distance)
+            for distance, query in queries:
                 breakdown = carriers.delivery_cost(chain, query)
                 for stage in breakdown.stages:
                     table.add(name, volume, distance, 0, stage.name, stage.usd_per_kg)
@@ -157,14 +161,15 @@ def _storage_table(dataset: data_io.Dataset, volumes, durations) -> Table:
     )
     for volume in volumes:
         chains = carriers.builtin_chains(params, volume)
+        queries = [(days, carriers.default_query(params, volume, 0.0, days))
+                   for days in durations]
         for name in ("NH3_with_crack", "LH2"):
-            medium = "NH3" if name.startswith("NH3") else "LH2"
-            for days in durations:
-                query = carriers.default_query(params, volume, 0.0, days)
-                breakdown = carriers.storage_cost(chains[name], query)
+            chain = chains[name]
+            for days, query in queries:
+                breakdown = carriers.storage_cost(chain, query)
                 for stage in breakdown.stages:
-                    table.add(medium, volume, 0, days, stage.name, stage.usd_per_kg)
-                table.add(medium, volume, 0, days, "total", breakdown.total_usd_per_kg)
+                    table.add(chain.medium, volume, 0, days, stage.name, stage.usd_per_kg)
+                table.add(chain.medium, volume, 0, days, "total", breakdown.total_usd_per_kg)
     return table
 
 
@@ -240,12 +245,23 @@ def _report(dataset: data_io.Dataset, output_format: str, output_dir: Path) -> N
                    scenario_demand=scenario_tables["demand"],
                    supply_demand_balance=scenario_tables["balance"])
     extension = "json" if output_format == "json" else "csv"
+    targets = {output_dir / f"{name}.{extension}": table for name, table in outputs.items()}
+    for path in targets:
+        if path.exists() and not path.is_file():
+            raise InputError(f"cannot write output: {path} exists and is not a regular file")
+    # run in order if a write fails: remove the files this run created, then
+    # the directories it created, deepest first
+    undo = [d.rmdir for d in (output_dir, *output_dir.parents) if not d.exists()]
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
-        for name, table in outputs.items():
-            (output_dir / f"{name}.{extension}").write_text(
-                table.render(output_format), encoding="utf-8")
+        for path, table in targets.items():
+            if not path.exists():
+                undo.insert(0, path.unlink)
+            path.write_text(table.render(output_format), encoding="utf-8")
     except OSError as exc:
+        for step in undo:
+            with contextlib.suppress(OSError):
+                step()
         raise InputError(f"cannot write output: {exc}") from None
 
 

@@ -183,9 +183,3 @@ def evaluate(params: CofiringParams, rate: float,
         lcoe_delta=lcoe_m / lcoe_base - 1.0,
         emission_delta_kg_per_mwh=emission - params.base_emission_kg_per_mwh,
     )
-
-
-def scenario_table(params: CofiringParams,
-                   rates: tuple[float, ...] = STANDARD_RATES) -> list[CofiringResult]:
-    """Evaluate the scenario ladder (default: the six standard rates)."""
-    return [evaluate(params, rate) for rate in rates]

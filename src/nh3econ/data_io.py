@@ -153,11 +153,21 @@ class _Table:
         return "\n".join(lines) + "\n"
 
 
+def _read_error(path: Path, exc: OSError | UnicodeDecodeError) -> InputError:
+    """One-line input error for a file that cannot be read as UTF-8 text."""
+    if isinstance(exc, FileNotFoundError):
+        return InputError(f"dataset file not found: {path}")
+    if isinstance(exc, OSError):
+        return InputError(f"cannot read {path}: {exc.strerror}")
+    return InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
 def _read_table(path: Path | str) -> _Table:
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"dataset file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _read_error(path, exc) from None
     comments: list[str] = []
     header: tuple[str, ...] | None = None
     rows: list[tuple[str, ...]] = []
@@ -211,11 +221,10 @@ class ParameterSet(Mapping):
     """
 
     def __init__(self, namespace: str, entries: dict[str, ParamEntry],
-                 table: _Table | None = None, version: str = ""):
+                 table: _Table | None = None):
         self.namespace = namespace
         self._entries = dict(entries)
         self._table = table
-        self.version = version
 
     def __getitem__(self, key: str) -> float:
         try:
@@ -230,20 +239,6 @@ class ParameterSet(Mapping):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def entry(self, key: str) -> ParamEntry:
-        try:
-            return self._entries[key]
-        except KeyError:
-            raise InputError(
-                f"parameter set {self.namespace!r} has no key {key!r}") from None
-
-    def require(self, keys) -> None:
-        missing = sorted(k for k in keys if k not in self._entries)
-        if missing:
-            raise InputError(
-                f"parameter set {self.namespace!r} is missing keys: "
-                + ", ".join(missing))
-
     def rows(self) -> list[tuple[str, float, str, str]]:
         """Effective entries as (key, value, unit, provenance) rows."""
         return [(e.key, e.value, e.unit, e.provenance)
@@ -253,7 +248,7 @@ class ParameterSet(Mapping):
         """New set where `other`'s entries replace or extend this one's."""
         merged = dict(self._entries)
         merged.update(other._entries)
-        return ParameterSet(self.namespace, merged, None, self.version)
+        return ParameterSet(self.namespace, merged)
 
     def serialize(self) -> str:
         if self._table is None:
@@ -322,15 +317,8 @@ def _load_namespace(namespace: str, directory: Path) -> ParameterSet:
 def load_bundled_params(namespace: str, override_path: Path | str | None = None,
                         directory: Path | None = None) -> ParameterSet:
     """Bundled parameters for a namespace, optionally layered with a user
-    override file read by `load_overrides` (override values win). The
-    returned set carries the dataset version from the manifest when one is
-    present."""
-    base_dir = directory or data_dir()
-    params = _load_namespace(namespace, base_dir)
-    try:
-        params.version = load_manifest(base_dir, verify=False).version
-    except InputError:
-        pass   # datasets without a manifest stay unversioned
+    override file read by `load_overrides` (override values win)."""
+    params = _load_namespace(namespace, directory or data_dir())
     if override_path is not None:
         params = params.with_overrides(load_overrides(override_path))
     return params
@@ -422,11 +410,14 @@ class DatasetManifest:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError as exc:
+        raise _read_error(path, exc) from None
 
 
-def load_manifest(directory: Path | None = None, verify: bool = True) -> DatasetManifest:
-    """Read manifest.csv and (by default) verify every file digest."""
+def load_manifest(directory: Path | None = None) -> DatasetManifest:
+    """Read manifest.csv and verify every file digest."""
     base_dir = directory or data_dir()
     table = _read_table(base_dir / "manifest.csv")
     if table.header != ("file", "sha256"):
@@ -437,13 +428,12 @@ def load_manifest(directory: Path | None = None, verify: bool = True) -> Dataset
         if text.startswith("version:"):
             version = text.split(":", 1)[1].strip()
     files = {row[0]: row[1] for row in table.rows}
-    if verify:
-        for name, digest in files.items():
-            actual = _sha256(base_dir / name)
-            if actual != digest:
-                raise InputError(
-                    f"dataset file {name!r} digest mismatch: manifest has "
-                    f"{digest[:12]}..., file has {actual[:12]}...")
+    for name, digest in files.items():
+        actual = _sha256(base_dir / name)
+        if actual != digest:
+            raise InputError(
+                f"dataset file {name!r} digest mismatch: manifest has "
+                f"{digest[:12]}..., file has {actual[:12]}...")
     return DatasetManifest(version, files, tuple(calibration_ledger(base_dir)))
 
 
@@ -472,7 +462,6 @@ class Dataset:
         """Effective parameters of one namespace."""
         if namespace not in self._params:
             params = _load_namespace(namespace, self.directory)
-            params.version = self.version
             if self.overrides is not None:
                 params = params.with_overrides(self.overrides)
             self._params[namespace] = params
@@ -489,16 +478,3 @@ class Dataset:
     @cached_property
     def demand_levels(self) -> list[DemandLevel]:
         return load_demand_levels(self.directory / "demand_levels.csv")
-
-
-def check_completeness(directory: Path | None = None) -> dict[str, list[str]]:
-    """Missing keys per namespace across every consuming module; all lists
-    are empty for a healthy dataset."""
-    missing: dict[str, list[str]] = {}
-    for namespace, schema in SCHEMAS.items():
-        try:
-            params = load_bundled_params(namespace, directory=directory)
-            missing[namespace] = sorted(set(schema) - set(params))
-        except InputError as exc:
-            missing[namespace] = [f"(load failed: {exc})"]
-    return missing

@@ -12,16 +12,5 @@ class InputError(Nh3EconError):
     """Invalid user input: bad values, malformed files, unknown keys."""
 
 
-class DimensionError(InputError):
-    """Attempted unit conversion between incompatible dimensions."""
-
-    def __init__(self, source_unit: str, target_unit: str):
-        self.source_unit = source_unit
-        self.target_unit = target_unit
-        super().__init__(
-            f"cannot convert {source_unit!r} to {target_unit!r}: incompatible dimensions"
-        )
-
-
 class SolverError(Nh3EconError):
     """The LP solver failed to terminate normally."""

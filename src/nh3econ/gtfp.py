@@ -8,14 +8,16 @@ regions still dominates it. The frontier regions score exactly 1.
 
 Energy and carbon intensities are simple ratios of the same table; the
 energy intensity is reported in kBtu/USD (dividing the raw units gives
-thousands of Btu per dollar, not Btu as sometimes labelled).
+thousands of Btu per dollar, not Btu as sometimes labelled). The table's
+units become base units through the named factors of `units`, each
+applied as value * source factor / target factor.
 """
 
 from __future__ import annotations
 
 from . import lp
 from .errors import InputError, SolverError
-from .units import Quantity, convert
+from .units import KBTU_GJ, TCE_GJ
 
 EFFICIENT_TOL = 1e-6
 DEFAULT_DEPRECIATION = 0.096
@@ -98,9 +100,9 @@ def intensities(record: RegionRecord) -> tuple[float, float]:
     """(energy intensity kBtu/USD, carbon intensity kg CO2/USD)."""
     if record.gdp_busd <= 0:
         raise InputError(f"region {record.name!r}: GDP must be positive")
-    energy_kbtu = convert(Quantity(record.energy_mtce * 1e6, "tce"), "kBtu").value
-    gdp_usd = convert(Quantity(record.gdp_busd, "B_USD"), "USD").value
-    co2_kg = convert(Quantity(record.co2_mt, "Mt"), "kg").value
+    energy_kbtu = record.energy_mtce * 1e6 * TCE_GJ / KBTU_GJ
+    gdp_usd = record.gdp_busd * 1e9
+    co2_kg = record.co2_mt * 1e6 / 1e-3     # not * 1e9: the last bit differs
     return energy_kbtu / gdp_usd, co2_kg / gdp_usd
 
 

@@ -5,7 +5,8 @@ ammonia through electrolysis and synthesis. Demand aggregates four
 sectors, each linear in its penetration rate: conventional ammonia
 substitution, coal-power co-firing, shipping fuel substitution on an
 energy-equivalent basis, and fuel-cell mobility served through hydrogen
-refilling stations with ammonia as the carrier.
+refilling stations with ammonia as the carrier. Energy conversions use
+the named constants of `units`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from collections.abc import Mapping
 from .errors import InputError
 from .units import (
     H2_HHV_GJ_PER_T,
-    H2_LHV_GJ_PER_T,
     HEATING_OIL_LHV_GJ_PER_T,
     MWH_GJ,
     NH3_LHV_GJ_PER_T,
@@ -27,42 +27,37 @@ SECTORS = ("power", "ammonia", "shipping", "mobility")
 
 
 class SupplyAssumptions:
-    """Renewable build-out and conversion-chain efficiencies for 2030.
-
-    h2_energy_basis is the electrolysis accounting basis for the hydrogen
-    energy content. The higher heating value is the default: it reproduces
-    the model's renewable-share anchors, whereas an LHV basis understates
-    demand.
-    """
+    """Renewable build-out and conversion-chain efficiencies for 2030."""
 
     __slots__ = ("wind_gw", "solar_gw", "wind_hours", "solar_hours",
-                 "electrolyser_efficiency", "synthesis_conversion", "h2_energy_basis")
+                 "electrolyser_efficiency", "synthesis_conversion")
 
     def __init__(self, wind_gw: float = 780.0, solar_gw: float = 840.0,
                  wind_hours: float = 2246.0, solar_hours: float = 1163.0,
                  electrolyser_efficiency: float = 0.70,
-                 synthesis_conversion: float = 0.95, h2_energy_basis: str = "hhv"):
+                 synthesis_conversion: float = 0.95):
         self.wind_gw = wind_gw
         self.solar_gw = solar_gw
         self.wind_hours = wind_hours
         self.solar_hours = solar_hours
         self.electrolyser_efficiency = electrolyser_efficiency
         self.synthesis_conversion = synthesis_conversion
-        self.h2_energy_basis = h2_energy_basis
         for name in ("wind_gw", "solar_gw", "wind_hours", "solar_hours"):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be nonnegative")
         for name in ("electrolyser_efficiency", "synthesis_conversion"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise InputError(f"{name} must be in (0, 1]")
-        if h2_energy_basis not in ("hhv", "lhv"):
-            raise InputError("h2_energy_basis must be 'hhv' or 'lhv'")
 
     @property
     def electricity_mwh_per_t_nh3(self) -> float:
-        """Electrolysis power demand per tonne of ammonia produced."""
-        h2_gj_per_t = H2_HHV_GJ_PER_T if self.h2_energy_basis == "hhv" else H2_LHV_GJ_PER_T
-        mwh_per_t_h2 = (h2_gj_per_t / MWH_GJ) / self.electrolyser_efficiency
+        """Electrolysis power demand per tonne of ammonia produced.
+
+        The hydrogen energy content is taken on its higher heating value:
+        that reproduces the model's renewable-share anchors, whereas a
+        lower-heating-value basis understates demand.
+        """
+        mwh_per_t_h2 = (H2_HHV_GJ_PER_T / MWH_GJ) / self.electrolyser_efficiency
         t_h2_per_t_nh3 = (1.0 / NH3_T_PER_T_H2) / self.synthesis_conversion
         return mwh_per_t_h2 * t_h2_per_t_nh3
 
@@ -184,17 +179,15 @@ def shipping_demand_mt(d: DemandAssumptions, pr: float) -> float:
     return pr * oil_energy_gj / NH3_LHV_GJ_PER_T / 1e6
 
 
-def mobility_demand_mt(d: DemandAssumptions, ur_hrs: float, tr_am: float = 1.0) -> float:
+def mobility_demand_mt(d: DemandAssumptions, ur_hrs: float) -> float:
     """Ammonia carrying the hydrogen dispensed by refilling stations.
 
-    The sector's penetration is the product of the station utilization rate
-    and the share of station hydrogen arriving as ammonia; pass the
-    already-multiplied penetration as ur_hrs with tr_am left at 1.
+    The sector's penetration ur_hrs is the product of the station
+    utilization rate and the share of station hydrogen arriving as ammonia.
     """
     _check_share(ur_hrs, "ur_hrs")
-    _check_share(tr_am, "tr_am")
     h2_t_per_year = d.hrs_count * d.hrs_capacity_kg_per_day * 365.0 / 1e3
-    return ur_hrs * tr_am * h2_t_per_year * NH3_T_PER_T_H2 / 1e6
+    return ur_hrs * h2_t_per_year * NH3_T_PER_T_H2 / 1e6
 
 
 def ammonia_sector_demand_mt(d: DemandAssumptions, pr: float) -> float:

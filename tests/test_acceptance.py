@@ -241,8 +241,9 @@ def test_criterion_5_carrier_properties():
     _check(failures, all(b >= a for a, b in zip(lh2_storage, lh2_storage[1:])),
            "LH2 storage monotone")
 
-    share = carriers.delivery_cost(
-        chains100["NH3_with_crack"], q500).stage_share("transport")
+    breakdown = carriers.delivery_cost(chains100["NH3_with_crack"], q500)
+    share = sum(s.usd_per_kg for s in breakdown.stages
+                if s.role == "transport") / breakdown.total_usd_per_kg
     _check(failures, abs(share - 0.05) <= 0.03, f"transport share {share:.4f}")
     _report("criterion 5 (carrier cost bands)", failures)
 

@@ -261,7 +261,8 @@ def test_every_chain_nonincreasing_in_volume(params):
 def test_transport_share_at_500km(params):
     chain = chains_at(params, 100.0)["NH3_with_crack"]
     breakdown = carriers.delivery_cost(chain, query(params, 100.0, 500.0))
-    assert breakdown.stage_share("transport") == pytest.approx(0.05, abs=0.03)
+    transport = sum(s.usd_per_kg for s in breakdown.stages if s.role == "transport")
+    assert transport / breakdown.total_usd_per_kg == pytest.approx(0.05, abs=0.03)
 
 
 def test_direct_use_band_and_ratio(params):

@@ -131,6 +131,35 @@ def test_output_in_a_missing_directory_exits_2_without_output(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_report_onto_a_directory_target_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "OUT"
+    (out / "supply_demand_balance.csv").mkdir(parents=True)
+    assert cli.run(["report", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert str(out / "supply_demand_balance.csv") in captured.err
+    assert [p.name for p in out.iterdir()] == ["supply_demand_balance.csv"]
+
+
+def test_report_failing_mid_write_removes_what_it_created(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "new" / "OUT"
+    (tmp_path / "kept").mkdir()
+    original = Path.write_text
+
+    def failing(path, *args, **kwargs):
+        if path.name == "cofiring_ladder.csv":
+            raise OSError(28, "No space left on device")
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    assert cli.run(["report", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert "No space left on device" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+
+
 def test_cofire_all_with_rate_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.run(["cofire", "--all", "--rate", "0.03"])
@@ -163,6 +192,7 @@ def test_float_format_is_trimmed():
 
 
 def test_report_hashes_each_manifest_file_once(tmp_path, monkeypatch):
+    manifest = data_io.load_manifest()
     hashed = []
     original = data_io._sha256
 
@@ -172,7 +202,6 @@ def test_report_hashes_each_manifest_file_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data_io, "_sha256", counting)
     assert cli.run(["report", "--output", str(tmp_path / "out")]) == 0
-    manifest = data_io.load_manifest(verify=False)
     assert Counter(hashed) == {name: 1 for name in manifest.files}
 
 
@@ -187,6 +216,37 @@ def test_report_on_tampered_dataset_exits_2_without_output(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert "carriers.csv" in err and "digest mismatch" in err
     assert not out.exists()
+
+
+def _assert_one_line_naming(capsys, path):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert str(path) in captured.err
+
+
+def test_manifest_listing_a_missing_file_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), data)
+    (data / "gapfill.csv").unlink()
+    out = tmp_path / "out"
+    assert cli.run(["--data-dir", str(data), "report", "--output", str(out)]) == 2
+    _assert_one_line_naming(capsys, data / "gapfill.csv")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--params", "--regions"])
+def test_directory_as_input_file_exits_2(flag, tmp_path, capsys):
+    assert cli.run(["gtfp", flag, str(tmp_path)]) == 2
+    _assert_one_line_naming(capsys, tmp_path)
+
+
+def test_non_utf8_params_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "overrides.csv"
+    path.write_bytes(b"key,value,unit,provenance\nwacc,0.08,fraction,caf\xe9\n")
+    assert cli.run(["gtfp", "--params", str(path)]) == 2
+    _assert_one_line_naming(capsys, path)
 
 
 def _python_m(*args):

@@ -138,12 +138,6 @@ def test_evaluate_base_case_has_zero_deltas(params):
     assert result.emission_delta_kg_per_mwh == 0.0
 
 
-def test_scenario_table_covers_standard_ladder(params):
-    table = cofiring.scenario_table(params)
-    assert [row.rate for row in table] == list(cofiring.STANDARD_RATES)
-    assert table[2].mixed_fuel_cost_usd_per_tce == pytest.approx(213.5, rel=0.01)
-
-
 def test_params_validation():
     with pytest.raises(InputError):
         cofiring.CofiringParams(coal_price_usd_per_tce=-1.0)

@@ -59,8 +59,8 @@ def test_regions_nonnumeric_cell(tmp_path):
 def test_bundled_params_values():
     carriers = data_io.load_bundled_params("carriers")
     assert carriers["reformer_capex_10kt"] == 354.0
-    assert carriers.entry("reformer_capex_10kt").unit == "USD_per_t_yr"
-    assert carriers.version == "cn-2019-v1"
+    units = {key: unit for key, _, unit, _ in carriers.rows()}
+    assert units["reformer_capex_10kt"] == "USD_per_t_yr"
     cofiring = data_io.load_bundled_params("cofiring")
     assert cofiring["base_emission_kg_per_mwh"] == 838.0
 
@@ -68,8 +68,8 @@ def test_bundled_params_values():
 def test_provenance_nonempty_everywhere():
     for namespace in data_io.SCHEMAS:
         params = data_io.load_bundled_params(namespace)
-        for key in params:
-            assert params.entry(key).provenance.strip(), key
+        for key, _, _, provenance in params.rows():
+            assert provenance.strip(), key
 
 
 def test_missing_key_listed(tmp_path):
@@ -175,11 +175,11 @@ def test_calibrated_carrier_knobs_match_dataset():
 
 
 def test_completeness_consumers_vs_providers():
-    missing = data_io.check_completeness()
-    assert missing == {namespace: [] for namespace in data_io.SCHEMAS}
-    # every key of the carrier schema, which the builders consume, is provided
-    params = data_io.load_bundled_params("carriers")
-    params.require(data_io.CARRIER_SCHEMA)
+    # loading checks every schema key, so each namespace that loads provides
+    # every key its consumers read
+    for namespace, schema in data_io.SCHEMAS.items():
+        params = data_io.load_bundled_params(namespace)
+        assert set(schema) <= set(params), namespace
 
 
 def test_levels_loaders():

@@ -3,6 +3,8 @@ utilities, and the structural DEA properties on randomized records."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nh3econ import data_io, gtfp
 from nh3econ.errors import InputError
@@ -115,6 +117,30 @@ def test_intensities_frozen_values(regions):
         assert ci == pytest.approx(oracle_ci, rel=1e-12)
         assert ei == pytest.approx(ei_expected, abs=0.02)
         assert ci == pytest.approx(ci_expected, abs=0.02)
+
+
+# The unit conversions `intensities` made through the removed
+# Quantity/convert machinery: unit -> factor to its dimension's base unit,
+# applied as value * source factor / target factor.
+_CONVERT_FACTORS = {"tce": 29.3076, "kBtu": 1055.06 * 1e-6, "B_USD": 1e9,
+                    "USD": 1.0, "Mt": 1e6, "kg": 1e-3}
+
+
+def _convert(value, source, target):
+    return value * _CONVERT_FACTORS[source] / _CONVERT_FACTORS[target]
+
+
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(energy=_POSITIVE, co2=_POSITIVE, gdp=_POSITIVE)
+def test_intensities_match_convert_formula_bit_for_bit(energy, co2, gdp):
+    record = gtfp.RegionRecord("R", energy, 1.0, 1.0, co2, gdp)
+    gdp_usd = _convert(gdp, "B_USD", "USD")
+    expected = (_convert(energy * 1e6, "tce", "kBtu") / gdp_usd,
+                _convert(co2, "Mt", "kg") / gdp_usd)
+    assert gtfp.intensities(record) == expected
 
 
 def test_capital_stock_recursion():

@@ -1,5 +1,7 @@
 """Supply/demand scenario checks: frozen balances and linearity laws."""
 
+import math
+
 import pytest
 
 from nh3econ import data_io, scenarios
@@ -37,14 +39,6 @@ def test_electricity_per_tonne_calibration(assumptions):
     ledger = {e.constant: e.value for e in data_io.calibration_ledger()}
     assert supply.electricity_mwh_per_t_nh3 == pytest.approx(
         ledger["electricity_per_t_nh3_mwh"], abs=1e-6)
-
-
-def test_energy_basis_switch(assumptions):
-    supply, _ = assumptions
-    lhv = scenarios.SupplyAssumptions(h2_energy_basis="lhv")
-    assert lhv.electricity_mwh_per_t_nh3 < supply.electricity_mwh_per_t_nh3
-    with pytest.raises(InputError):
-        scenarios.SupplyAssumptions(h2_energy_basis="primary")
 
 
 def test_supply_capacity(assumptions):
@@ -86,9 +80,6 @@ def test_mobility_demand(assumptions):
     assert at80 == pytest.approx(1.6, abs=0.2)
     assert scenarios.mobility_demand_mt(demand, 0.0) == 0.0
     assert scenarios.mobility_demand_mt(demand, 0.1) == pytest.approx(at80 / 8.0, rel=1e-12)
-    # the penetration is the product of utilization and carrier share
-    assert scenarios.mobility_demand_mt(demand, 0.8, 0.5) == pytest.approx(
-        scenarios.mobility_demand_mt(demand, 0.4), rel=1e-12)
 
 
 def test_ammonia_sector_demand(assumptions):
@@ -173,8 +164,8 @@ LEVEL = {"name": "bad", "pr_ammonia": 0.1, "pr_power": 0.1, "pr_shipping": 0.1,
     *((scenarios.SupplyAssumptions, {name: value}, f"{name} must be in (0, 1]")
       for name in ("electrolyser_efficiency", "synthesis_conversion")
       for value in (0.0, 1.1)),
-    (scenarios.SupplyAssumptions, {"h2_energy_basis": "primary"},
-     "h2_energy_basis must be 'hhv' or 'lhv'"),
+    (scenarios.SupplyAssumptions, {"electrolyser_efficiency": math.nan},
+     "electrolyser_efficiency must be in (0, 1]"),
     *((scenarios.DemandAssumptions, {name: 0.0}, f"{name} must be positive")
       for name in ("conventional_ammonia_mt", "shipping_fuel_mt", "thermal_gw",
                    "coal_hours", "coal_consumption_tce_per_mwh", "hrs_count",
@@ -198,14 +189,14 @@ def test_record_checks_name_the_problem(cls, kwargs, message):
 
 
 def test_records_keep_field_order_and_defaults():
-    supply = scenarios.SupplyAssumptions(1.0, 2.0, 3.0, 4.0, 0.5, 0.6, "lhv")
+    supply = scenarios.SupplyAssumptions(1.0, 2.0, 3.0, 4.0, 0.5, 0.6)
     assert (supply.wind_gw, supply.solar_gw, supply.wind_hours, supply.solar_hours,
-            supply.electrolyser_efficiency, supply.synthesis_conversion,
-            supply.h2_energy_basis) == (1.0, 2.0, 3.0, 4.0, 0.5, 0.6, "lhv")
+            supply.electrolyser_efficiency, supply.synthesis_conversion
+            ) == (1.0, 2.0, 3.0, 4.0, 0.5, 0.6)
     supply = scenarios.SupplyAssumptions()
     assert (supply.wind_gw, supply.solar_gw, supply.wind_hours, supply.solar_hours,
-            supply.electrolyser_efficiency, supply.synthesis_conversion,
-            supply.h2_energy_basis) == (780.0, 840.0, 2246.0, 1163.0, 0.70, 0.95, "hhv")
+            supply.electrolyser_efficiency, supply.synthesis_conversion
+            ) == (780.0, 840.0, 2246.0, 1163.0, 0.70, 0.95)
     demand = scenarios.DemandAssumptions()
     assert (demand.conventional_ammonia_mt, demand.shipping_fuel_mt, demand.thermal_gw,
             demand.coal_share, demand.coal_hours, demand.coal_consumption_tce_per_mwh,
