@@ -199,7 +199,7 @@ class CostBreakdown:
         self.bracket_clamped = bracket_clamped
 
 
-def _bracket(volume_kt: float) -> tuple[float, bool]:
+def volume_bracket(volume_kt: float) -> tuple[float, bool]:
     """Nearest tabulated volume bracket and whether clamping occurred."""
     if volume_kt in VOLUME_BRACKETS_KT:
         return volume_kt, False
@@ -216,7 +216,7 @@ def _param(params: Mapping[str, float], key: str) -> float:
 
 def _bracket_param(params: Mapping[str, float], stem: str,
                    volume_kt: float) -> tuple[float, bool]:
-    bracket, clamped = _bracket(volume_kt)
+    bracket, clamped = volume_bracket(volume_kt)
     return _param(params, f"{stem}_{int(bracket)}kt"), clamped
 
 
@@ -308,12 +308,15 @@ def _levelize(flows: list[_StageFlow], delivered_kg_per_yr: float,
         raise InputError("chain delivers no hydrogen")
     annuity = annuity_factor(q.dr, q.lifetime_years)
     price = q.electricity_usd_per_mwh
-    # (capex / annuity + fixed opex + process energy) per delivered kg
-    costs = [(capex / annuity + (capex * spec.fixed_opex_rate + energy * price))
-             / delivered_kg_per_yr for spec, capex, energy in flows]
-    stages = tuple([StageCost(spec.name, spec.role, cost)
-                    for (spec, _, _), cost in zip(flows, costs)])
-    return CostBreakdown(stages, sum(costs), delivered_fraction, bracket_clamped)
+    costs = []
+    stages = []
+    for spec, capex, energy in flows:
+        # (capex / annuity + fixed opex + process energy) per delivered kg
+        cost = ((capex / annuity + (capex * spec.fixed_opex_rate + energy * price))
+                / delivered_kg_per_yr)
+        costs.append(cost)
+        stages.append(StageCost(spec.name, spec.role, cost))
+    return CostBreakdown(tuple(stages), sum(costs), delivered_fraction, bracket_clamped)
 
 
 def delivery_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
@@ -381,15 +384,19 @@ def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
 def default_query(params: Mapping[str, float], annual_h2_kt: float,
                   distance_km: float = 0.0, storage_days: float = 0.0) -> CostQuery:
     """CostQuery with financial context taken from the parameter set."""
-    return CostQuery(
-        annual_h2_kt=annual_h2_kt,
-        distance_km=distance_km,
-        storage_days=storage_days,
-        dr=_param(params, "wacc"),
-        lifetime_years=int(_param(params, "lifetime_years")),
-        electricity_usd_per_mwh=_param(params, "electricity_usd_per_mwh"),
-        stored_share=_param(params, "stored_share"),
-    )
+    key = "wacc"   # the key being read, named if it is missing
+    try:
+        dr = float(params[key])
+        key = "lifetime_years"
+        lifetime_years = int(float(params[key]))
+        key = "electricity_usd_per_mwh"
+        price = float(params[key])
+        key = "stored_share"
+        stored_share = float(params[key])
+    except KeyError:
+        raise InputError(f"missing carrier parameter {key!r}") from None
+    return CostQuery(annual_h2_kt, distance_km, storage_days, dr, lifetime_years,
+                     price, stored_share)
 
 
 def builtin_chains(params: Mapping[str, float],

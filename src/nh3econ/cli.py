@@ -17,7 +17,8 @@ An `--output` path that cannot be written (a `report` directory that is
 an existing file, a `report` file name taken by a directory, a file in a
 missing directory) is an input error, and so is `cofire --all` together
 with `--rate`. `report` checks every target before its first write; if a
-write still fails, it removes the files and directories it created.
+write still fails, it removes the files and directories it created and
+leaves every file that was there before unchanged.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 from math import isfinite, nan
@@ -249,15 +252,26 @@ def _report(dataset: data_io.Dataset, output_format: str, output_dir: Path) -> N
     for path in targets:
         if path.exists() and not path.is_file():
             raise InputError(f"cannot write output: {path} exists and is not a regular file")
-    # run in order if a write fails: remove the files this run created, then
-    # the directories it created, deepest first
+    # A table whose file exists is written to a temporary name beside it and
+    # renamed over it, with its permissions, only once every table is
+    # written, so a failed run leaves an existing tree as it was; a new file
+    # is written in place.
+    # Run in order if a write fails: remove the temporaries and the files
+    # this run created, then the directories it created, deepest first.
     undo = [d.rmdir for d in (output_dir, *output_dir.parents) if not d.exists()]
+    staged = []
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
         for path, table in targets.items():
-            if not path.exists():
-                undo.insert(0, path.unlink)
+            if path.exists():
+                temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+                staged.append((temporary, path))
+                path = temporary
+            undo.insert(0, path.unlink)
             path.write_text(table.render(output_format), encoding="utf-8")
+        for temporary, path in staged:
+            os.chmod(temporary, stat.S_IMODE(path.stat().st_mode))
+            os.replace(temporary, path)
     except OSError as exc:
         for step in undo:
             with contextlib.suppress(OSError):
@@ -360,6 +374,12 @@ def run(argv=None) -> int:
             else:
                 table = _storage_table(dataset, args.volume, args.days)
             _emit(table, args.format, args.output)
+            for volume in args.volume:
+                bracket, clamped = carriers.volume_bracket(volume)
+                if clamped:
+                    print(f"note: volume {volume:g} kt/yr is outside the tabulated "
+                          f"brackets; capex uses the {bracket:g} kt/yr bracket",
+                          file=sys.stderr)
         elif args.command == "cofire":
             rates = cofiring.STANDARD_RATES if args.rate is None else (args.rate,)
             _emit(_cofire_table(dataset, rates, args.interpolate), args.format, args.output)

@@ -261,8 +261,9 @@ def load_params(path: Path | str, namespace: str,
     """Load a key/value/unit/provenance file and validate it.
 
     With a schema, every schema key must be present with the expected unit
-    label; missing keys are reported together. Duplicate keys and empty
-    provenance are rejected.
+    label; missing keys are reported together. Duplicate keys, empty
+    provenance and a value in years (unit `yr`) that is not a whole number
+    are rejected.
     """
     table = _read_table(path)
     if table.header != PARAM_COLUMNS:
@@ -281,6 +282,10 @@ def load_params(path: Path | str, namespace: str,
             raise InputError(
                 f"{table.path}: line {lineno}: key {key!r} has unit {unit!r}, "
                 f"schema expects {schema[key]!r}")
+        if unit == "yr" and not value.is_integer():
+            raise InputError(
+                f"{table.path}: line {lineno}: key {key!r} must be a whole "
+                f"number of years, got {raw_value}")
         entries[key] = ParamEntry(key, value, unit, provenance)
     if schema:
         missing = sorted(set(schema) - set(entries))

@@ -1,13 +1,19 @@
 """Independent oracles shared by the module and acceptance tests.
 
 The LP oracle enumerates every basic solution of the slack form, so it
-shares no code path with the simplex implementation it checks.
+shares no code path with the simplex implementation it checks. The carrier
+oracles are the earlier forms of `carriers.default_query` (one checked
+lookup per key) and `carriers._levelize` (a list of costs, then a second
+pass for the stage records), which the current code must match bit for
+bit.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from nh3econ import carriers
+from nh3econ.errors import InputError
 from nh3econ.gtfp import RegionRecord
 
 _BASIS_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -82,3 +88,38 @@ def random_regions(rng: np.random.Generator, count: int | None = None) -> list[R
             gdp_busd=float(rng.uniform(0.5, 10.0)),
         ))
     return records
+
+
+def _carrier_param(params, key: str) -> float:
+    try:
+        return float(params[key])
+    except KeyError:
+        raise InputError(f"missing carrier parameter {key!r}") from None
+
+
+def query_per_key(params, annual_h2_kt: float, distance_km: float = 0.0,
+                  storage_days: float = 0.0) -> carriers.CostQuery:
+    """`default_query` reading each financial key through its own lookup."""
+    return carriers.CostQuery(
+        annual_h2_kt=annual_h2_kt,
+        distance_km=distance_km,
+        storage_days=storage_days,
+        dr=_carrier_param(params, "wacc"),
+        lifetime_years=int(_carrier_param(params, "lifetime_years")),
+        electricity_usd_per_mwh=_carrier_param(params, "electricity_usd_per_mwh"),
+        stored_share=_carrier_param(params, "stored_share"),
+    )
+
+
+def levelize_two_pass(flows, delivered_kg_per_yr: float, delivered_fraction: float,
+                      q: carriers.CostQuery, bracket_clamped: bool) -> carriers.CostBreakdown:
+    """`_levelize` computing the list of stage costs first, then the records."""
+    if not delivered_kg_per_yr > 0:
+        raise InputError("chain delivers no hydrogen")
+    annuity = carriers.annuity_factor(q.dr, q.lifetime_years)
+    price = q.electricity_usd_per_mwh
+    costs = [(capex / annuity + (capex * spec.fixed_opex_rate + energy * price))
+             / delivered_kg_per_yr for spec, capex, energy in flows]
+    stages = tuple([carriers.StageCost(spec.name, spec.role, cost)
+                    for (spec, _, _), cost in zip(flows, costs)])
+    return carriers.CostBreakdown(stages, sum(costs), delivered_fraction, bracket_clamped)

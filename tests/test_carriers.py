@@ -2,16 +2,20 @@
 mass balance, and the cost-band properties of the built-in chains."""
 
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nh3econ import carriers, data_io
 from nh3econ.errors import InputError
+from oracles import levelize_two_pass, query_per_key
 
 DISTANCES = (500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
 VOLUMES = (10.0, 30.0, 50.0, 100.0)
+STORAGE_DAYS = (30.0, 150.0, 365.0, 1000.0, 2000.0)
+FINANCIAL_KEYS = ("wacc", "lifetime_years", "electricity_usd_per_mwh", "stored_share")
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +122,58 @@ def test_missing_parameter_is_named():
     with pytest.raises(InputError) as excinfo:
         carriers.builtin_chains({"wacc": 0.08}, 100.0)
     assert "fixed_opex_rate" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("index", range(len(FINANCIAL_KEYS)))
+def test_default_query_names_the_first_missing_key(params, index):
+    # the keys before this one are present, this one and the rest are not
+    partial = {key: params[key] for key in FINANCIAL_KEYS[:index]}
+    with pytest.raises(InputError) as excinfo:
+        carriers.default_query(partial, 100.0)
+    assert str(excinfo.value) == f"missing carrier parameter {FINANCIAL_KEYS[index]!r}"
+
+
+@pytest.mark.parametrize("missing", FINANCIAL_KEYS)
+def test_default_query_passes_a_parameter_set_error_through(params, missing):
+    entries = {key: data_io.ParamEntry(key, value, unit, provenance)
+               for key, value, unit, provenance in params.rows() if key != missing}
+    with pytest.raises(InputError) as excinfo:
+        carriers.default_query(data_io.ParameterSet("carriers", entries), 100.0)
+    assert str(excinfo.value) == f"parameter set 'carriers' has no key {missing!r}"
+
+
+def _outcome(cost, chain, q):
+    """Every bit of a breakdown, or the message of the input error."""
+    try:
+        b = cost(chain, q)
+    except InputError as exc:
+        return str(exc)
+    return ([(s.name, s.role, s.usd_per_kg.hex()) for s in b.stages],
+            b.total_usd_per_kg.hex(), b.delivered_fraction.hex(), b.bracket_clamped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=st.fixed_dictionaries(
+           {key: st.floats(0.8, 1.2) for key in data_io.CARRIER_SCHEMA}),
+       lifetime=st.integers(1, 60),
+       volume=st.sampled_from(VOLUMES) | st.floats(1.0, 200.0))
+def test_kernel_matches_two_pass_oracle_bit_for_bit(params, factors, lifetime, volume):
+    drawn = {}
+    for key, unit in data_io.CARRIER_SCHEMA.items():
+        value = params[key] * factors[key]
+        drawn[key] = min(value, 1.0) if unit == "fraction" else value
+    drawn["lifetime_years"] = float(lifetime)
+    chains = carriers.builtin_chains(drawn, volume)
+    cases = [(carriers.delivery_cost, chains[name], volume, distance, 0.0)
+             for name in ("NH3_with_crack", "NH3_direct", "LH2", "pipeline")
+             for distance in DISTANCES]
+    cases += [(carriers.storage_cost, chains[name], volume, 0.0, days)
+              for name in ("NH3_with_crack", "LH2") for days in STORAGE_DAYS]
+    for cost, chain, *sizing in cases:
+        new = _outcome(cost, chain, carriers.default_query(drawn, *sizing))
+        with mock.patch.object(carriers, "_levelize", levelize_two_pass):
+            old = _outcome(cost, chain, query_per_key(drawn, *sizing))
+        assert new == old, (cost.__name__, chain.medium, sizing)
 
 
 def test_stage_order_enforced():

@@ -160,6 +160,65 @@ def test_report_failing_mid_write_removes_what_it_created(tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["kept"]
 
 
+def test_report_over_an_existing_tree_replaces_it_whole_or_not_at_all(tmp_path, monkeypatch,
+                                                                       capsys):
+    out = tmp_path / "OUT"
+    assert cli.run(["report", "--output", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    params = tmp_path / "wacc.csv"
+    params.write_text("key,value,unit,provenance\nwacc,0.10,fraction,x\n")
+    original = Path.write_text
+
+    def failing(path, *args, **kwargs):
+        if "cofiring_ladder" in path.name:
+            raise OSError(28, "No space left on device")
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    assert cli.run(["report", "--output", str(out), "--params", str(params)]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert "No space left on device" in captured.err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # the same run without the failure replaces every file, keeping its mode
+    monkeypatch.setattr(Path, "write_text", original)
+    (out / "cofiring_ladder.csv").chmod(0o600)
+    assert cli.run(["report", "--output", str(out), "--params", str(params)]) == 0
+    assert (out / "cofiring_ladder.csv").stat().st_mode & 0o777 == 0o600
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after.keys() == before.keys()
+    assert after["delivery_by_distance.csv"] != before["delivery_by_distance.csv"]
+    assert cli.run(["report", "--output", str(tmp_path / "fresh"), "--params", str(params)]) == 0
+    assert after == {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["carrier", "delivery", "--distance", "500"],
+    ["carrier", "storage", "--days", "30"],
+])
+def test_clamped_volume_is_noted_on_stderr(argv, capsys):
+    assert cli.run([*argv, "--volume", "1000,50,7.5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "note: volume 1000 kt/yr is outside the tabulated brackets; "
+        "capex uses the 100 kt/yr bracket",
+        "note: volume 7.5 kt/yr is outside the tabulated brackets; "
+        "capex uses the 10 kt/yr bracket",
+    ]
+    assert captured.out.startswith("# hydrogen ")
+
+
+def test_fractional_lifetime_override_exits_2(tmp_path, capsys):
+    params = tmp_path / "params.csv"
+    params.write_text("key,value,unit,provenance\nlifetime_years,20.9,yr,x\n")
+    assert cli.run(["carrier", "delivery", "--params", str(params)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {params}: line 2: key 'lifetime_years' must be a whole number "
+        "of years, got 20.9"]
+
+
 def test_cofire_all_with_rate_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.run(["cofire", "--all", "--rate", "0.03"])

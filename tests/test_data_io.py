@@ -99,6 +99,15 @@ def test_unit_mismatch_rejected(tmp_path):
         data_io.load_params(path, "carriers", {"wacc": "fraction"})
 
 
+def test_fractional_lifetime_rejected(tmp_path):
+    source = (data_io.data_dir() / "carriers.csv").read_text()
+    path = tmp_path / "carriers.csv"
+    path.write_text(source.replace("lifetime_years,20,", "lifetime_years,20.5,"))
+    with pytest.raises(InputError, match="key 'lifetime_years' must be a whole number "
+                                         "of years, got 20.5"):
+        data_io.load_params(path, "carriers", data_io.CARRIER_SCHEMA)
+
+
 def test_empty_provenance_rejected(tmp_path):
     path = tmp_path / "noprov.csv"
     path.write_text("key,value,unit,provenance\n"

@@ -49,10 +49,11 @@ def _assert_matches_golden(out: Path, tree: str) -> None:
 
 
 @pytest.mark.parametrize("tree", sorted(TREES))
-def test_report_tree_matches_golden(tree, tmp_path):
+def test_report_tree_matches_golden(tree, tmp_path, capsys):
     out = tmp_path / tree
     assert cli.run(["report", "--output", str(out), *TREES[tree]]) == 0
     _assert_matches_golden(out, tree)
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
@@ -60,7 +61,7 @@ def test_report_tree_matches_golden(tree, tmp_path):
 def test_command_stdout_matches_golden(name, output_format, capsys):
     assert cli.run([*COMMANDS[name], "--format", output_format]) == 0
     expected = (GOLDEN / "stdout" / f"{name}.{output_format}").read_bytes().decode("utf-8")
-    assert capsys.readouterr().out == expected
+    assert capsys.readouterr() == (expected, "")
 
 
 NO_NUMPY_REPORT = """
