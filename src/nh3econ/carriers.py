@@ -124,10 +124,9 @@ class CarrierChain:
     """Ordered stages moving hydrogen via one medium: "NH3", "LH2" or
     "GH2_pipeline"."""
 
-    __slots__ = ("medium", "stages", "bracket_clamped", "storage_stages")
+    __slots__ = ("medium", "stages", "storage_stages")
 
     def __init__(self, medium: str, stages: tuple[StageSpec, ...],
-                 bracket_clamped: bool = False,
                  storage_stages: tuple[StageSpec, ...] = ()):
         if medium not in ("NH3", "LH2", "GH2_pipeline"):
             raise InputError(f"unknown carrier medium {medium!r}")
@@ -143,7 +142,6 @@ class CarrierChain:
                 raise InputError("pipeline chains carry gaseous hydrogen end to end")
         self.medium = medium
         self.stages = stages
-        self.bracket_clamped = bracket_clamped
         self.storage_stages = storage_stages
 
 
@@ -189,14 +187,13 @@ class StageCost:
 class CostBreakdown:
     """Levelized cost split by stage; stage costs sum to the total."""
 
-    __slots__ = ("stages", "total_usd_per_kg", "delivered_fraction", "bracket_clamped")
+    __slots__ = ("stages", "total_usd_per_kg", "delivered_fraction")
 
     def __init__(self, stages: tuple[StageCost, ...], total_usd_per_kg: float,
-                 delivered_fraction: float, bracket_clamped: bool = False):
+                 delivered_fraction: float):
         self.stages = stages
         self.total_usd_per_kg = total_usd_per_kg
         self.delivered_fraction = delivered_fraction
-        self.bracket_clamped = bracket_clamped
 
 
 def volume_bracket(volume_kt: float) -> tuple[float, bool]:
@@ -214,10 +211,9 @@ def _param(params: Mapping[str, float], key: str) -> float:
         raise InputError(f"missing carrier parameter {key!r}") from None
 
 
-def _bracket_param(params: Mapping[str, float], stem: str,
-                   volume_kt: float) -> tuple[float, bool]:
-    bracket, clamped = volume_bracket(volume_kt)
-    return _param(params, f"{stem}_{int(bracket)}kt"), clamped
+def _bracket_param(params: Mapping[str, float], stem: str, volume_kt: float) -> float:
+    bracket, _ = volume_bracket(volume_kt)
+    return _param(params, f"{stem}_{int(bracket)}kt")
 
 
 # A stage sized inside one evaluation, as a (spec, capex_usd,
@@ -296,8 +292,7 @@ def _walk_delivery(chain: CarrierChain, q: CostQuery) -> tuple[list[_StageFlow],
 
 
 def _levelize(flows: list[_StageFlow], delivered_kg_per_yr: float,
-              delivered_fraction: float, q: CostQuery,
-              bracket_clamped: bool) -> CostBreakdown:
+              delivered_fraction: float, q: CostQuery) -> CostBreakdown:
     """Apply the closed-form cost rule stage by stage.
 
     Capital is spent in year 0; opex and energy run flat over the lifetime,
@@ -316,7 +311,7 @@ def _levelize(flows: list[_StageFlow], delivered_kg_per_yr: float,
                 / delivered_kg_per_yr)
         costs.append(cost)
         stages.append(StageCost(spec.name, spec.role, cost))
-    return CostBreakdown(tuple(stages), sum(costs), delivered_fraction, bracket_clamped)
+    return CostBreakdown(tuple(stages), sum(costs), delivered_fraction)
 
 
 def delivery_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
@@ -326,8 +321,7 @@ def delivery_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
         raise InputError("pipeline delivery requires a positive distance")
     flows, h2_out_t = _walk_delivery(chain, q)
     return _levelize(flows, h2_out_t * 1000.0,
-                     h2_out_t / (q.annual_h2_kt * 1000.0), q,
-                     chain.bracket_clamped)
+                     h2_out_t / (q.annual_h2_kt * 1000.0), q)
 
 
 def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
@@ -377,8 +371,7 @@ def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
         h2_out_t = recovered_t / NH3_T_PER_T_H2
     else:
         h2_out_t = recovered_t
-    return _levelize(flows, h2_out_t * 1000.0, h2_out_t / h2_in_t, q,
-                     chain.bracket_clamped)
+    return _levelize(flows, h2_out_t * 1000.0, h2_out_t / h2_in_t, q)
 
 
 def default_query(params: Mapping[str, float], annual_h2_kt: float,
@@ -403,17 +396,17 @@ def builtin_chains(params: Mapping[str, float],
                    annual_h2_kt: float) -> dict[str, CarrierChain]:
     """The four standard chains, with bracketed capex resolved for a volume.
 
-    Volumes outside the tabulated brackets use the nearest bracket and set
-    the chain's (and every resulting breakdown's) clamp flag.
+    Volumes outside the tabulated brackets use the nearest bracket
+    (`volume_bracket` says which, and whether it clamped).
     """
     if annual_h2_kt <= 0:
         raise InputError("annual hydrogen volume must be positive")
     opex = _param(params, "fixed_opex_rate")
 
-    reformer_capex, clamped = _bracket_param(params, "reformer_capex", annual_h2_kt)
-    liquefier_capex, _ = _bracket_param(params, "liquefier_capex", annual_h2_kt)
-    pipeline_capex_kusd, _ = _bracket_param(params, "pipeline_capex_kusd_per_km",
-                                            annual_h2_kt)
+    reformer_capex = _bracket_param(params, "reformer_capex", annual_h2_kt)
+    liquefier_capex = _bracket_param(params, "liquefier_capex", annual_h2_kt)
+    pipeline_capex_kusd = _bracket_param(params, "pipeline_capex_kusd_per_km",
+                                         annual_h2_kt)
 
     plant = StageSpec(
         name="ammonia_plant", role="conversion", capex_basis="per_t_per_yr",
@@ -501,16 +494,13 @@ def builtin_chains(params: Mapping[str, float],
     return {
         "NH3_with_crack": CarrierChain(
             medium="NH3", stages=(plant, nh3_truck, buffer, cracker),
-            bracket_clamped=clamped,
             storage_stages=nh3_storage_stages),
         "NH3_direct": CarrierChain(
             medium="NH3", stages=(plant, nh3_truck, buffer),
-            bracket_clamped=clamped,
             storage_stages=nh3_storage_stages),
         "LH2": CarrierChain(
             medium="LH2", stages=(liquefier, lh2_truck, vaporizer),
-            bracket_clamped=clamped,
             storage_stages=lh2_storage_stages),
         "pipeline": CarrierChain(
-            medium="GH2_pipeline", stages=(pipeline,), bracket_clamped=clamped),
+            medium="GH2_pipeline", stages=(pipeline,)),
     }

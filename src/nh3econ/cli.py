@@ -12,6 +12,12 @@ plus a newline, written directly: 2-space indent, keys `columns`,
 as `true`/`false`, and every other cell as the shortest repr of the value
 rounded to four decimals (`0.65`, `1.0`, never `-0.0`).
 
+Both writers turn cells into text a column at a time. A column whose cells
+all have one exact type (`str`, `bool`, `int` or `float`) is converted by
+one formatter for that type in one pass; any other column (mixed types, a
+float subclass) goes cell by cell through `fmt` or `_json_cell`. Either
+way a cell's text is what `fmt` or `_json_cell` gives it.
+
 Exit codes: 0 success, 2 input error (including usage), 3 solver failure.
 An `--output` path that cannot be written (a `report` directory that is
 an existing file, a `report` file name taken by a directory, a file in a
@@ -71,7 +77,51 @@ def _json_cell(value) -> str:
     return text if "." in text else text + ".0"
 
 
-def _json_list(items: list[str], indent: str) -> str:
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _number_texts(column) -> list[str]:
+    """`fmt` of every cell of a column of exact ints or exact floats."""
+    texts = [f"{float(value):.4f}".rstrip("0").rstrip(".") for value in column]
+    if "-0" in texts:
+        texts = ["0" if text == "-0" else text for text in texts]
+    return texts
+
+
+def _one_type(column) -> type | None:
+    """The exact type every cell of a column has, or None."""
+    kinds = set(map(type, column))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _csv_column(column) -> list[str] | tuple[str, ...]:
+    """`fmt` of every cell of a column."""
+    kind = _one_type(column)
+    if kind is str:
+        return column
+    if kind is bool:
+        return list(map(_BOOL_TEXT.__getitem__, column))
+    if kind is float or kind is int:
+        return _number_texts(column)
+    return list(map(fmt, column))
+
+
+def _json_column(column) -> list[str]:
+    """`_json_cell` of every cell of a column."""
+    kind = _one_type(column)
+    if kind is str:
+        return list(map(encode_basestring_ascii, column))
+    if kind is bool:
+        return list(map(_BOOL_TEXT.__getitem__, column))
+    if kind is float or kind is int:
+        texts = _number_texts(column)
+        # a longer text may not be the shortest repr: see _json_cell
+        if max(map(len, texts)) <= 15:
+            return [text if "." in text else text + ".0" for text in texts]
+    return list(map(_json_cell, column))
+
+
+def _json_list(items: list[str] | tuple[str, ...], indent: str) -> str:
     """A JSON array of already encoded items, laid out as json.dumps(indent=2)."""
     if not items:
         return "[]"
@@ -90,20 +140,28 @@ class Table:
     def add(self, *row) -> None:
         if len(row) != len(self.columns):
             raise ValueError("row width mismatch")
-        for column, cell in zip(self.columns, row):
+        for cell in row:
             if isinstance(cell, float) and not isfinite(cell):
+                # the first cell that is this object: an earlier one passed
+                index = next(i for i, other in enumerate(row) if other is cell)
                 raise InputError(
-                    f"{self.description}: column {column!r} is {cell}, "
+                    f"{self.description}: column {self.columns[index]!r} is {cell}, "
                     "not a finite number")
         self.rows.append(row)
 
+    def _cell_texts(self, convert) -> list[tuple[str, ...]]:
+        """Each row's cell texts, converted a column at a time."""
+        if not self.columns:
+            return [()] * len(self.rows)
+        return list(zip(*map(convert, zip(*self.rows))))
+
     def to_csv(self) -> str:
         lines = [f"# {self.description}", ",".join(self.columns)]
-        lines += [",".join(map(fmt, row)) for row in self.rows]
+        lines += map(",".join, self._cell_texts(_csv_column))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        rows = [_json_list(list(map(_json_cell, row)), "    ") for row in self.rows]
+        rows = [_json_list(row, "    ") for row in self._cell_texts(_json_column)]
         return (
             '{\n  "columns": '
             + _json_list(list(map(encode_basestring_ascii, self.columns)), "  ")

@@ -7,7 +7,9 @@ auditable; back-solved constants are additionally listed in the
 calibration ledger together with the recipe that produced them.
 
 Loaders keep the raw cell text, so re-serializing a loaded dataset
-reproduces the file byte for byte.
+reproduces the file byte for byte. Each loader reads its file, or parses
+bytes already read: a `Dataset` parses the bytes whose digests the
+manifest verified, so no file is read twice in a run.
 """
 
 from __future__ import annotations
@@ -162,11 +164,22 @@ def _read_error(path: Path, exc: OSError | UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
-def _read_table(path: Path | str) -> _Table:
-    path = Path(path)
+def _read_bytes(path: Path) -> bytes:
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        return path.read_bytes()
+    except OSError as exc:
+        raise _read_error(path, exc) from None
+
+
+def _read_table(path: Path | str, data: bytes | None = None) -> _Table:
+    """Parse a dataset file: `data`, its bytes already read, or else the
+    file at `path`, which error messages name either way."""
+    path = Path(path)
+    if data is None:
+        data = _read_bytes(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise _read_error(path, exc) from None
     comments: list[str] = []
     header: tuple[str, ...] | None = None
@@ -178,7 +191,7 @@ def _read_table(path: Path | str) -> _Table:
             if header is None:
                 comments.append(line)
             continue
-        cells = tuple(cell.strip() for cell in line.split(","))
+        cells = tuple(map(str.strip, line.split(",")))
         if header is None:
             header = cells
         elif len(cells) != len(header):
@@ -257,15 +270,16 @@ class ParameterSet(Mapping):
 
 
 def load_params(path: Path | str, namespace: str,
-                schema: dict[str, str] | None = None) -> ParameterSet:
+                schema: dict[str, str] | None = None,
+                data: bytes | None = None) -> ParameterSet:
     """Load a key/value/unit/provenance file and validate it.
 
     With a schema, every schema key must be present with the expected unit
     label; missing keys are reported together. Duplicate keys, empty
     provenance and a value in years (unit `yr`) that is not a whole number
-    are rejected.
+    are rejected. `data`, when given, is the file's content, already read.
     """
-    table = _read_table(path)
+    table = _read_table(path, data)
     if table.header != PARAM_COLUMNS:
         raise InputError(
             f"{table.path}: expected header {','.join(PARAM_COLUMNS)}, "
@@ -311,12 +325,15 @@ def load_overrides(path: Path | str) -> ParameterSet:
     return overrides
 
 
-def _load_namespace(namespace: str, directory: Path) -> ParameterSet:
-    """A namespace's bundled file, checked against its schema."""
+def _load_namespace(namespace: str, directory: Path,
+                    contents: Mapping[str, bytes] | None = None) -> ParameterSet:
+    """A namespace's bundled file, checked against its schema; parsed from
+    `contents` (file name -> bytes) when that holds the file."""
     if namespace not in NAMESPACE_FILES:
         raise InputError(f"unknown parameter namespace {namespace!r}")
-    return load_params(directory / NAMESPACE_FILES[namespace], namespace,
-                       SCHEMAS[namespace])
+    name = NAMESPACE_FILES[namespace]
+    return load_params(directory / name, namespace, SCHEMAS[namespace],
+                       contents.get(name) if contents else None)
 
 
 def load_bundled_params(namespace: str, override_path: Path | str | None = None,
@@ -329,9 +346,10 @@ def load_bundled_params(namespace: str, override_path: Path | str | None = None,
     return params
 
 
-def load_regions(path: Path | str) -> list[RegionRecord]:
-    """Regional input/output records, validated strictly positive."""
-    table = _read_table(path)
+def load_regions(path: Path | str, data: bytes | None = None) -> list[RegionRecord]:
+    """Regional input/output records, validated strictly positive; `data`,
+    when given, is the file's content, already read."""
+    table = _read_table(path, data)
     if table.header != REGION_COLUMNS:
         raise InputError(
             f"{table.path}: expected header {','.join(REGION_COLUMNS)}, "
@@ -357,8 +375,9 @@ def bundled_regions_path(directory: Path | None = None) -> Path:
     return (directory or data_dir()) / "regions_2019.csv"
 
 
-def load_supply_levels(path: Path | str | None = None) -> list[SupplyLevel]:
-    table = _read_table(path or data_dir() / "supply_levels.csv")
+def load_supply_levels(path: Path | str | None = None,
+                       data: bytes | None = None) -> list[SupplyLevel]:
+    table = _read_table(path or data_dir() / "supply_levels.csv", data)
     if table.header != ("level", "renewable_share"):
         raise InputError(f"{table.path}: unexpected header")
     return [SupplyLevel(name=row[0],
@@ -366,8 +385,9 @@ def load_supply_levels(path: Path | str | None = None) -> list[SupplyLevel]:
             for row, ln in zip(table.rows, table.row_lines)]
 
 
-def load_demand_levels(path: Path | str | None = None) -> list[DemandLevel]:
-    table = _read_table(path or data_dir() / "demand_levels.csv")
+def load_demand_levels(path: Path | str | None = None,
+                       data: bytes | None = None) -> list[DemandLevel]:
+    table = _read_table(path or data_dir() / "demand_levels.csv", data)
     expected = ("level", "pr_ammonia", "pr_power", "pr_shipping", "pr_mobility")
     if table.header != expected:
         raise InputError(f"{table.path}: unexpected header")
@@ -391,9 +411,11 @@ class CalibrationEntry:
         self.oracle = oracle
 
 
-def calibration_ledger(directory: Path | None = None) -> list[CalibrationEntry]:
-    """Every derived constant shipped with the data, with its derivation."""
-    table = _read_table((directory or data_dir()) / "calibration.csv")
+def calibration_ledger(directory: Path | None = None,
+                       data: bytes | None = None) -> list[CalibrationEntry]:
+    """Every derived constant shipped with the data, with its derivation;
+    `data`, when given, is the content of calibration.csv, already read."""
+    table = _read_table((directory or data_dir()) / "calibration.csv", data)
     if table.header != ("constant", "value", "unit", "oracle"):
         raise InputError(f"{table.path}: unexpected header")
     return [CalibrationEntry(row[0], _parse_float(row[1], table.path, ln, "value"),
@@ -402,27 +424,23 @@ def calibration_ledger(directory: Path | None = None) -> list[CalibrationEntry]:
 
 
 class DatasetManifest:
-    """File list with content digests (filename -> sha256) plus the
-    calibration ledger."""
+    """File list with content digests (filename -> sha256), the verified
+    content of each listed file (filename -> bytes) and the calibration
+    ledger."""
 
-    __slots__ = ("version", "files", "calibration")
+    __slots__ = ("version", "files", "contents", "calibration")
 
-    def __init__(self, version: str, files: dict[str, str],
+    def __init__(self, version: str, files: dict[str, str], contents: dict[str, bytes],
                  calibration: tuple[CalibrationEntry, ...]):
         self.version = version
         self.files = files
+        self.contents = contents
         self.calibration = calibration
 
 
-def _sha256(path: Path) -> str:
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError as exc:
-        raise _read_error(path, exc) from None
-
-
 def load_manifest(directory: Path | None = None) -> DatasetManifest:
-    """Read manifest.csv and verify every file digest."""
+    """Read manifest.csv and every listed file, once, verifying its digest;
+    the manifest keeps the bytes it verified."""
     base_dir = directory or data_dir()
     table = _read_table(base_dir / "manifest.csv")
     if table.header != ("file", "sha256"):
@@ -433,24 +451,30 @@ def load_manifest(directory: Path | None = None) -> DatasetManifest:
         if text.startswith("version:"):
             version = text.split(":", 1)[1].strip()
     files = {row[0]: row[1] for row in table.rows}
+    contents = {}
     for name, digest in files.items():
-        actual = _sha256(base_dir / name)
+        data = _read_bytes(base_dir / name)
+        actual = hashlib.sha256(data).hexdigest()
         if actual != digest:
             raise InputError(
                 f"dataset file {name!r} digest mismatch: manifest has "
                 f"{digest[:12]}..., file has {actual[:12]}...")
-    return DatasetManifest(version, files, tuple(calibration_ledger(base_dir)))
+        contents[name] = data
+    ledger = calibration_ledger(base_dir, contents.get("calibration.csv"))
+    return DatasetManifest(version, files, contents, tuple(ledger))
 
 
 class Dataset:
     """One run's view of a dataset directory.
 
-    Construction reads manifest.csv and verifies every file digest, once,
-    so a tampered dataset fails before anything is computed from it, and
-    reads and checks the override file, if one is given. The rest is loaded
-    on first use and kept: each namespace's parameters with the overrides
+    Construction reads manifest.csv and every file it lists, once, and
+    verifies their digests, so a tampered dataset fails before anything is
+    computed from it, and reads and checks the override file, if one is
+    given. The rest is parsed on first use, from the bytes the manifest
+    verified, and kept: each namespace's parameters with the overrides
     layered over them (override values win), the regions table (the given
-    one, or the bundled one) and the scenario levels.
+    one, read from its file, or the bundled one) and the scenario levels.
+    A file the manifest does not list is read from the directory.
     """
 
     def __init__(self, directory: Path | None = None,
@@ -461,12 +485,14 @@ class Dataset:
         self.version = self.manifest.version
         self.overrides = None if params_path is None else load_overrides(params_path)
         self._regions_path = regions_path or bundled_regions_path(self.directory)
+        self._regions_data = (None if regions_path
+                              else self.manifest.contents.get(self._regions_path.name))
         self._params: dict[str, ParameterSet] = {}
 
     def params(self, namespace: str) -> ParameterSet:
         """Effective parameters of one namespace."""
         if namespace not in self._params:
-            params = _load_namespace(namespace, self.directory)
+            params = _load_namespace(namespace, self.directory, self.manifest.contents)
             if self.overrides is not None:
                 params = params.with_overrides(self.overrides)
             self._params[namespace] = params
@@ -474,12 +500,14 @@ class Dataset:
 
     @cached_property
     def regions(self) -> list[RegionRecord]:
-        return load_regions(self._regions_path)
+        return load_regions(self._regions_path, self._regions_data)
 
     @cached_property
     def supply_levels(self) -> list[SupplyLevel]:
-        return load_supply_levels(self.directory / "supply_levels.csv")
+        return load_supply_levels(self.directory / "supply_levels.csv",
+                                  self.manifest.contents.get("supply_levels.csv"))
 
     @cached_property
     def demand_levels(self) -> list[DemandLevel]:
-        return load_demand_levels(self.directory / "demand_levels.csv")
+        return load_demand_levels(self.directory / "demand_levels.csv",
+                                  self.manifest.contents.get("demand_levels.csv"))

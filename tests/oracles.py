@@ -112,7 +112,7 @@ def query_per_key(params, annual_h2_kt: float, distance_km: float = 0.0,
 
 
 def levelize_two_pass(flows, delivered_kg_per_yr: float, delivered_fraction: float,
-                      q: carriers.CostQuery, bracket_clamped: bool) -> carriers.CostBreakdown:
+                      q: carriers.CostQuery) -> carriers.CostBreakdown:
     """`_levelize` computing the list of stage costs first, then the records."""
     if not delivered_kg_per_yr > 0:
         raise InputError("chain delivers no hydrogen")
@@ -122,4 +122,4 @@ def levelize_two_pass(flows, delivered_kg_per_yr: float, delivered_fraction: flo
              / delivered_kg_per_yr for spec, capex, energy in flows]
     stages = tuple([carriers.StageCost(spec.name, spec.role, cost)
                     for (spec, _, _), cost in zip(flows, costs)])
-    return carriers.CostBreakdown(stages, sum(costs), delivered_fraction, bracket_clamped)
+    return carriers.CostBreakdown(stages, sum(costs), delivered_fraction)

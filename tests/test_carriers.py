@@ -80,7 +80,7 @@ def test_closed_form_matches_schedule_oracle(dr, years, capex, running, delivere
     flow = (spec, capex, running)
     q = carriers.CostQuery(annual_h2_kt=1.0, dr=dr, lifetime_years=years,
                            electricity_usd_per_mwh=1.0)
-    closed = carriers._levelize([flow], delivered, 1.0, q, False).total_usd_per_kg
+    closed = carriers._levelize([flow], delivered, 1.0, q).total_usd_per_kg
     oracle = carriers.levelized_cost([capex] + [running] * years,
                                      [0.0] + [delivered] * years, dr)
     assert math.isclose(closed, oracle, rel_tol=1e-12)
@@ -107,15 +107,10 @@ def test_builtin_bracket_values(params):
 
 
 def test_bracket_clamp_warning(params):
-    clamped = chains_at(params, 20.0)
-    assert clamped["NH3_with_crack"].bracket_clamped
     # ties resolve to the lower bracket
-    assert clamped["NH3_with_crack"].stages[-1].capex_value == 354.0
-    breakdown = carriers.delivery_cost(clamped["NH3_with_crack"],
-                                       query(params, 20.0, 500.0))
-    assert breakdown.bracket_clamped
-    exact = chains_at(params, 50.0)
-    assert not exact["NH3_with_crack"].bracket_clamped
+    assert carriers.volume_bracket(20.0) == (10.0, True)
+    assert chains_at(params, 20.0)["NH3_with_crack"].stages[-1].capex_value == 354.0
+    assert carriers.volume_bracket(50.0) == (50.0, False)
 
 
 def test_missing_parameter_is_named():
@@ -149,7 +144,7 @@ def _outcome(cost, chain, q):
     except InputError as exc:
         return str(exc)
     return ([(s.name, s.role, s.usd_per_kg.hex()) for s in b.stages],
-            b.total_usd_per_kg.hex(), b.delivered_fraction.hex(), b.bracket_clamped)
+            b.total_usd_per_kg.hex(), b.delivered_fraction.hex())
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,7 +253,7 @@ def test_records_keep_field_order_and_defaults():
             spec.hold_days, spec.density_t_per_m3) == (0.03, 0.0, 0.0, 1.0, 0.0,
                                                        0.0, 0.0, 0.0)
     chain = carriers.CarrierChain("LH2", (spec,))
-    assert (chain.stages, chain.bracket_clamped, chain.storage_stages) == ((spec,), False, ())
+    assert (chain.stages, chain.storage_stages) == ((spec,), ())
 
 
 def test_pipeline_requires_distance(params):

@@ -1,14 +1,19 @@
 """Command-line behaviour: table contents, error exit codes, determinism."""
 
+import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nh3econ
 from nh3econ import cli, data_io
@@ -251,17 +256,18 @@ def test_float_format_is_trimmed():
 
 
 def test_report_hashes_each_manifest_file_once(tmp_path, monkeypatch):
+    # every dataset file is read once, hashed and then parsed from those bytes
     manifest = data_io.load_manifest()
-    hashed = []
-    original = data_io._sha256
+    read = []
+    original = data_io._read_bytes
 
     def counting(path):
-        hashed.append(Path(path).name)
+        read.append(Path(path).name)
         return original(path)
 
-    monkeypatch.setattr(data_io, "_sha256", counting)
+    monkeypatch.setattr(data_io, "_read_bytes", counting)
     assert cli.run(["report", "--output", str(tmp_path / "out")]) == 0
-    assert Counter(hashed) == {name: 1 for name in manifest.files}
+    assert Counter(read) == {"manifest.csv": 1, **{name: 1 for name in manifest.files}}
 
 
 def test_report_on_tampered_dataset_exits_2_without_output(tmp_path, capsys):
@@ -333,7 +339,7 @@ def test_python_m_bad_input_exits_2_with_one_line():
 
 def _rehash(data, name):
     manifest = data / "manifest.csv"
-    digest = data_io._sha256(data / name)
+    digest = hashlib.sha256((data / name).read_bytes()).hexdigest()
     lines = [f"{name},{digest}" if line.startswith(f"{name},") else line
              for line in manifest.read_text().splitlines()]
     manifest.write_text("\n".join(lines) + "\n")
@@ -451,3 +457,63 @@ def test_non_finite_sweep_argument_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "list of finite numbers" in captured.err
+
+
+DATASET_FILES = ("calibration.csv", "carriers.csv", "cofiring.csv", "demand_levels.csv",
+                 "gapfill.csv", "regions_2019.csv", "scenarios.csv", "supply_levels.csv")
+MUTATION_COMMANDS = (["gtfp"], ["carrier", "delivery"], ["carrier", "storage"], ["cofire"],
+                     ["scenario", "supply"], ["scenario", "demand"], ["scenario", "balance"],
+                     ["report"])
+
+
+@st.composite
+def mutated_files(draw):
+    """(file name, new text): one cell replaced, or one row dropped or doubled."""
+    name = draw(st.sampled_from(DATASET_FILES))
+    lines = (data_io.data_dir() / name).read_text(encoding="utf-8").splitlines()
+    index = draw(st.sampled_from([i for i, line in enumerate(lines)
+                                  if line.strip() and not line.startswith("#")]))
+    kind = draw(st.sampled_from(("cell", "drop", "duplicate")))
+    if kind == "cell":
+        cells = lines[index].split(",")
+        column = draw(st.integers(0, len(cells) - 1))
+        cells[column] = draw(st.sampled_from(("text", "nan", "", "-" + cells[column])))
+        lines[index] = ",".join(cells)
+    elif kind == "drop":
+        del lines[index]
+    else:
+        lines.insert(index, lines[index])
+    return name, "\n".join(lines) + "\n"
+
+
+def _no_constant(token):
+    raise AssertionError(f"non-finite number {token} in the output")
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_files())
+def test_mutated_dataset_exits_0_with_finite_output_or_2_with_one_line(mutation):
+    name, text = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        shutil.copytree(data_io.data_dir(), data)
+        (data / name).write_text(text, encoding="utf-8")
+        _rehash(data, name)
+        for command in MUTATION_COMMANDS:
+            out_dir = Path(tmp) / "report"
+            argv = ["--data-dir", str(data), *command, "--format", "json"]
+            if command == ["report"]:
+                argv += ["--output", str(out_dir)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = cli.run(argv)
+            if code == 2:
+                assert stdout.getvalue() == "", command
+                assert stderr.getvalue().startswith("error: "), command
+                assert stderr.getvalue().count("\n") == 1, command
+                continue
+            assert code == 0, (command, stderr.getvalue())
+            outputs = ([p.read_text(encoding="utf-8") for p in sorted(out_dir.iterdir())]
+                       if command == ["report"] else [stdout.getvalue()])
+            for output in outputs:
+                json.loads(output, parse_constant=_no_constant)

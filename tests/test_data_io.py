@@ -202,3 +202,25 @@ def test_levels_loaders():
 def test_unknown_namespace():
     with pytest.raises(InputError, match="namespace"):
         data_io.load_bundled_params("mystery")
+
+
+def test_dataset_parses_the_bytes_the_manifest_verified(tmp_path):
+    target = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), target)
+    dataset = data_io.Dataset(target)
+    carriers_csv = target / "carriers.csv"
+    carriers_csv.write_text(carriers_csv.read_text().replace(
+        "wacc,0.08,", "wacc,0.09,"))
+    assert dataset.params("carriers")["wacc"] == 0.08
+    assert data_io.load_params(carriers_csv, "carriers")["wacc"] == 0.09
+
+
+def test_verified_bytes_keep_the_utf8_error(tmp_path):
+    path = tmp_path / "carriers.csv"
+    path.write_bytes(b"key,value,unit,provenance\nk,1,x,caf\xe9\n")
+    message = f"{path}: not UTF-8 text: invalid continuation byte at byte 35"
+    with pytest.raises(InputError) as from_file:
+        data_io.load_params(path, "carriers")
+    with pytest.raises(InputError) as from_bytes:
+        data_io.load_params(path, "carriers", data=path.read_bytes())
+    assert str(from_file.value) == str(from_bytes.value) == message

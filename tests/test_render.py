@@ -3,6 +3,7 @@ they replace, kept here as the oracle."""
 
 import json
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,4 +104,53 @@ def test_table_rejects_non_finite_cells(value):
     table = cli.Table("balance", ("level", "coverage"))
     with pytest.raises(InputError, match="'coverage' is .*not a finite number"):
         table.add("Level 1", value)
+    assert table.rows == []
+
+
+class _Float(float):
+    """A float subclass: its columns go through fmt and _json_cell."""
+
+
+# Small pools, so that columns repeat values and equal values of different
+# types (0, 0.0, -0.0, False) share a column; each column draws from one.
+POOLS = (
+    (0.0, -0.0, 1.0, 5e-5, -5e-5, -0.00004, 0.65304, -123.45675, 99999999999.99995),
+    (0.0, 2.5, 123456789012345.67),                     # a text longer than 15
+    (0, 1, -7, 123456789),
+    (0, 7, 2**70),
+    (False, True),
+    ("NH3", "", 'say "hi"', "\u00dcr\u00fcmqi \u5317\u4eac", "123456789012345.67"),
+    (_Float(0.5), _Float(-0.0), _Float(5e-5)),
+    (0, 0.0, -0.0, False),
+    (1, 1.0, True),
+    (5e-5, -5e-5, -0.00004, 1, "x", True, _Float(2.0), 2**70),
+)
+
+
+@st.composite
+def pooled_tables(draw):
+    pools = draw(st.lists(st.sampled_from(POOLS), min_size=1, max_size=6))
+    table = cli.Table("pooled", tuple(f"c{i}" for i in range(len(pools))))
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        table.add(*(draw(st.sampled_from(pool)) for pool in pools))
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_tables())
+def test_column_writers_match_the_oracle(table):
+    assert table.to_csv() == _oracle_csv(table)
+    assert table.to_json() == _oracle_json(table)
+
+
+@pytest.mark.parametrize("row, column", [
+    (("x", math.inf, math.nan), "b"),               # two non-finite columns
+    ((1.0, math.inf, math.inf), "b"),               # one inf object twice
+    ((Decimal("Infinity"), math.inf, 1.0), "b"),    # equal to inf, not a float
+    (("x", 1.0, _Float("nan")), "c"),               # a float subclass
+])
+def test_table_names_the_first_non_finite_column(row, column):
+    table = cli.Table("grid", ("a", "b", "c"))
+    with pytest.raises(InputError, match=f"^grid: column '{column}' is "):
+        table.add(*row)
     assert table.rows == []
