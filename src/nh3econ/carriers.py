@@ -106,6 +106,16 @@ class StageSpec:
             raise InputError(f"stage {name!r}: loss rate must be in [0, 1)")
         if not 0.0 < conversion_efficiency <= 1.0:
             raise InputError(f"stage {name!r}: conversion efficiency must be in (0, 1]")
+        if capex_basis == "per_asset" and not (payload_t > 0 and daily_range_km > 0):
+            raise InputError(f"stage {name!r}: a per_asset stage needs a positive "
+                             f"payload and daily range, got {payload_t} t and "
+                             f"{daily_range_km} km")
+        if capex_basis == "per_m3" and not density_t_per_m3 > 0:
+            raise InputError(f"stage {name!r}: a per_m3 stage needs a positive "
+                             f"density, got {density_t_per_m3} t/m3")
+        if not hold_days >= 0:
+            raise InputError(f"stage {name!r}: hold days must be nonnegative, "
+                             f"got {hold_days}")
         self.name = name
         self.role = role
         self.capex_basis = capex_basis
@@ -232,6 +242,9 @@ def _transport_fleet(spec: StageSpec, tonnage_per_yr: float, distance_km: float)
         return 0.0
     deliveries_per_day = spec.daily_range_km / (2.0 * distance_km)
     per_vehicle_t = spec.payload_t * deliveries_per_day * 365.0
+    if not per_vehicle_t > 0:   # 2 * distance overflowed, or the quotient underflowed
+        raise InputError(f"stage {spec.name!r}: a vehicle completes no delivery "
+                         f"over {distance_km} km")
     return tonnage_per_yr / per_vehicle_t
 
 
@@ -262,9 +275,7 @@ def _walk_delivery(chain: CarrierChain, q: CostQuery) -> tuple[list[_StageFlow],
                 fleet = _transport_fleet(spec, basis_mass, q.distance_km)
                 capex = spec.capex_value * fleet
                 energy = spec.energy_use_mwh_per_t * basis_mass
-                transit_days = (q.distance_km / spec.daily_range_km
-                                if spec.daily_range_km > 0 else 0.0)
-                survival = (1.0 - spec.loss_rate) ** transit_days
+                survival = (1.0 - spec.loss_rate) ** (q.distance_km / spec.daily_range_km)
             else:
                 raise InputError(f"transport stage {spec.name!r}: unsupported "
                                  f"capex basis {spec.capex_basis!r}")

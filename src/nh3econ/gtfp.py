@@ -1,10 +1,34 @@
 """Regional green productivity: CRS input-oriented DEA plus intensity metrics.
 
-Each region is a decision-making unit with four inputs (energy use, labour
-force, capital stock, CO2 emission) and one output (GDP). Its efficiency
-score is the optimum of a small linear program: shrink the region's input
-bundle by a common factor theta while a nonnegative combination of all
-regions still dominates it. The frontier regions score exactly 1.
+Each region is a decision-making unit with four inputs x_k (energy use,
+labour force, capital stock, CO2 emission) and one output y (GDP). Its
+efficiency score is the CCR envelopment optimum (Charnes, Cooper & Rhodes
+1978): the least factor theta by which the region's input bundle can
+shrink while a nonnegative combination of all regions still dominates it,
+
+    theta_i = min theta  s.t.  sum_j lambda_j x_jk <= theta x_ik  (k = 1..4),
+                               sum_j lambda_j y_j  >= y_i,  lambda >= 0.
+
+The score is computed in the ratio form of the same program. Let
+s_j = max_k x_jk / x_ik, so that region j shrunk by s_j is the largest copy
+of it that uses no more of any input than region i. Substituting
+mu_j = lambda_j s_j / theta gives
+
+    1 / theta_i = max sum_j mu_j (y_j / y_i) / s_j
+                  s.t. sum_j mu_j (x_jk / x_ik) / s_j <= 1  (k = 1..4), mu >= 0:
+
+the most output, relative to region i's, that a combination of those
+copies yields within region i's inputs. Any feasible (theta, lambda) maps
+to a mu whose objective is at least 1 / theta, and any feasible mu with
+objective v > 0 maps back through theta = 1 / v, lambda_j = mu_j theta / s_j,
+so the two optima agree. The ratio form has 4 rows instead of 5 and no
+theta column. Every right-hand side is 1, so mu = 0 is feasible and the
+simplex starts from its slack basis with no phase 1. Every column's largest
+entry is 1, which bounds the program and keeps its entries in a range the
+solver's absolute tolerance can tell from zero, however far apart the
+regions' magnitudes lie, as long as each ratio is a double. mu = e_i is
+feasible with objective 1, so theta <= 1, and the frontier regions score
+exactly 1.
 
 Energy and carbon intensities are simple ratios of the same table; the
 energy intensity is reported in kBtu/USD (dividing the raw units gives
@@ -14,6 +38,8 @@ applied as value * source factor / target factor.
 """
 
 from __future__ import annotations
+
+from math import inf
 
 from . import lp
 from .errors import InputError, SolverError
@@ -67,22 +93,35 @@ class RegionEfficiency:
 
 
 def build_dea_lp(records: list[RegionRecord], i: int) -> lp.LinearProgram:
-    """LP for region i: min theta over (theta, lambda_1..lambda_M).
+    """Ratio-form LP for region i: min -sum_j mu_j (y_j / y_i) / s_j.
 
-    Input rows demand sum_j lambda_j X_jk <= theta X_ik for each input k,
-    the output row demands sum_j lambda_j Y_j >= Y_i, and all variables are
-    nonnegative. No explicit theta <= 1 row is needed: lambda = e_i is
-    feasible with theta = 1, so the optimum never exceeds 1.
+    Row k demands sum_j mu_j (x_jk / x_ik) / s_j <= 1, where s_j is the
+    largest ratio x_jk / x_ik of region j; the optimum is -1 / theta_i (see
+    the module docstring for the derivation from the envelopment form).
+    There is no equality row and every b_ub entry is 1, so `lp.solve` seeds
+    each row with its slack and never runs phase 1. A ratio x_jk / x_ik or
+    y_j / y_i that overflows (or a column whose ratios all underflow to 0)
+    is an InputError naming regions i and j.
     """
     if not records:
         raise InputError("at least one region record is required")
     if not 0 <= i < len(records):
         raise InputError(f"region index {i} out of range for {len(records)} records")
-    c = [1.0, *[0.0] * len(records)]
-    a_ub = [[-column[i], *column] for column in zip(*(r.inputs for r in records))]
-    a_ub.append([0.0, *(-r.gdp_busd for r in records)])
-    b_ub = [*[0.0] * len(_INPUT_FIELDS), -records[i].gdp_busd]
-    return lp.LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub)
+    x_i = records[i].inputs
+    y_i = records[i].gdp_busd
+    c = []
+    columns = []
+    for r in records:
+        ratios = [x / base for x, base in zip(r.inputs, x_i)]
+        scale = max(ratios)
+        cost = -r.gdp_busd / y_i / scale if 0 < scale < inf else -inf
+        if not cost > -inf:
+            raise InputError(
+                f"regions {records[i].name!r} and {r.name!r}: an input or GDP "
+                "ratio between them is outside the floating-point range")
+        c.append(cost)
+        columns.append([ratio / scale for ratio in ratios])
+    return lp.LinearProgram(c=c, a_ub=list(zip(*columns)), b_ub=[1.0] * len(x_i))
 
 
 def dea_score(records: list[RegionRecord], i: int) -> float:
@@ -93,7 +132,7 @@ def dea_score(records: list[RegionRecord], i: int) -> float:
             f"DEA program for region {records[i].name!r} ended "
             f"{solution.status.value}"
         )
-    return solution.x[0]
+    return 1.0 / -solution.objective
 
 
 def intensities(record: RegionRecord) -> tuple[float, float]:

@@ -1,7 +1,9 @@
 """Independent oracles shared by the module and acceptance tests.
 
 The LP oracle enumerates every basic solution of the slack form, so it
-shares no code path with the simplex implementation it checks. The carrier
+shares no code path with the simplex implementation it checks. The DEA
+oracle states the CCR model in its envelopment form, which `gtfp` scores
+through the equivalent ratio form. The carrier
 oracles are the earlier forms of `carriers.default_query` (one checked
 lookup per key) and `carriers._levelize` (a list of costs, then a second
 pass for the stage records), which the current code must match bit for
@@ -12,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from nh3econ import carriers
+from nh3econ import carriers, lp
 from nh3econ.errors import InputError
 from nh3econ.gtfp import RegionRecord
 
@@ -88,6 +90,21 @@ def random_regions(rng: np.random.Generator, count: int | None = None) -> list[R
             gdp_busd=float(rng.uniform(0.5, 10.0)),
         ))
     return records
+
+
+def ccr_envelopment_lp(records: list[RegionRecord], i: int) -> lp.LinearProgram:
+    """LP for region i: min theta over (theta, lambda_1..lambda_M).
+
+    Input rows demand sum_j lambda_j X_jk <= theta X_ik for each input k,
+    the output row demands sum_j lambda_j Y_j >= Y_i, and all variables are
+    nonnegative. No explicit theta <= 1 row is needed: lambda = e_i is
+    feasible with theta = 1, so the optimum never exceeds 1.
+    """
+    c = [1.0, *[0.0] * len(records)]
+    a_ub = [[-column[i], *column] for column in zip(*(r.inputs for r in records))]
+    a_ub.append([0.0, *(-r.gdp_busd for r in records)])
+    b_ub = [*[0.0] * len(records[0].inputs), -records[i].gdp_busd]
+    return lp.LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub)
 
 
 def _carrier_param(params, key: str) -> float:

@@ -224,6 +224,19 @@ TRUCK = carriers.StageSpec(**{**STAGE, "name": "t", "role": "transport"})
      "stored share must be in (0, 1]"),
     (carriers.CostQuery, {"annual_h2_kt": 10.0, "stored_share": 1.5},
      "stored share must be in (0, 1]"),
+    (carriers.StageSpec, {**STAGE, "capex_basis": "per_asset", "daily_range_km": 800.0},
+     "stage 's': a per_asset stage needs a positive payload and daily range, "
+     "got 0.0 t and 800.0 km"),
+    (carriers.StageSpec, {**STAGE, "capex_basis": "per_asset", "payload_t": 20.0,
+                          "daily_range_km": -800.0},
+     "stage 's': a per_asset stage needs a positive payload and daily range, "
+     "got 20.0 t and -800.0 km"),
+    (carriers.StageSpec, {**STAGE, "capex_basis": "per_m3"},
+     "stage 's': a per_m3 stage needs a positive density, got 0.0 t/m3"),
+    (carriers.StageSpec, {**STAGE, "hold_days": -1.0},
+     "stage 's': hold days must be nonnegative, got -1.0"),
+    (carriers.StageSpec, {**STAGE, "hold_days": math.nan},
+     "stage 's': hold days must be nonnegative, got nan"),
 ])
 def test_record_checks_name_the_problem(cls, kwargs, message):
     with pytest.raises(InputError) as excinfo:

@@ -368,6 +368,58 @@ def test_short_row_exits_2_without_output(name, tmp_path, capsys):
     assert not out.exists()
 
 
+UNUSABLE_SIZES = (
+    ("truck_daily_range_km,0,km_per_day,x", "truck_transport"),
+    ("truck_daily_range_km,-500,km_per_day,x", "truck_transport"),
+    ("truck_payload_t,0,t,x", "truck_transport"),
+    ("lh2_truck_tank_m3,0,m3,x", "cryo_truck_transport"),
+    ("lh2_density_t_per_m3,0,t_per_m3,x", "cryo_truck_transport"),
+    ("delivery_buffer_days,-1,days,x", "terminal_buffer"),
+)
+
+
+@pytest.mark.parametrize("argv, row, stage", [
+    *[(command, row, stage) for command in (["carrier", "delivery"], ["report"])
+      for row, stage in UNUSABLE_SIZES],
+    # 2 * distance overflows, so no delivery completes
+    (["carrier", "delivery", "--distance", "1e308"], None, "truck_transport"),
+])
+def test_unusable_vehicle_or_storage_size_exits_2_naming_the_stage(
+        argv, row, stage, tmp_path, capsys):
+    argv = list(argv)
+    if row is not None:
+        params = tmp_path / "params.csv"
+        params.write_text(f"key,value,unit,provenance\n{row}\n")
+        argv += ["--params", str(params)]
+    out = tmp_path / "out"
+    if argv[0] == "report":
+        argv += ["--output", str(out)]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: stage '{stage}': ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["gtfp"], ["report"]])
+def test_regions_too_far_apart_to_score_exit_2_naming_both(command, tmp_path, capsys):
+    text = data_io.bundled_regions_path().read_text()
+    regions = tmp_path / "regions.csv"
+    regions.write_text(text.replace("North,943.50,", "North,1e-307,"))
+    out = tmp_path / "out"
+    argv = [*command, "--regions", str(regions)]
+    if command == ["report"]:
+        argv += ["--output", str(out)]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: regions 'North' and 'Northeast': an input or GDP ratio "
+        "between them is outside the floating-point range\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row, argv", [
     ("lifetime_years,nan,yr,x", ["carrier", "delivery"]),
     ("gross_margin,nan,fraction,x", ["cofire", "--rate", "0.03", "--format", "json"]),
@@ -477,7 +529,8 @@ def mutated_files(draw):
     if kind == "cell":
         cells = lines[index].split(",")
         column = draw(st.integers(0, len(cells) - 1))
-        cells[column] = draw(st.sampled_from(("text", "nan", "", "-" + cells[column])))
+        cells[column] = draw(st.sampled_from(
+            ("text", "nan", "", "-" + cells[column], "0", "1e308")))
         lines[index] = ",".join(cells)
     elif kind == "drop":
         del lines[index]

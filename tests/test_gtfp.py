@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nh3econ import data_io, gtfp
 from nh3econ.errors import InputError
-from oracles import random_regions
+from oracles import ccr_envelopment_lp, enumerate_lp_minimum, random_regions
 
 # Scores for the bundled 2019 table, frozen from an independent
 # interior-point solve of the same programs.
@@ -61,6 +61,69 @@ def test_identical_regions_are_both_frontier():
     twin = gtfp.RegionRecord("b", 1.0, 2.0, 3.0, 4.0, 5.0)
     assert gtfp.dea_score([record, twin], 0) == pytest.approx(1.0, abs=1e-9)
     assert gtfp.dea_score([record, twin], 1) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_dea_score_matches_the_envelopment_oracle():
+    rng = np.random.default_rng(1979)
+    worst = 0.0
+    for _ in range(25):
+        records = random_regions(rng)
+        for i in range(len(records)):
+            ratio = gtfp.build_dea_lp(records, i)
+            # mu = 0 is feasible: solve seeds every row with its slack
+            assert ratio.a_eq == () and all(b > 0 for b in ratio.b_ub)
+            envelopment = ccr_envelopment_lp(records, i)
+            expected = enumerate_lp_minimum(envelopment.c, envelopment.a_ub,
+                                            envelopment.b_ub)
+            worst = max(worst, abs(gtfp.dea_score(records, i) - expected))
+    assert worst <= 1e-9
+
+
+def _with_value(records, k, field, value):
+    """The records with region k's `field` set to `value`."""
+    rows = [{name: getattr(r, name) for name in ROW} for r in records]
+    rows[k][field] = value
+    return [gtfp.RegionRecord(**row) for row in rows]
+
+
+@pytest.mark.parametrize("field", ["energy_mtce", "labour_m", "capital_busd", "co2_mt"])
+@pytest.mark.parametrize("k", range(6))
+def test_an_input_of_1e308_takes_a_region_off_the_others_frontier(regions, field, k):
+    records = _with_value(regions, k, field, 1e308)
+    rest = records[:k] + records[k + 1:]
+    for i, record in enumerate(records):
+        if i != k:
+            expected = gtfp.dea_score(rest, rest.index(record))
+            assert gtfp.dea_score(records, i) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_a_gdp_of_1e308_dominates_every_other_region(regions, k):
+    records = _with_value(regions, k, "gdp_busd", 1e308)
+    big = records[k]
+    for i, record in enumerate(records):
+        # only region k, shrunk to fit inside region i's inputs, is used
+        shrink = max(a / b for a, b in zip(big.inputs, record.inputs))
+        expected = 1.0 if i == k else record.gdp_busd * shrink / 1e308
+        assert gtfp.dea_score(records, i) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("values", [
+    {(0, "energy_mtce"): 1e-307},
+    {(0, "gdp_busd"): 0.5, (1, "gdp_busd"): 1e308},
+    {(1, field): 5e-324 for field in ("energy_mtce", "labour_m", "capital_busd", "co2_mt")},
+], ids=["input_1e-307", "gdp_0.5_beside_1e308", "inputs_5e-324"])
+def test_a_ratio_outside_the_float_range_names_both_regions(regions, values):
+    # Northeast's energy use over North's 1e-307, its GDP of 1e308 over
+    # North's 0.5, and its inputs of 5e-324 over North's are not doubles
+    records = regions
+    for (k, field), value in values.items():
+        records = _with_value(records, k, field, value)
+    with pytest.raises(InputError) as excinfo:
+        gtfp.gtfp_scores(records)
+    assert str(excinfo.value) == (
+        "regions 'North' and 'Northeast': an input or GDP ratio between them "
+        "is outside the floating-point range")
 
 
 def test_build_dea_lp_validation(regions):
