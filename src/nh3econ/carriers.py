@@ -22,7 +22,7 @@ for process plants, per vehicle for road transport (fleet sized to the
 annual tonnage and route time), per km for pipelines, and per cubic metre
 for cryogenic tanks. Road transport's per-km running costs (fuel, crew,
 maintenance) are folded into its fixed-opex rate, which is therefore much
-larger than the 3 percent used for stationary plants.
+larger than the stationary plants' `fixed_opex_rate`.
 """
 
 from __future__ import annotations
@@ -32,14 +32,6 @@ from collections.abc import Mapping
 
 from .errors import InputError
 from .units import NH3_T_PER_T_H2
-
-DEFAULT_DISCOUNT_RATE = 0.08
-DEFAULT_LIFETIME_YEARS = 20
-# Electricity price for process energy. Calibrated jointly with the buffer
-# size and the road-transport opex rate against the delivery and storage
-# cost bands; the bundled dataset carries the same value with its recipe.
-DEFAULT_ELECTRICITY_USD_PER_MWH = 56.0
-DEFAULT_STORED_SHARE = 0.20
 
 CAPEX_BASES = ("per_t_per_yr", "per_asset", "per_km", "per_m3")
 ROLES = ("conversion", "transport", "storage", "reconversion")
@@ -92,7 +84,7 @@ class StageSpec:
                  "payload_t", "daily_range_km", "hold_days", "density_t_per_m3")
 
     def __init__(self, name: str, role: str, capex_basis: str, capex_value: float,
-                 fixed_opex_rate: float = 0.03, energy_use_mwh_per_t: float = 0.0,
+                 fixed_opex_rate: float, energy_use_mwh_per_t: float = 0.0,
                  loss_rate: float = 0.0, conversion_efficiency: float = 1.0,
                  payload_t: float = 0.0, daily_range_km: float = 0.0,
                  hold_days: float = 0.0, density_t_per_m3: float = 0.0):
@@ -161,11 +153,9 @@ class CostQuery:
     __slots__ = ("annual_h2_kt", "distance_km", "storage_days", "dr",
                  "lifetime_years", "electricity_usd_per_mwh", "stored_share")
 
-    def __init__(self, annual_h2_kt: float, distance_km: float = 0.0,
-                 storage_days: float = 0.0, dr: float = DEFAULT_DISCOUNT_RATE,
-                 lifetime_years: int = DEFAULT_LIFETIME_YEARS,
-                 electricity_usd_per_mwh: float = DEFAULT_ELECTRICITY_USD_PER_MWH,
-                 stored_share: float = DEFAULT_STORED_SHARE):
+    def __init__(self, annual_h2_kt: float, distance_km: float, storage_days: float,
+                 dr: float, lifetime_years: int, electricity_usd_per_mwh: float,
+                 stored_share: float):
         if not annual_h2_kt > 0:
             raise InputError("annual hydrogen volume must be positive")
         if distance_km < 0:

@@ -42,7 +42,6 @@ from pathlib import Path
 from . import carriers, cofiring, data_io, gtfp, scenarios
 from .errors import InputError, SolverError
 
-DELIVERY_VOLUMES_KT = (10.0, 30.0, 50.0, 100.0)
 DELIVERY_DISTANCES_KM = (500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
 STORAGE_DAYS = (30.0, 150.0, 365.0, 1000.0, 2000.0)
 CHAIN_ORDER = ("NH3_with_crack", "NH3_direct", "LH2", "pipeline")
@@ -294,7 +293,8 @@ def _report(dataset: data_io.Dataset, output_format: str, output_dir: Path) -> N
     outputs = {
         "regional_efficiency": _gtfp_table(dataset),
         "delivery_by_volume": _delivery_table(
-            dataset, "delivery cost by volume at 500 km", DELIVERY_VOLUMES_KT, (500.0,)),
+            dataset, "delivery cost by volume at 500 km", carriers.VOLUME_BRACKETS_KT,
+            (500.0,)),
         "delivery_by_distance": _delivery_table(
             dataset, "delivery cost by distance at 50 and 100 kt/yr", (50.0, 100.0),
             DELIVERY_DISTANCES_KM),
@@ -372,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_delivery = carrier_sub.add_parser("delivery", help="delivery cost sweeps")
     add_common(p_delivery)
     p_delivery.add_argument("--volume", type=_float_list,
-                            default=DELIVERY_VOLUMES_KT, help="kt H2 per year, comma list")
+                            default=carriers.VOLUME_BRACKETS_KT,
+                            help="kt H2 per year, comma list")
     p_delivery.add_argument("--distance", type=_float_list,
                             default=DELIVERY_DISTANCES_KM, help="km, comma list")
     p_storage = carrier_sub.add_parser("storage", help="storage cost sweeps")

@@ -17,14 +17,12 @@ from .units import TCE_GJ
 # Co-firing rates of the standard scenario ladder (base case plus five cases).
 STANDARD_RATES = (0.0, 0.03, 0.05, 0.10, 0.15, 0.20)
 
-DEFAULT_EFFICIENCY_LOSS = {0.03: 0.01, 0.05: 0.02, 0.10: 0.03, 0.15: 0.04, 0.20: 0.06}
-
 
 class CofiringParams:
     """Parameter bundle for the co-firing cost and emission model.
 
     efficiency_loss maps a co-firing rate to the boiler's fractional
-    efficiency loss; None stands for a copy of DEFAULT_EFFICIENCY_LOSS.
+    efficiency loss.
     """
 
     __slots__ = ("coal_price_usd_per_tce", "ammonia_production_cost_usd_per_t",
@@ -32,12 +30,10 @@ class CofiringParams:
                  "base_emission_kg_per_mwh", "fuel_cost_share", "efficiency_loss")
 
     def __init__(self, coal_price_usd_per_tce: float,
-                 ammonia_production_cost_usd_per_t: float = 820.0,
-                 gross_margin: float = 0.05, lhv_nh3_gj_per_t: float = 18.6,
-                 coal_consumption_tce_per_mwh: float = 0.31,
-                 base_emission_kg_per_mwh: float = 838.0,
-                 fuel_cost_share: float = 0.70,
-                 efficiency_loss: dict[float, float] | None = None):
+                 ammonia_production_cost_usd_per_t: float, gross_margin: float,
+                 lhv_nh3_gj_per_t: float, coal_consumption_tce_per_mwh: float,
+                 base_emission_kg_per_mwh: float, fuel_cost_share: float,
+                 efficiency_loss: dict[float, float]):
         self.coal_price_usd_per_tce = coal_price_usd_per_tce
         self.ammonia_production_cost_usd_per_t = ammonia_production_cost_usd_per_t
         self.gross_margin = gross_margin
@@ -45,8 +41,7 @@ class CofiringParams:
         self.coal_consumption_tce_per_mwh = coal_consumption_tce_per_mwh
         self.base_emission_kg_per_mwh = base_emission_kg_per_mwh
         self.fuel_cost_share = fuel_cost_share
-        self.efficiency_loss = (dict(DEFAULT_EFFICIENCY_LOSS) if efficiency_loss is None
-                                else efficiency_loss)
+        self.efficiency_loss = efficiency_loss
         for name in ("coal_price_usd_per_tce", "ammonia_production_cost_usd_per_t",
                      "lhv_nh3_gj_per_t", "coal_consumption_tce_per_mwh",
                      "base_emission_kg_per_mwh"):

@@ -6,8 +6,8 @@ Every parameter row carries a provenance label so the numbers stay
 auditable; back-solved constants are additionally listed in the
 calibration ledger together with the recipe that produced them.
 
-Loaders keep the raw cell text, so re-serializing a loaded dataset
-reproduces the file byte for byte. Each loader reads its file, or parses
+Loaders keep the raw cell text of each file, along with its comment lines
+and the line number of each row. Each loader reads its file, or parses
 bytes already read: a `Dataset` parses the bytes whose digests the
 manifest verified, so no file is read twice in a run.
 """
@@ -21,6 +21,7 @@ from collections.abc import Mapping
 from functools import cached_property
 from pathlib import Path
 
+from .carriers import VOLUME_BRACKETS_KT
 from .errors import InputError
 from .gtfp import RegionRecord
 from .scenarios import DemandLevel, SupplyLevel
@@ -30,8 +31,6 @@ ENV_DATA_DIR = "NH3ECON_DATA"
 REGION_COLUMNS = ("region", "energy_mtce", "labour_m", "capital_busd",
                   "co2_mt", "gdp_busd")
 PARAM_COLUMNS = ("key", "value", "unit", "provenance")
-
-_BRACKETS = (10, 30, 50, 100)
 
 CARRIER_SCHEMA: dict[str, str] = {
     "wacc": "fraction",
@@ -47,13 +46,13 @@ CARRIER_SCHEMA: dict[str, str] = {
     "nh3_storage_energy_kwh_per_t_day": "kWh_per_t_day",
     "nh3_vessel_capex_usd_per_t": "USD_per_t",
     "nh3_boiloff_per_day": "fraction_per_day",
-    **{f"reformer_capex_{b}kt": "USD_per_t_yr" for b in _BRACKETS},
+    **{f"reformer_capex_{int(b)}kt": "USD_per_t_yr" for b in VOLUME_BRACKETS_KT},
     "truck_capex_usd": "USD",
     "truck_payload_t": "t",
     "truck_daily_range_km": "km_per_day",
     "truck_opex_rate": "fraction_per_yr",
     "delivery_buffer_days": "days",
-    **{f"liquefier_capex_{b}kt": "USD_per_t_yr" for b in _BRACKETS},
+    **{f"liquefier_capex_{int(b)}kt": "USD_per_t_yr" for b in VOLUME_BRACKETS_KT},
     "lh2_liquefaction_energy_mwh_per_t": "MWh_per_t",
     "lh2_regas_energy_kwh_per_t": "kWh_per_t",
     "lh2_boiloff_per_day": "fraction_per_day",
@@ -61,7 +60,7 @@ CARRIER_SCHEMA: dict[str, str] = {
     "lh2_truck_tank_m3": "m3",
     "cryo_tank_capex_usd_per_m3": "USD_per_m3",
     "vaporizer_capex_kusd_per_10kt": "kUSD_per_10kt_yr",
-    **{f"pipeline_capex_kusd_per_km_{b}kt": "kUSD_per_km" for b in _BRACKETS},
+    **{f"pipeline_capex_kusd_per_km_{int(b)}kt": "kUSD_per_km" for b in VOLUME_BRACKETS_KT},
     "pipeline_energy_mwh_per_t_100km": "MWh_per_t_100km",
     "pipeline_leakage_per_1000km": "fraction_per_1000km",
     "stored_share": "fraction",
@@ -148,12 +147,6 @@ class _Table:
         self.rows = rows
         self.row_lines = row_lines
 
-    def serialize(self) -> str:
-        lines = list(self.comments)
-        lines.append(",".join(self.header))
-        lines.extend(",".join(row) for row in self.rows)
-        return "\n".join(lines) + "\n"
-
 
 def _read_error(path: Path, exc: OSError | UnicodeDecodeError) -> InputError:
     """One-line input error for a file that cannot be read as UTF-8 text."""
@@ -233,11 +226,9 @@ class ParameterSet(Mapping):
     Behaves as a read-only mapping from key to float value.
     """
 
-    def __init__(self, namespace: str, entries: dict[str, ParamEntry],
-                 table: _Table | None = None):
+    def __init__(self, namespace: str, entries: dict[str, ParamEntry]):
         self.namespace = namespace
         self._entries = dict(entries)
-        self._table = table
 
     def __getitem__(self, key: str) -> float:
         try:
@@ -262,11 +253,6 @@ class ParameterSet(Mapping):
         merged = dict(self._entries)
         merged.update(other._entries)
         return ParameterSet(self.namespace, merged)
-
-    def serialize(self) -> str:
-        if self._table is None:
-            raise InputError("only directly loaded parameter sets serialize")
-        return self._table.serialize()
 
 
 def load_params(path: Path | str, namespace: str,
@@ -306,7 +292,7 @@ def load_params(path: Path | str, namespace: str,
         if missing:
             raise InputError(
                 f"{table.path}: missing required keys: " + ", ".join(missing))
-    return ParameterSet(namespace, entries, table)
+    return ParameterSet(namespace, entries)
 
 
 def load_overrides(path: Path | str) -> ParameterSet:
@@ -336,14 +322,9 @@ def _load_namespace(namespace: str, directory: Path,
                        contents.get(name) if contents else None)
 
 
-def load_bundled_params(namespace: str, override_path: Path | str | None = None,
-                        directory: Path | None = None) -> ParameterSet:
-    """Bundled parameters for a namespace, optionally layered with a user
-    override file read by `load_overrides` (override values win)."""
-    params = _load_namespace(namespace, directory or data_dir())
-    if override_path is not None:
-        params = params.with_overrides(load_overrides(override_path))
-    return params
+def load_bundled_params(namespace: str) -> ParameterSet:
+    """Bundled parameters for a namespace, read from `data_dir()`."""
+    return _load_namespace(namespace, data_dir())
 
 
 def load_regions(path: Path | str, data: bytes | None = None) -> list[RegionRecord]:
@@ -440,7 +421,8 @@ class DatasetManifest:
 
 def load_manifest(directory: Path | None = None) -> DatasetManifest:
     """Read manifest.csv and every listed file, once, verifying its digest;
-    the manifest keeps the bytes it verified."""
+    the manifest keeps the bytes it verified. A file listed twice is an
+    input error, so no row can replace another."""
     base_dir = directory or data_dir()
     table = _read_table(base_dir / "manifest.csv")
     if table.header != ("file", "sha256"):
@@ -450,7 +432,11 @@ def load_manifest(directory: Path | None = None) -> DatasetManifest:
         text = comment.lstrip("# ").strip()
         if text.startswith("version:"):
             version = text.split(":", 1)[1].strip()
-    files = {row[0]: row[1] for row in table.rows}
+    files = {}
+    for (name, digest), lineno in zip(table.rows, table.row_lines):
+        if name in files:
+            raise InputError(f"{table.path}: line {lineno}: {name!r} is listed twice")
+        files[name] = digest
     contents = {}
     for name, digest in files.items():
         data = _read_bytes(base_dir / name)

@@ -46,7 +46,6 @@ from .errors import InputError, SolverError
 from .units import KBTU_GJ, TCE_GJ
 
 EFFICIENT_TOL = 1e-6
-DEFAULT_DEPRECIATION = 0.096
 
 _INPUT_FIELDS = ("energy_mtce", "labour_m", "capital_busd", "co2_mt")
 
@@ -163,42 +162,3 @@ def gtfp_scores(records: list[RegionRecord]) -> list[RegionEfficiency]:
         ))
     return report
 
-
-def capital_stock_next(k_now_busd: float, investment_next_busd: float,
-                       delta: float = DEFAULT_DEPRECIATION) -> float:
-    """Perpetual-inventory step: K_{n+1} = I_{n+1} + (1 - delta) K_n."""
-    if not 0.0 <= delta < 1.0:
-        raise InputError(f"depreciation rate must be in [0, 1), got {delta}")
-    if k_now_busd < 0 or investment_next_busd < 0:
-        raise InputError("capital stock and investment must be nonnegative")
-    return investment_next_busd + (1.0 - delta) * k_now_busd
-
-
-def extrapolate_emission(base_value_mt: float, cagr: float, years: int) -> float:
-    """Compound a base emission level forward: base * (1 + cagr)^years."""
-    if base_value_mt <= 0:
-        raise InputError("base emission must be positive")
-    if years < 0:
-        raise InputError("years must be nonnegative")
-    return base_value_mt * (1.0 + cagr) ** years
-
-
-def series_cagr(start_value: float, end_value: float, years: int) -> float:
-    """Annual average growth rate between two points `years` apart."""
-    if start_value <= 0 or end_value <= 0:
-        raise InputError("series values must be positive")
-    if years <= 0:
-        raise InputError("years must be positive")
-    return (end_value / start_value) ** (1.0 / years) - 1.0
-
-
-def gap_fill_emission_2019(gapfill_params) -> float:
-    """Estimate the missing provincial 2019 CO2 level (Mt).
-
-    The provincial inventory lacks Tibet after 2014, so its 2019 level is
-    extrapolated from the 2014 value with the 2014-2019 national average
-    growth rate. Takes the bundled gap-fill parameter mapping.
-    """
-    cagr = series_cagr(gapfill_params["national_co2_2014_mt"],
-                       gapfill_params["national_co2_2019_mt"], 5)
-    return extrapolate_emission(gapfill_params["tibet_co2_2014_mt"], cagr, 5)

@@ -23,7 +23,7 @@ from operator import mul
 
 from .errors import InputError, SolverError
 
-DEFAULT_TOL = 1e-9
+TOL = 1e-9
 MAX_PIVOTS = 10_000
 
 
@@ -123,19 +123,20 @@ def _pivot(tableau: list[list[float]], basis: list[int], row: int, col: int) -> 
     basis[row] = col
 
 
-def _run_simplex(tableau: list[list[float]], basis: list[int], tol: float,
-                 max_iter: int, start_iter: int) -> tuple[int, bool]:
+def _run_simplex(tableau: list[list[float]], basis: list[int],
+                 start_iter: int) -> tuple[int, bool]:
     """Iterate Bland pivots on a tableau whose last row holds reduced costs.
 
     Returns (iterations used, bounded). Row operations keep the last row's
     final entry equal to the negated objective value.
     """
+    tol = TOL
     m = len(tableau) - 1
     n_cols = len(tableau[-1]) - 1
     iterations = start_iter
     while True:
-        if iterations >= max_iter:
-            raise SolverError(f"pivot limit {max_iter} exceeded (cycling guard)")
+        if iterations >= MAX_PIVOTS:
+            raise SolverError(f"pivot limit {MAX_PIVOTS} exceeded (cycling guard)")
         reduced = tableau[-1]
         entering = -1
         for j in range(n_cols):  # Bland: lowest eligible index enters
@@ -163,23 +164,20 @@ def _run_simplex(tableau: list[list[float]], basis: list[int], tol: float,
         iterations += 1
 
 
-def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
-          max_iter: int = MAX_PIVOTS) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve a linear program with the two-phase simplex method.
 
     Deterministic for identical inputs. Raises SolverError if the pivot
     guard trips; returns statuses INFEASIBLE/UNBOUNDED instead of raising
     for well-posed but unsolvable programs.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
     n = lp.n
     m_ub = len(lp.a_ub)
     m = m_ub + len(lp.a_eq)
 
     if m == 0:
         # only x >= 0 constrains the problem
-        if all(v >= -tol for v in lp.c):
+        if all(v >= -TOL for v in lp.c):
             return LpSolution(LpStatus.OPTIMAL, (0.0,) * n, 0.0, 0.0, 0)
         return LpSolution(LpStatus.UNBOUNDED)
 
@@ -218,15 +216,15 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
         # Phase 1: minimize the sum of artificials.
         for i in needs_artificial:
             tableau[-1] = [o - v for o, v in zip(tableau[-1], tableau[i])]
-        iterations, _ = _run_simplex(tableau, basis, tol, max_iter, 0)
+        iterations, _ = _run_simplex(tableau, basis, 0)
         phase1_obj = -tableau[-1][-1]
-        if phase1_obj > tol * max(1.0, *map(abs, b)):
+        if phase1_obj > TOL * max(1.0, *map(abs, b)):
             return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
         # Drive leftover zero-valued artificials out of the basis.
         keep_rows = [True] * m
         for i in range(m):
             if basis[i] >= n_slack:
-                j = next((j for j in range(n_slack) if abs(tableau[i][j]) > tol), -1)
+                j = next((j for j in range(n_slack) if abs(tableau[i][j]) > TOL), -1)
                 if j >= 0:
                     _pivot(tableau, basis, i, j)
                 else:
@@ -242,7 +240,7 @@ def solve(lp: LinearProgram, tol: float = DEFAULT_TOL,
         if f != 0.0:
             tableau[-1] = [o - f * v for o, v in zip(tableau[-1], tableau[i])]
 
-    iterations, bounded = _run_simplex(tableau, basis, tol, max_iter, iterations)
+    iterations, bounded = _run_simplex(tableau, basis, iterations)
     if not bounded:
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
 

@@ -32,10 +32,9 @@ class SupplyAssumptions:
     __slots__ = ("wind_gw", "solar_gw", "wind_hours", "solar_hours",
                  "electrolyser_efficiency", "synthesis_conversion")
 
-    def __init__(self, wind_gw: float = 780.0, solar_gw: float = 840.0,
-                 wind_hours: float = 2246.0, solar_hours: float = 1163.0,
-                 electrolyser_efficiency: float = 0.70,
-                 synthesis_conversion: float = 0.95):
+    def __init__(self, wind_gw: float, solar_gw: float, wind_hours: float,
+                 solar_hours: float, electrolyser_efficiency: float,
+                 synthesis_conversion: float):
         self.wind_gw = wind_gw
         self.solar_gw = solar_gw
         self.wind_hours = wind_hours
@@ -78,11 +77,10 @@ class DemandAssumptions:
                  "coal_share", "coal_hours", "coal_consumption_tce_per_mwh",
                  "hrs_count", "hrs_capacity_kg_per_day")
 
-    def __init__(self, conventional_ammonia_mt: float = 52.0,
-                 shipping_fuel_mt: float = 20.0, thermal_gw: float = 1450.0,
-                 coal_share: float = 0.87, coal_hours: float = 4000.0,
-                 coal_consumption_tce_per_mwh: float = 0.31,
-                 hrs_count: float = 1000.0, hrs_capacity_kg_per_day: float = 1000.0):
+    def __init__(self, conventional_ammonia_mt: float, shipping_fuel_mt: float,
+                 thermal_gw: float, coal_share: float, coal_hours: float,
+                 coal_consumption_tce_per_mwh: float, hrs_count: float,
+                 hrs_capacity_kg_per_day: float):
         self.conventional_ammonia_mt = conventional_ammonia_mt
         self.shipping_fuel_mt = shipping_fuel_mt
         self.thermal_gw = thermal_gw
@@ -154,14 +152,6 @@ def supply_capacity_mt(s: SupplyAssumptions, renewable_share: float) -> float:
     _check_share(renewable_share, "renewable_share")
     generation_mwh = renewable_generation_twh(s) * 1e6
     return generation_mwh * renewable_share / s.electricity_mwh_per_t_nh3 / 1e6
-
-
-def required_renewable_share(s: SupplyAssumptions, demand_mt: float) -> float:
-    """Inverse of supply_capacity_mt: generation share needed for a demand."""
-    if demand_mt < 0:
-        raise InputError("demand must be nonnegative")
-    generation_mwh = renewable_generation_twh(s) * 1e6
-    return demand_mt * 1e6 * s.electricity_mwh_per_t_nh3 / generation_mwh
 
 
 def power_sector_demand_mt(d: DemandAssumptions, cofire_rate: float) -> float:

@@ -7,14 +7,19 @@ through the equivalent ratio form. The carrier
 oracles are the earlier forms of `carriers.default_query` (one checked
 lookup per key) and `carriers._levelize` (a list of costs, then a second
 pass for the stage records), which the current code must match bit for
-bit.
+bit. The last two recipes check bundled data and published anchors: the
+Tibet 2019 CO2 gap fill, and the renewable-generation share that a given
+ammonia demand needs. The record helpers at the end let tests change a few
+fields of a record built from the bundled dataset, whose constructors take
+every dataset value as a required argument.
 """
 
+import inspect
 from itertools import combinations
 
 import numpy as np
 
-from nh3econ import carriers, lp
+from nh3econ import carriers, lp, scenarios
 from nh3econ.errors import InputError
 from nh3econ.gtfp import RegionRecord
 
@@ -140,3 +145,45 @@ def levelize_two_pass(flows, delivered_kg_per_yr: float, delivered_fraction: flo
     stages = tuple([carriers.StageCost(spec.name, spec.role, cost)
                     for (spec, _, _), cost in zip(flows, costs)])
     return carriers.CostBreakdown(stages, sum(costs), delivered_fraction)
+
+
+def series_cagr(start_value: float, end_value: float, years: int) -> float:
+    """Annual average growth rate between two points `years` apart."""
+    return (end_value / start_value) ** (1.0 / years) - 1.0
+
+
+def extrapolate_emission(base_value_mt: float, cagr: float, years: int) -> float:
+    """Compound a base emission level forward: base * (1 + cagr)^years."""
+    return base_value_mt * (1.0 + cagr) ** years
+
+
+def gap_fill_emission_2019(gapfill_params) -> float:
+    """Tibet's missing 2019 CO2 level (Mt).
+
+    The provincial inventory lacks Tibet after 2014, so its 2019 level is
+    extrapolated from the 2014 value with the 2014-2019 national average
+    growth rate. Takes the bundled gap-fill parameter mapping.
+    """
+    cagr = series_cagr(gapfill_params["national_co2_2014_mt"],
+                       gapfill_params["national_co2_2019_mt"], 5)
+    return extrapolate_emission(gapfill_params["tibet_co2_2014_mt"], cagr, 5)
+
+
+def required_renewable_share(s: scenarios.SupplyAssumptions, demand_mt: float) -> float:
+    """Inverse of `scenarios.supply_capacity_mt`: the share of renewable
+    generation that electrolysis needs to meet an ammonia demand."""
+    generation_mwh = scenarios.renewable_generation_twh(s) * 1e6
+    return demand_mt * 1e6 * s.electricity_mwh_per_t_nh3 / generation_mwh
+
+
+def replaced(record, **changes):
+    """A new record of `record`'s class: its fields, with `changes` applied.
+    Every record class names its constructor arguments in `__slots__`."""
+    return type(record)(**{**{name: getattr(record, name) for name in record.__slots__},
+                           **changes})
+
+
+def constructor_defaults(cls) -> dict:
+    """The default value of each constructor argument that has one."""
+    return {name: p.default for name, p in inspect.signature(cls).parameters.items()
+            if p.default is not p.empty}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nh3econ import carriers, data_io
 from nh3econ.errors import InputError
-from oracles import levelize_two_pass, query_per_key
+from oracles import constructor_defaults, levelize_two_pass, query_per_key, replaced
 
 DISTANCES = (500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
 VOLUMES = (10.0, 30.0, 50.0, 100.0)
@@ -78,8 +78,9 @@ def test_closed_form_matches_schedule_oracle(dr, years, capex, running, delivere
                               capex_basis="per_t_per_yr", capex_value=0.0,
                               fixed_opex_rate=0.0)
     flow = (spec, capex, running)
-    q = carriers.CostQuery(annual_h2_kt=1.0, dr=dr, lifetime_years=years,
-                           electricity_usd_per_mwh=1.0)
+    q = carriers.CostQuery(annual_h2_kt=1.0, distance_km=0.0, storage_days=0.0, dr=dr,
+                           lifetime_years=years, electricity_usd_per_mwh=1.0,
+                           stored_share=1.0)
     closed = carriers._levelize([flow], delivered, 1.0, q).total_usd_per_kg
     oracle = carriers.levelized_cost([capex] + [running] * years,
                                      [0.0] + [delivered] * years, dr)
@@ -89,8 +90,7 @@ def test_closed_form_matches_schedule_oracle(dr, years, capex, running, delivere
 @pytest.mark.parametrize("cost", [carriers.delivery_cost, carriers.storage_cost])
 def test_zero_lifetime_is_input_error(params, cost):
     chain = chains_at(params, 100.0)["NH3_with_crack"]
-    q = carriers.CostQuery(annual_h2_kt=100.0, distance_km=500.0, storage_days=30.0,
-                           dr=0.08, lifetime_years=0)
+    q = replaced(query(params, 100.0, 500.0, 30.0), lifetime_years=0)
     with pytest.raises(InputError, match="lifetime"):
         cost(chain, q)
 
@@ -172,8 +172,8 @@ def test_kernel_matches_two_pass_oracle_bit_for_bit(params, factors, lifetime, v
 
 
 def test_stage_order_enforced():
-    plant = carriers.StageSpec("p", "conversion", "per_t_per_yr", 1.0)
-    truck = carriers.StageSpec("t", "transport", "per_asset", 1.0,
+    plant = carriers.StageSpec("p", "conversion", "per_t_per_yr", 1.0, 0.03)
+    truck = carriers.StageSpec("t", "transport", "per_asset", 1.0, 2.4,
                                payload_t=25, daily_range_km=1000)
     with pytest.raises(InputError):
         carriers.CarrierChain(medium="NH3", stages=(truck, plant))
@@ -181,17 +181,18 @@ def test_stage_order_enforced():
         carriers.CarrierChain(medium="GH2_pipeline", stages=(plant,))
 
 
-def test_query_validation():
+def test_query_validation(params):
+    bundled = query(params, 10.0)
     with pytest.raises(InputError):
-        carriers.CostQuery(annual_h2_kt=0.0)
+        replaced(bundled, annual_h2_kt=0.0)
     with pytest.raises(InputError):
-        carriers.CostQuery(annual_h2_kt=10.0, distance_km=-5.0)
+        replaced(bundled, distance_km=-5.0)
     with pytest.raises(InputError):
-        carriers.CostQuery(annual_h2_kt=10.0, dr=1.5)
+        replaced(bundled, dr=1.5)
 
 
 STAGE = {"name": "s", "role": "conversion", "capex_basis": "per_t_per_yr",
-         "capex_value": 1.0}
+         "capex_value": 1.0, "fixed_opex_rate": 0.03}
 PLANT = carriers.StageSpec(**STAGE)
 TRUCK = carriers.StageSpec(**{**STAGE, "name": "t", "role": "transport"})
 
@@ -238,9 +239,13 @@ TRUCK = carriers.StageSpec(**{**STAGE, "name": "t", "role": "transport"})
     (carriers.StageSpec, {**STAGE, "hold_days": math.nan},
      "stage 's': hold days must be nonnegative, got nan"),
 ])
-def test_record_checks_name_the_problem(cls, kwargs, message):
+def test_record_checks_name_the_problem(cls, kwargs, message, params):
+    # a query takes the bundled financial context for the fields not given
     with pytest.raises(InputError) as excinfo:
-        cls(**kwargs)
+        if cls is carriers.CostQuery:
+            replaced(query(params, 10.0), **kwargs)
+        else:
+            cls(**kwargs)
     assert str(excinfo.value) == message
 
 
@@ -249,9 +254,8 @@ def test_records_keep_field_order_and_defaults():
     assert (q.annual_h2_kt, q.distance_km, q.storage_days, q.dr, q.lifetime_years,
             q.electricity_usd_per_mwh, q.stored_share) == (10.0, 500.0, 30.0, 0.07,
                                                            25, 40.0, 0.5)
-    q = carriers.CostQuery(annual_h2_kt=10.0)
-    assert (q.distance_km, q.storage_days, q.dr, q.lifetime_years,
-            q.electricity_usd_per_mwh, q.stored_share) == (0.0, 0.0, 0.08, 20, 56.0, 0.2)
+    # the financial context comes from carriers.csv: the query keeps no copy
+    assert constructor_defaults(carriers.CostQuery) == {}
     spec = carriers.StageSpec("s", "storage", "per_m3", 2.0, 0.04, 0.5, 0.01, 0.9,
                               20.0, 800.0, 3.0, 0.07)
     assert (spec.name, spec.role, spec.capex_basis, spec.capex_value,
@@ -261,10 +265,10 @@ def test_records_keep_field_order_and_defaults():
                                                        0.04, 0.5, 0.01, 0.9, 20.0,
                                                        800.0, 3.0, 0.07)
     spec = PLANT
-    assert (spec.fixed_opex_rate, spec.energy_use_mwh_per_t, spec.loss_rate,
-            spec.conversion_efficiency, spec.payload_t, spec.daily_range_km,
-            spec.hold_days, spec.density_t_per_m3) == (0.03, 0.0, 0.0, 1.0, 0.0,
-                                                       0.0, 0.0, 0.0)
+    assert (spec.energy_use_mwh_per_t, spec.loss_rate, spec.conversion_efficiency,
+            spec.payload_t, spec.daily_range_km, spec.hold_days,
+            spec.density_t_per_m3) == (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    assert "fixed_opex_rate" not in constructor_defaults(carriers.StageSpec)
     chain = carriers.CarrierChain("LH2", (spec,))
     assert (chain.stages, chain.storage_stages) == ((spec,), ())
 

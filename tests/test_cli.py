@@ -301,6 +301,21 @@ def test_manifest_listing_a_missing_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_manifest_listing_a_file_twice_exits_2(tmp_path, capsys):
+    # a wrong digest listed first must not be replaced by a right one after it
+    data = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), data)
+    manifest = data / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith("carriers.csv,"))
+    lines.insert(index, "carriers.csv," + "0" * 64)
+    manifest.write_text("\n".join(lines) + "\n")
+    assert cli.run(["--data-dir", str(data), "carrier", "delivery"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {manifest}: line {index + 2}: "
+                   "'carriers.csv' is listed twice\n")
+
+
 @pytest.mark.parametrize("flag", ["--params", "--regions"])
 def test_directory_as_input_file_exits_2(flag, tmp_path, capsys):
     assert cli.run(["gtfp", flag, str(tmp_path)]) == 2

@@ -8,6 +8,7 @@ import pytest
 
 from nh3econ import cofiring, data_io
 from nh3econ.errors import InputError
+from oracles import constructor_defaults, replaced
 
 TCE_GJ = 29.3076
 
@@ -25,18 +26,17 @@ def test_ammonia_fuel_price(params):
 
 
 def test_ammonia_fuel_price_zero_margin(params):
-    p = cofiring.CofiringParams(coal_price_usd_per_tce=params.coal_price_usd_per_tce,
-                                gross_margin=0.0)
+    p = replaced(params, gross_margin=0.0)
     expected = 820.0 / (18.6 / TCE_GJ)
     assert expected == pytest.approx(1292.0555, abs=1e-3)
     assert cofiring.ammonia_fuel_price_per_tce(p) == pytest.approx(expected, rel=1e-12)
 
 
-def test_price_per_tce_identity_for_tce_equivalent_fuel():
+def test_price_per_tce_identity_for_tce_equivalent_fuel(params):
     # a fuel with LHV exactly one tce per tonne prices identically per t and per tce
-    p = cofiring.CofiringParams(coal_price_usd_per_tce=150.0,
-                                ammonia_production_cost_usd_per_t=500.0,
-                                gross_margin=0.0, lhv_nh3_gj_per_t=TCE_GJ)
+    p = replaced(params, coal_price_usd_per_tce=150.0,
+                 ammonia_production_cost_usd_per_t=500.0,
+                 gross_margin=0.0, lhv_nh3_gj_per_t=TCE_GJ)
     assert cofiring.ammonia_fuel_price_per_tce(p) == pytest.approx(500.0, rel=1e-12)
 
 
@@ -138,14 +138,13 @@ def test_evaluate_base_case_has_zero_deltas(params):
     assert result.emission_delta_kg_per_mwh == 0.0
 
 
-def test_params_validation():
+def test_params_validation(params):
     with pytest.raises(InputError):
-        cofiring.CofiringParams(coal_price_usd_per_tce=-1.0)
+        replaced(params, coal_price_usd_per_tce=-1.0)
     with pytest.raises(InputError):
-        cofiring.CofiringParams(coal_price_usd_per_tce=150.0, fuel_cost_share=1.0)
+        replaced(params, coal_price_usd_per_tce=150.0, fuel_cost_share=1.0)
     with pytest.raises(InputError):
-        cofiring.CofiringParams(coal_price_usd_per_tce=150.0,
-                                efficiency_loss={0.03: 1.0})
+        replaced(params, coal_price_usd_per_tce=150.0, efficiency_loss={0.03: 1.0})
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -159,9 +158,9 @@ def test_params_validation():
     ({"efficiency_loss": {0.03: 1.0}}, "efficiency loss at rate 0.03 must be in [0, 1)"),
     ({"efficiency_loss": {0.05: -0.1}}, "efficiency loss at rate 0.05 must be in [0, 1)"),
 ])
-def test_params_checks_name_the_problem(changes, message):
+def test_params_checks_name_the_problem(changes, message, params):
     with pytest.raises(InputError) as excinfo:
-        cofiring.CofiringParams(**{"coal_price_usd_per_tce": 150.0, **changes})
+        replaced(params, **{"coal_price_usd_per_tce": 150.0, **changes})
     assert str(excinfo.value) == message
 
 
@@ -171,13 +170,5 @@ def test_params_keep_field_order_and_defaults():
             p.gross_margin, p.lhv_nh3_gj_per_t, p.coal_consumption_tce_per_mwh,
             p.base_emission_kg_per_mwh, p.fuel_cost_share, p.efficiency_loss) == (
                 150.0, 800.0, 0.1, 18.0, 0.3, 800.0, 0.6, {0.03: 0.02})
-    first = cofiring.CofiringParams(150.0)
-    assert (first.ammonia_production_cost_usd_per_t, first.gross_margin,
-            first.lhv_nh3_gj_per_t, first.coal_consumption_tce_per_mwh,
-            first.base_emission_kg_per_mwh, first.fuel_cost_share) == (
-                820.0, 0.05, 18.6, 0.31, 838.0, 0.70)
-    # each bundle gets its own copy of the default loss table
-    second = cofiring.CofiringParams(150.0)
-    assert first.efficiency_loss == cofiring.DEFAULT_EFFICIENCY_LOSS
-    assert first.efficiency_loss is not second.efficiency_loss
-    assert first.efficiency_loss is not cofiring.DEFAULT_EFFICIENCY_LOSS
+    # every value comes from cofiring.csv: the constructor keeps no copy
+    assert constructor_defaults(cofiring.CofiringParams) == {}

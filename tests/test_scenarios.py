@@ -6,6 +6,7 @@ import pytest
 
 from nh3econ import data_io, scenarios
 from nh3econ.errors import InputError
+from oracles import constructor_defaults, replaced, required_renewable_share
 
 TCE_GJ = 29.3076
 TOE_GJ = 41.868
@@ -24,10 +25,11 @@ def test_renewable_generation(assumptions):
     assert scenarios.renewable_generation_twh(supply) == pytest.approx(2728.8, rel=1e-12)
 
 
-def test_renewable_generation_single_source():
-    solar_only = scenarios.SupplyAssumptions(wind_gw=0.0)
+def test_renewable_generation_single_source(assumptions):
+    supply, _ = assumptions
+    solar_only = replaced(supply, wind_gw=0.0)
     assert scenarios.renewable_generation_twh(solar_only) == pytest.approx(976.92, rel=1e-12)
-    nothing = scenarios.SupplyAssumptions(wind_gw=0.0, solar_gw=0.0)
+    nothing = replaced(supply, wind_gw=0.0, solar_gw=0.0)
     assert scenarios.renewable_generation_twh(nothing) == 0.0
 
 
@@ -91,21 +93,21 @@ def test_ammonia_sector_demand(assumptions):
 
 def test_required_share_round_trip(assumptions):
     supply, _ = assumptions
-    assert scenarios.required_renewable_share(supply, 0.0) == 0.0
+    assert required_renewable_share(supply, 0.0) == 0.0
     for demand_mt in (5.0, 73.9, 250.0):
-        share = scenarios.required_renewable_share(supply, demand_mt)
+        share = required_renewable_share(supply, demand_mt)
         assert scenarios.supply_capacity_mt(supply, share) == pytest.approx(
             demand_mt, rel=1e-12)
     for share in (0.15, 0.35, 0.65):
         capacity = scenarios.supply_capacity_mt(supply, share)
-        assert scenarios.required_renewable_share(supply, capacity) == pytest.approx(
+        assert required_renewable_share(supply, capacity) == pytest.approx(
             share, rel=1e-12)
 
 
 def test_power_anchor_share(assumptions):
     supply, demand = assumptions
     at3 = scenarios.power_sector_demand_mt(demand, 0.03)
-    share = scenarios.required_renewable_share(supply, at3)
+    share = required_renewable_share(supply, at3)
     assert share == pytest.approx(0.28, abs=0.03)
 
 
@@ -182,9 +184,11 @@ LEVEL = {"name": "bad", "pr_ammonia": 0.1, "pr_power": 0.1, "pr_shipping": 0.1,
     (scenarios.DemandLevel, {**LEVEL, "pr_power": -0.1},
      "demand level 'bad': pr_power must be in [0, 1]"),
 ])
-def test_record_checks_name_the_problem(cls, kwargs, message):
+def test_record_checks_name_the_problem(cls, kwargs, message, assumptions):
+    # an assumptions record takes the bundled values for the fields not given
+    base = next((a for a in assumptions if type(a) is cls), None)
     with pytest.raises(InputError) as excinfo:
-        cls(**kwargs)
+        cls(**kwargs) if base is None else replaced(base, **kwargs)
     assert str(excinfo.value) == message
 
 
@@ -193,15 +197,15 @@ def test_records_keep_field_order_and_defaults():
     assert (supply.wind_gw, supply.solar_gw, supply.wind_hours, supply.solar_hours,
             supply.electrolyser_efficiency, supply.synthesis_conversion
             ) == (1.0, 2.0, 3.0, 4.0, 0.5, 0.6)
-    supply = scenarios.SupplyAssumptions()
-    assert (supply.wind_gw, supply.solar_gw, supply.wind_hours, supply.solar_hours,
-            supply.electrolyser_efficiency, supply.synthesis_conversion
-            ) == (780.0, 840.0, 2246.0, 1163.0, 0.70, 0.95)
-    demand = scenarios.DemandAssumptions()
+    demand = scenarios.DemandAssumptions(52.0, 20.0, 1450.0, 0.87, 4000.0, 0.31, 1000.0, 500.0)
     assert (demand.conventional_ammonia_mt, demand.shipping_fuel_mt, demand.thermal_gw,
             demand.coal_share, demand.coal_hours, demand.coal_consumption_tce_per_mwh,
             demand.hrs_count, demand.hrs_capacity_kg_per_day) == (
-                52.0, 20.0, 1450.0, 0.87, 4000.0, 0.31, 1000.0, 1000.0)
+                52.0, 20.0, 1450.0, 0.87, 4000.0, 0.31, 1000.0, 500.0)
+    # every value comes from scenarios.csv: no constructor keeps a copy
+    for cls in (scenarios.SupplyAssumptions, scenarios.DemandAssumptions,
+                scenarios.SupplyLevel, scenarios.DemandLevel):
+        assert constructor_defaults(cls) == {}, cls
     level = scenarios.DemandLevel("L", 0.1, 0.2, 0.3, 0.4)
     assert (level.name, level.pr_ammonia, level.pr_power, level.pr_shipping,
             level.pr_mobility) == ("L", 0.1, 0.2, 0.3, 0.4)
