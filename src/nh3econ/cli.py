@@ -195,12 +195,18 @@ def _gtfp_table(dataset: data_io.Dataset) -> Table:
     return table
 
 
+def _chains_by_volume(dataset: data_io.Dataset):
+    """`builtin_chains` over the dataset's carrier parameters, built once per volume."""
+    params = dataset.params("carriers")
+    return functools.cache(functools.partial(carriers.builtin_chains, params))
+
+
 def _delivery_table(dataset: data_io.Dataset, description: str,
-                    volumes, distances) -> Table:
+                    volumes, distances, chains_at) -> Table:
     params = dataset.params("carriers")
     table = Table(f"{description}; dataset {dataset.version}", COST_COLUMNS)
     for volume in volumes:
-        chains = carriers.builtin_chains(params, volume)
+        chains = chains_at(volume)
         queries = [(distance, carriers.default_query(params, volume, distance))
                    for distance in distances]
         for name in CHAIN_ORDER:
@@ -213,14 +219,14 @@ def _delivery_table(dataset: data_io.Dataset, description: str,
     return table
 
 
-def _storage_table(dataset: data_io.Dataset, volumes, durations) -> Table:
+def _storage_table(dataset: data_io.Dataset, volumes, durations, chains_at) -> Table:
     params = dataset.params("carriers")
     table = Table(
         f"hydrogen storage cost breakdown by carrier and duration; dataset {dataset.version}",
         COST_COLUMNS,
     )
     for volume in volumes:
-        chains = carriers.builtin_chains(params, volume)
+        chains = chains_at(volume)
         queries = [(days, carriers.default_query(params, volume, 0.0, days))
                    for days in durations]
         for name in ("NH3_with_crack", "LH2"):
@@ -290,15 +296,16 @@ def _scenario_tables(dataset: data_io.Dataset, share: float | None = None) -> di
 
 
 def _report(dataset: data_io.Dataset, output_format: str, output_dir: Path) -> None:
+    chains_at = _chains_by_volume(dataset)
     outputs = {
         "regional_efficiency": _gtfp_table(dataset),
         "delivery_by_volume": _delivery_table(
             dataset, "delivery cost by volume at 500 km", carriers.VOLUME_BRACKETS_KT,
-            (500.0,)),
+            (500.0,), chains_at),
         "delivery_by_distance": _delivery_table(
             dataset, "delivery cost by distance at 50 and 100 kt/yr", (50.0, 100.0),
-            DELIVERY_DISTANCES_KM),
-        "storage_by_duration": _storage_table(dataset, (100.0,), STORAGE_DAYS),
+            DELIVERY_DISTANCES_KM, chains_at),
+        "storage_by_duration": _storage_table(dataset, (100.0,), STORAGE_DAYS, chains_at),
         "cofiring_ladder": _cofire_table(dataset, cofiring.STANDARD_RATES, False),
     }
     scenario_tables = _scenario_tables(dataset)
@@ -307,28 +314,36 @@ def _report(dataset: data_io.Dataset, output_format: str, output_dir: Path) -> N
                    supply_demand_balance=scenario_tables["balance"])
     extension = "json" if output_format == "json" else "csv"
     targets = {output_dir / f"{name}.{extension}": table for name, table in outputs.items()}
-    for path in targets:
-        if path.exists() and not path.is_file():
-            raise InputError(f"cannot write output: {path} exists and is not a regular file")
+    # Run in order if a write fails: remove the temporaries and the files
+    # this run created, then the directories it created, deepest first.
+    undo = []
+    for directory in (output_dir, *output_dir.parents):
+        if directory.exists():
+            break
+        undo.append(directory.rmdir)
+    modes = {}    # the mode of each target that exists; a new directory has none
+    for path in () if undo else targets:
+        with contextlib.suppress(OSError):
+            modes[path] = os.stat(path).st_mode
+            if not stat.S_ISREG(modes[path]):
+                raise InputError(
+                    f"cannot write output: {path} exists and is not a regular file")
     # A table whose file exists is written to a temporary name beside it and
     # renamed over it, with its permissions, only once every table is
     # written, so a failed run leaves an existing tree as it was; a new file
     # is written in place.
-    # Run in order if a write fails: remove the temporaries and the files
-    # this run created, then the directories it created, deepest first.
-    undo = [d.rmdir for d in (output_dir, *output_dir.parents) if not d.exists()]
     staged = []
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
         for path, table in targets.items():
-            if path.exists():
+            if path in modes:
                 temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
                 staged.append((temporary, path))
                 path = temporary
             undo.insert(0, path.unlink)
             path.write_text(table.render(output_format), encoding="utf-8")
         for temporary, path in staged:
-            os.chmod(temporary, stat.S_IMODE(path.stat().st_mode))
+            os.chmod(temporary, stat.S_IMODE(modes[path]))
             os.replace(temporary, path)
     except OSError as exc:
         for step in undo:
@@ -429,9 +444,10 @@ def run(argv=None) -> int:
             if args.carrier_command == "delivery":
                 table = _delivery_table(
                     dataset, "hydrogen delivery cost breakdown by carrier",
-                    args.volume, args.distance)
+                    args.volume, args.distance, _chains_by_volume(dataset))
             else:
-                table = _storage_table(dataset, args.volume, args.days)
+                table = _storage_table(dataset, args.volume, args.days,
+                                       _chains_by_volume(dataset))
             _emit(table, args.format, args.output)
             for volume in args.volume:
                 bracket, clamped = carriers.volume_bracket(volume)

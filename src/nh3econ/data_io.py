@@ -159,7 +159,8 @@ def _read_error(path: Path, exc: OSError | UnicodeDecodeError) -> InputError:
 
 def _read_bytes(path: Path) -> bytes:
     try:
-        return path.read_bytes()
+        with open(path, "rb", buffering=0) as file:
+            return file.readall()
     except OSError as exc:
         raise _read_error(path, exc) from None
 
@@ -356,9 +357,8 @@ def bundled_regions_path(directory: Path | None = None) -> Path:
     return (directory or data_dir()) / "regions_2019.csv"
 
 
-def load_supply_levels(path: Path | str | None = None,
-                       data: bytes | None = None) -> list[SupplyLevel]:
-    table = _read_table(path or data_dir() / "supply_levels.csv", data)
+def load_supply_levels(path: Path | str, data: bytes | None = None) -> list[SupplyLevel]:
+    table = _read_table(path, data)
     if table.header != ("level", "renewable_share"):
         raise InputError(f"{table.path}: unexpected header")
     return [SupplyLevel(name=row[0],
@@ -366,9 +366,8 @@ def load_supply_levels(path: Path | str | None = None,
             for row, ln in zip(table.rows, table.row_lines)]
 
 
-def load_demand_levels(path: Path | str | None = None,
-                       data: bytes | None = None) -> list[DemandLevel]:
-    table = _read_table(path or data_dir() / "demand_levels.csv", data)
+def load_demand_levels(path: Path | str, data: bytes | None = None) -> list[DemandLevel]:
+    table = _read_table(path, data)
     expected = ("level", "pr_ammonia", "pr_power", "pr_shipping", "pr_mobility")
     if table.header != expected:
         raise InputError(f"{table.path}: unexpected header")
@@ -392,11 +391,10 @@ class CalibrationEntry:
         self.oracle = oracle
 
 
-def calibration_ledger(directory: Path | None = None,
-                       data: bytes | None = None) -> list[CalibrationEntry]:
+def calibration_ledger(directory: Path, data: bytes | None = None) -> list[CalibrationEntry]:
     """Every derived constant shipped with the data, with its derivation;
     `data`, when given, is the content of calibration.csv, already read."""
-    table = _read_table((directory or data_dir()) / "calibration.csv", data)
+    table = _read_table(directory / "calibration.csv", data)
     if table.header != ("constant", "value", "unit", "oracle"):
         raise InputError(f"{table.path}: unexpected header")
     return [CalibrationEntry(row[0], _parse_float(row[1], table.path, ln, "value"),

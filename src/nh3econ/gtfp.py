@@ -30,6 +30,18 @@ regions' magnitudes lie, as long as each ratio is a double. mu = e_i is
 feasible with objective 1, so theta <= 1, and the frontier regions score
 exactly 1.
 
+`gtfp_scores` solves fewer programs than regions. A region with the most
+GDP per unit of some input k scores 1 with none: x_jk >= y_j x_ik / y_i for
+all j, so any lambda with sum_j lambda_j y_j >= y_i uses x_ik of input k or
+more. Ratios are compared as computed, so only where each y / x_k is a
+normal double: one that overflows or is subnormal can tie untied regions.
+A region scored below 1 is a combination of the others, so later programs
+can leave its column out and no score changes (the frame of Ali 1993 and
+Dula 2011). Regions are scored in table order, frontier first in the
+frame, and a region leaves it when scored below 1 - _FRAME_TOL: more than
+the solver's error seen in frame programs on near-tied data (7e-6). A
+larger error in a dropped region's score would carry to later regions.
+
 Energy and carbon intensities are simple ratios of the same table; the
 energy intensity is reported in kBtu/USD (dividing the raw units gives
 thousands of Btu per dollar, not Btu as sometimes labelled). The table's
@@ -39,6 +51,7 @@ applied as value * source factor / target factor.
 
 from __future__ import annotations
 
+import sys
 from math import inf
 
 from . import lp
@@ -46,6 +59,7 @@ from .errors import InputError, SolverError
 from .units import KBTU_GJ, TCE_GJ
 
 EFFICIENT_TOL = 1e-6
+_FRAME_TOL = 1e-4    # a score below 1 - _FRAME_TOL drops a region from the frame
 
 _INPUT_FIELDS = ("energy_mtce", "labour_m", "capital_busd", "co2_mt")
 
@@ -100,7 +114,8 @@ def build_dea_lp(records: list[RegionRecord], i: int) -> lp.LinearProgram:
     There is no equality row and every b_ub entry is 1, so `lp.solve` seeds
     each row with its slack and never runs phase 1. A ratio x_jk / x_ik or
     y_j / y_i that overflows (or a column whose ratios all underflow to 0)
-    is an InputError naming regions i and j.
+    is an InputError naming regions i and j; `_check_every_pair` bounds
+    these same ratios, so a change to them changes it too.
     """
     if not records:
         raise InputError("at least one region record is required")
@@ -144,14 +159,50 @@ def intensities(record: RegionRecord) -> tuple[float, float]:
     return energy_kbtu / gdp_usd, co2_kg / gdp_usd
 
 
+def _check_every_pair(records: list[RegionRecord]) -> None:
+    """Raise build_dea_lp's InputError for the first pair of regions whose
+    ratios are not doubles, before any region is scored. Division rounds
+    monotonically, so per-input extremes bound every pair's ratios; only
+    where those bounds fail is every region's program built in turn."""
+    gdp = [r.gdp_busd for r in records]
+    columns = list(zip(*(r.inputs for r in records)))
+    low = max(min(c) / max(c) for c in columns)
+    if not (0 < low and all(max(c) / min(c) < inf for c in columns)
+            and max(gdp) / min(gdp) / low < inf):
+        for i in range(len(records)):
+            build_dea_lp(records, i)
+
+
+def _ratio_frontier(records: list[RegionRecord]) -> set[int]:
+    """Indices of the regions the frontier lemma scores 1."""
+    gdp = [r.gdp_busd for r in records]
+    frontier = set()
+    for column in zip(*(r.inputs for r in records)):
+        ratios = [y / x for y, x in zip(gdp, column)]
+        if all(sys.float_info.min <= q < inf for q in ratios):
+            best = max(ratios)
+            frontier.update(j for j, q in enumerate(ratios) if q == best)
+    return frontier
+
+
 def gtfp_scores(records: list[RegionRecord]) -> list[RegionEfficiency]:
     """Score every region and attach its intensity metrics."""
+    if records:
+        _check_every_pair(records)
+    frontier = _ratio_frontier(records)
+    # frontier columns first, so that Bland's rule tries them first
+    frame = [records[j] for j in sorted(range(len(records)), key=lambda j: j not in frontier)]
     report = []
     for i, record in enumerate(records):
-        try:
-            theta = dea_score(records, i)
-        except SolverError as exc:
-            raise SolverError(f"region {record.name!r}: {exc}") from exc
+        if i in frontier:
+            theta = 1.0
+        else:
+            try:
+                theta = dea_score(frame, frame.index(record))
+            except SolverError as exc:
+                raise SolverError(f"region {record.name!r}: {exc}") from exc
+            if theta < 1.0 - _FRAME_TOL:
+                frame.remove(record)
         ei, ci = intensities(record)
         report.append(RegionEfficiency(
             name=record.name,
@@ -161,4 +212,3 @@ def gtfp_scores(records: list[RegionRecord]) -> list[RegionEfficiency]:
             efficient=theta >= 1.0 - EFFICIENT_TOL,
         ))
     return report
-

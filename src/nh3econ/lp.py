@@ -13,6 +13,9 @@ speed: a dense tableau of double-precision floats held in plain lists,
 Bland's rule for both the entering and the leaving variable (ties broken
 by lowest index), which guarantees termination and makes the pivot
 sequence identical across platforms.
+
+Pivot and reduced-cost tests use the absolute tolerance `TOL`, so whether a
+program solves depends on its units: callers scale theirs (as `gtfp` does).
 """
 
 from __future__ import annotations

@@ -217,11 +217,11 @@ def balance_report(s: SupplyAssumptions, d: DemandAssumptions,
                    demand_levels: list[DemandLevel]) -> list[BalanceRow]:
     """Cross every supply level with every demand level. Coverage is
     supply over demand, so a demand level with no demand is an input error."""
+    totals = [(dl, sum(demand_breakdown_mt(d, dl).values())) for dl in demand_levels]
     rows = []
     for sl in supply_levels:
         supply = supply_capacity_mt(s, sl.renewable_share)
-        for dl in demand_levels:
-            demand = sum(demand_breakdown_mt(d, dl).values())
+        for dl, demand in totals:
             if not demand > 0:
                 raise InputError(
                     f"demand level {dl.name!r} has a total demand of {demand} Mt; "

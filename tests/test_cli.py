@@ -270,6 +270,22 @@ def test_report_hashes_each_manifest_file_once(tmp_path, monkeypatch):
     assert Counter(read) == {"manifest.csv": 1, **{name: 1 for name in manifest.files}}
 
 
+def test_report_does_each_piece_of_work_once(tmp_path, monkeypatch):
+    # chains once per distinct volume (10, 30, 50 and 100 kt/yr), each
+    # demand level's breakdown once for its table and once for the balance,
+    # and a program only for the four regions off the ratio frontier
+    from nh3econ import carriers, lp, scenarios
+    calls = Counter()
+    for module, name in ((carriers, "builtin_chains"), (scenarios, "demand_breakdown_mt"),
+                         (lp, "solve")):
+        def counting(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counting)
+    assert cli.run(["report", "--output", str(tmp_path / "out")]) == 0
+    assert calls == {"builtin_chains": 4, "demand_breakdown_mt": 10, "solve": 4}
+
+
 def test_report_on_tampered_dataset_exits_2_without_output(tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(data_io.data_dir(), data)
@@ -431,6 +447,34 @@ def test_regions_too_far_apart_to_score_exit_2_naming_both(command, tmp_path, ca
     assert captured.out == ""
     assert captured.err == (
         "error: regions 'North' and 'Northeast': an input or GDP ratio "
+        "between them is outside the floating-point range\n")
+    assert not out.exists()
+
+
+REGION_HEADER = "region,energy_mtce,labour_m,capital_busd,co2_mt,gdp_busd\n"
+
+
+@pytest.mark.parametrize("rows, pair", [
+    # A has the most GDP per unit of energy, so it scores 1 without a
+    # program, but B's energy over A's is not a double
+    (["C,1,1,1,1,1", "B,1e10,1,1,1,1e308", "A,1e-300,1e-10,1e-10,1e-10,0.5"], ("A", "B")),
+    # D is dominated and leaves the frame before E is scored, but D's
+    # energy over E's is not a double
+    (["D,1e300,2,2,2,1e-10", "F,1,1,1,1,1", "E,1e-10,1,1,1,0.9"], ("E", "D")),
+], ids=["frontier_region", "dropped_region"])
+@pytest.mark.parametrize("command", [["gtfp"], ["report"]])
+def test_every_pair_is_range_checked_before_scoring(rows, pair, command, tmp_path, capsys):
+    regions = tmp_path / "regions.csv"
+    regions.write_text(REGION_HEADER + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    argv = [*command, "--regions", str(regions)]
+    if command == ["report"]:
+        argv += ["--output", str(out)]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: regions {pair[0]!r} and {pair[1]!r}: an input or GDP ratio "
         "between them is outside the floating-point range\n")
     assert not out.exists()
 

@@ -165,7 +165,7 @@ def test_manifest_detects_tampering(tmp_path):
 
 
 def test_calibration_ledger_contents():
-    ledger = {e.constant: e for e in data_io.calibration_ledger()}
+    ledger = {e.constant: e for e in data_io.calibration_ledger(data_io.data_dir())}
     assert "coal_price_usd_per_tce" in ledger
     assert "electricity_per_t_nh3_mwh" in ledger
     for entry in ledger.values():
@@ -181,7 +181,7 @@ def test_calibration_ledger_contents():
 
 
 def test_calibrated_carrier_knobs_match_dataset():
-    ledger = {e.constant: e.value for e in data_io.calibration_ledger()}
+    ledger = {e.constant: e.value for e in data_io.Dataset().manifest.calibration}
     carriers = data_io.load_bundled_params("carriers")
     for key in ("electricity_usd_per_mwh", "delivery_buffer_days", "truck_opex_rate"):
         assert carriers[key] == pytest.approx(ledger[key], rel=1e-12)
@@ -196,9 +196,9 @@ def test_completeness_consumers_vs_providers():
 
 
 def test_levels_loaders():
-    supply = data_io.load_supply_levels()
+    supply = data_io.load_supply_levels(data_io.data_dir() / "supply_levels.csv")
     assert [lvl.renewable_share for lvl in supply] == [0.15, 0.35, 0.65]
-    demand = data_io.load_demand_levels()
+    demand = data_io.load_demand_levels(data_io.data_dir() / "demand_levels.csv")
     assert len(demand) == 5
     assert demand[4].pr_mobility == 0.80
 

@@ -1,12 +1,15 @@
 """Efficiency model checks: frozen scores for the bundled table, closed-form
 utilities, and the structural DEA properties on randomized records."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nh3econ import data_io, gtfp
+from nh3econ import data_io, gtfp, lp
 from nh3econ.errors import InputError
 from oracles import (ccr_envelopment_lp, enumerate_lp_minimum, extrapolate_emission,
                      gap_fill_emission_2019, random_regions, series_cagr)
@@ -216,7 +219,7 @@ def test_extrapolate_emission():
 def test_tibet_gap_fill_matches_ledger():
     params = data_io.load_bundled_params("gapfill")
     cagr = series_cagr(params["national_co2_2014_mt"], params["national_co2_2019_mt"], 5)
-    ledger = {e.constant: e.value for e in data_io.calibration_ledger()}
+    ledger = {e.constant: e.value for e in data_io.Dataset().manifest.calibration}
     assert cagr == pytest.approx(ledger["national_co2_cagr_2014_2019"], abs=1e-9)
     estimate = gap_fill_emission_2019(params)
     assert estimate == pytest.approx(
@@ -279,3 +282,107 @@ def test_clone_insensitivity():
                                   clone_of.gdp_busd)
         with_clone = _scores([*records, clone])[: len(records)]
         assert np.allclose(with_clone, base, atol=1e-9)
+
+
+def _full_program_score(records, i):
+    """Region i's score from its program over every region: the oracle for
+    the frontier shortcut and the frame."""
+    return 1.0 / -lp.solve(gtfp.build_dea_lp(records, i)).objective
+
+
+ROW_INPUTS = ("energy_mtce", "labour_m", "capital_busd", "co2_mt")
+
+
+def _ratio_frontier(records):
+    """Regions with the most GDP per unit of an input whose GDP-per-input
+    ratios are all finite normal doubles, found independently of gtfp."""
+    frontier = set()
+    for field in ROW_INPUTS:
+        ratios = [r.gdp_busd / getattr(r, field) for r in records]
+        if all(sys.float_info.min <= q < math.inf for q in ratios):
+            frontier |= {j for j, q in enumerate(ratios) if q == max(ratios)}
+    return frontier
+
+
+# Few distinct values, for ties. No near-ties: on sets with values 1e-5
+# apart, lp.solve can miss the full program's optimum by far more than
+# 1e-9 (by 2% in the near-tied set below), so it is no oracle there.
+MULTIPLIERS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.25, 4.0))
+
+
+@st.composite
+def region_sets(draw):
+    """1-40 regions with ties, duplicate rows and, in some sets, every
+    region on the frontier. Each field has one magnitude from 1e-300 to
+    1e300 and multipliers within a factor of 16 of each other, so every
+    pair's ratios are doubles while GDP per input may overflow or be
+    subnormal."""
+    scales = [10.0 ** draw(st.integers(-300, 300)) for _ in range(5)]
+    rows = []
+    for k in range(draw(st.integers(1, 40))):
+        if rows and draw(st.integers(0, 4)) == 0:
+            rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+        else:
+            rows.append(draw(st.lists(MULTIPLIERS, min_size=5, max_size=5)))
+    all_frontier = draw(st.booleans())    # GDP per unit of energy 1 everywhere
+    records = []
+    for k, row in enumerate(rows):
+        values = [m * s for m, s in zip(row, scales)]
+        if all_frontier:
+            values[0] = values[4]
+        records.append(gtfp.RegionRecord(f"r{k}", *values))
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(region_sets())
+def test_frontier_and_frame_match_every_full_program(records):
+    report = gtfp.gtfp_scores(records)
+    frontier = _ratio_frontier(records)
+    for i, row in enumerate(report):
+        expected = _full_program_score(records, i)
+        assert row.gtfp == pytest.approx(expected, rel=1e-9)
+        assert row.efficient == (expected >= 1.0 - gtfp.EFFICIENT_TOL)
+        if i in frontier:
+            assert row.gtfp == 1.0
+
+
+def test_a_near_tie_on_the_ratio_frontier_takes_the_program():
+    # b's GDP per unit of every input is 1e-7 below a's: only an exact
+    # comparison keeps b off the frontier
+    a = gtfp.RegionRecord("a", 1.0, 1.0, 1.0, 1.0, 1.0)
+    b = gtfp.RegionRecord("b", 1.0, 1.0, 1.0, 1.0, 1.0 - 1e-7)
+    assert [row.gtfp for row in gtfp.gtfp_scores([a, b])] == [
+        1.0, pytest.approx(1.0 - 1e-7, rel=1e-12)]
+
+
+def test_a_near_tied_set_matches_the_vertex_oracle():
+    # values 1e-5 apart, as the random sets above leave out: lp.solve over
+    # every region's columns scores r2 0.6250, 2% below its optimum 0.6383,
+    # so this pins the scores the frontier and the frame give
+    rows = [(3.0, 0.99999, 2.0, 0.99999, 3.0), (3.0, 0.5, 0.99999, 1.0, 2.0),
+            (3.0, 0.99999, 3.0, 0.99999, 2.0), (3.0, 1.0, 3.5, 0.99999, 3.2),
+            (0.99999, 1.0, 2.0, 1.0, 3.0)]
+    records = [gtfp.RegionRecord(f"r{k}", *row) for k, row in enumerate(rows)]
+    report = gtfp.gtfp_scores(records)
+    for i, row in enumerate(report):
+        envelopment = ccr_envelopment_lp(records, i)
+        expected = enumerate_lp_minimum(envelopment.c, envelopment.a_ub, envelopment.b_ub)
+        assert row.gtfp == pytest.approx(expected, rel=1e-9)
+    assert [row.efficient for row in report] == [True, True, False, True, True]
+
+
+@pytest.mark.parametrize("gdp, first_input", [(1e300, 1e-10), (1e-300, 1e23)],
+                         ids=["overflows", "subnormal"])
+def test_a_ratio_that_is_not_a_normal_double_takes_the_program(gdp, first_input):
+    # GDP per unit of the first input is infinite (or subnormal) for both
+    # regions and so ties, although b uses 1.2 times a's inputs for the
+    # same GDP: only the program finds that b scores 1 / 1.2
+    a = gtfp.RegionRecord("a", first_input, 1.0, 1.0, 1.0, gdp)
+    b = gtfp.RegionRecord("b", first_input * 1.2, 1.2, 1.2, 1.2, gdp)
+    assert (gdp / a.energy_mtce == gdp / b.energy_mtce
+            and not sys.float_info.min <= gdp / a.energy_mtce < math.inf)
+    report = gtfp.gtfp_scores([a, b])
+    assert report[0].gtfp == 1.0
+    assert report[1].gtfp == pytest.approx(1 / 1.2, rel=1e-12)
+    assert [row.efficient for row in report] == [True, False]

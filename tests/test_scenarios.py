@@ -38,7 +38,7 @@ def test_electricity_per_tonne_calibration(assumptions):
     # (3/17)/0.95 tonnes of hydrogen per tonne of ammonia, HHV basis
     expected = (3.0 / 17.0) / 0.95 * ((141.8 / 3.6) / 0.70)
     assert supply.electricity_mwh_per_t_nh3 == pytest.approx(expected, rel=1e-12)
-    ledger = {e.constant: e.value for e in data_io.calibration_ledger()}
+    ledger = {e.constant: e.value for e in data_io.Dataset().manifest.calibration}
     assert supply.electricity_mwh_per_t_nh3 == pytest.approx(
         ledger["electricity_per_t_nh3_mwh"], abs=1e-6)
 
@@ -121,7 +121,7 @@ def test_demand_linear_homogeneous(assumptions):
 
 def test_sector_ordering_every_level(assumptions):
     _, demand = assumptions
-    for level in data_io.load_demand_levels():
+    for level in data_io.Dataset().demand_levels:
         breakdown = scenarios.demand_breakdown_mt(demand, level)
         assert (breakdown["power"] > breakdown["ammonia"]
                 > breakdown["shipping"] > breakdown["mobility"]), level.name
@@ -129,9 +129,9 @@ def test_sector_ordering_every_level(assumptions):
 
 def test_balance_report(assumptions):
     supply, demand = assumptions
-    rows = scenarios.balance_report(supply, demand,
-                                    data_io.load_supply_levels(),
-                                    data_io.load_demand_levels())
+    dataset = data_io.Dataset()
+    rows = scenarios.balance_report(supply, demand, dataset.supply_levels,
+                                    dataset.demand_levels)
     assert len(rows) == 15
     by_pair = {(r.supply_level, r.demand_level): r for r in rows}
     first = by_pair[("Level 1", "Level 1")]
@@ -140,7 +140,7 @@ def test_balance_report(assumptions):
     assert stretch.coverage == pytest.approx(0.64, abs=0.06)
     assert not stretch.covered
     # totals are the sum of the four sector demands
-    breakdown = scenarios.demand_breakdown_mt(demand, data_io.load_demand_levels()[4])
+    breakdown = scenarios.demand_breakdown_mt(demand, dataset.demand_levels[4])
     assert stretch.demand_mt == pytest.approx(sum(breakdown.values()), rel=1e-12)
 
 
