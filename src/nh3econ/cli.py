@@ -14,9 +14,9 @@ rounded to four decimals (`0.65`, `1.0`, never `-0.0`).
 
 Both writers turn cells into text a column at a time. A column whose cells
 all have one exact type (`str`, `bool`, `int` or `float`) is converted by
-one formatter for that type in one pass; any other column (mixed types, a
-float subclass) goes cell by cell through `fmt` or `_json_cell`. Either
-way a cell's text is what `fmt` or `_json_cell` gives it.
+one formatter for that type, once per distinct value; any other column
+(mixed types, a float subclass) goes cell by cell through `fmt` or
+`_json_cell`. Either way a cell's text is what `fmt` or `_json_cell` gives it.
 
 Exit codes: 0 success, 2 input error (including usage), 3 solver failure.
 An `--output` path that cannot be written (a `report` directory that is
@@ -24,7 +24,8 @@ an existing file, a `report` file name taken by a directory, a file in a
 missing directory) is an input error, and so is `cofire --all` together
 with `--rate`. `report` checks every target before its first write; if a
 write still fails, it removes the files and directories it created and
-leaves every file that was there before unchanged.
+leaves every file that was there before unchanged. `_write` writes a file
+with one `os.open` and, unless the kernel takes less, one `os.write`.
 """
 
 from __future__ import annotations
@@ -93,6 +94,13 @@ def _one_type(column) -> type | None:
     return kinds.pop() if len(kinds) == 1 else None
 
 
+def _each_distinct(convert, column) -> list[str]:
+    """convert(column), converting each distinct value once (0.0 and -0.0 print alike)."""
+    texts = dict.fromkeys(column)
+    texts = dict(zip(texts, convert(list(texts))))
+    return list(map(texts.__getitem__, column))
+
+
 def _csv_column(column) -> list[str] | tuple[str, ...]:
     """`fmt` of every cell of a column."""
     kind = _one_type(column)
@@ -101,22 +109,27 @@ def _csv_column(column) -> list[str] | tuple[str, ...]:
     if kind is bool:
         return list(map(_BOOL_TEXT.__getitem__, column))
     if kind is float or kind is int:
-        return _number_texts(column)
+        return _each_distinct(_number_texts, column)
     return list(map(fmt, column))
+
+
+def _json_texts(values) -> list[str]:
+    """`_json_cell` of values of one exact type: str, int or float."""
+    if type(values[0]) is str:
+        return list(map(encode_basestring_ascii, values))
+    texts = _number_texts(values)
+    if max(map(len, texts)) <= 15:    # a longer one may not be the shortest repr
+        return [text if "." in text else text + ".0" for text in texts]
+    return list(map(_json_cell, values))
 
 
 def _json_column(column) -> list[str]:
     """`_json_cell` of every cell of a column."""
     kind = _one_type(column)
-    if kind is str:
-        return list(map(encode_basestring_ascii, column))
     if kind is bool:
         return list(map(_BOOL_TEXT.__getitem__, column))
-    if kind is float or kind is int:
-        texts = _number_texts(column)
-        # a longer text may not be the shortest repr: see _json_cell
-        if max(map(len, texts)) <= 15:
-            return [text if "." in text else text + ".0" for text in texts]
+    if kind is str or kind is float or kind is int:
+        return _each_distinct(_json_texts, column)
     return list(map(_json_cell, column))
 
 
@@ -172,11 +185,22 @@ class Table:
         return self.to_json() if output_format == "json" else self.to_csv()
 
 
+def _write(path, text: str) -> None:
+    """Write text to path as UTF-8, creating it as open(path, "w") would."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def _emit(table: Table, output_format: str, output: str | None) -> None:
     text = table.render(output_format)
     if output:
         try:
-            Path(output).write_text(text, encoding="utf-8")
+            _write(output, text)
         except OSError as exc:
             raise InputError(f"cannot write output: {exc}") from None
     else:
@@ -341,7 +365,7 @@ def _report(dataset: data_io.Dataset, output_format: str, output_dir: Path) -> N
                 staged.append((temporary, path))
                 path = temporary
             undo.insert(0, path.unlink)
-            path.write_text(table.render(output_format), encoding="utf-8")
+            _write(path, table.render(output_format))
         for temporary, path in staged:
             os.chmod(temporary, stat.S_IMODE(modes[path]))
             os.replace(temporary, path)

@@ -16,6 +16,7 @@ sequence identical across platforms.
 
 Pivot and reduced-cost tests use the absolute tolerance `TOL`, so whether a
 program solves depends on its units: callers scale theirs (as `gtfp` does).
+The ratio test is relative: two ratios tie within `TOL` times the lower.
 """
 
 from __future__ import annotations
@@ -154,10 +155,10 @@ def _run_simplex(tableau: list[list[float]], basis: list[int],
             col = tableau[i][entering]
             if col > tol:
                 ratio = tableau[i][-1] / col
-                # lowest ratio; ties broken by lowest basic variable index
-                if ratio < best_ratio - tol or (
-                    abs(ratio - best_ratio) <= tol
-                    and (leaving < 0 or basis[i] < basis[leaving])
+                # lowest ratio; a relative tie goes to the lowest basic index
+                if leaving < 0 or ratio < best_ratio - tol * abs(best_ratio) or (
+                    ratio <= best_ratio + tol * abs(best_ratio)
+                    and basis[i] < basis[leaving]
                 ):
                     best_ratio = ratio
                     leaving = i

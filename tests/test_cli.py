@@ -19,6 +19,8 @@ import nh3econ
 from nh3econ import cli, data_io
 from nh3econ.errors import SolverError
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def _csv_rows(text):
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
@@ -150,14 +152,14 @@ def test_report_onto_a_directory_target_exits_2_without_output(tmp_path, capsys)
 def test_report_failing_mid_write_removes_what_it_created(tmp_path, monkeypatch, capsys):
     out = tmp_path / "new" / "OUT"
     (tmp_path / "kept").mkdir()
-    original = Path.write_text
+    original = cli._write
 
     def failing(path, *args, **kwargs):
         if path.name == "cofiring_ladder.csv":
             raise OSError(28, "No space left on device")
         return original(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", failing)
+    monkeypatch.setattr(cli, "_write", failing)
     assert cli.run(["report", "--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1
@@ -172,21 +174,21 @@ def test_report_over_an_existing_tree_replaces_it_whole_or_not_at_all(tmp_path, 
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     params = tmp_path / "wacc.csv"
     params.write_text("key,value,unit,provenance\nwacc,0.10,fraction,x\n")
-    original = Path.write_text
+    original = cli._write
 
     def failing(path, *args, **kwargs):
         if "cofiring_ladder" in path.name:
             raise OSError(28, "No space left on device")
         return original(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", failing)
+    monkeypatch.setattr(cli, "_write", failing)
     assert cli.run(["report", "--output", str(out), "--params", str(params)]) == 2
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1
     assert "No space left on device" in captured.err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     # the same run without the failure replaces every file, keeping its mode
-    monkeypatch.setattr(Path, "write_text", original)
+    monkeypatch.setattr(cli, "_write", original)
     (out / "cofiring_ladder.csv").chmod(0o600)
     assert cli.run(["report", "--output", str(out), "--params", str(params)]) == 0
     assert (out / "cofiring_ladder.csv").stat().st_mode & 0o777 == 0o600
@@ -195,6 +197,52 @@ def test_report_over_an_existing_tree_replaces_it_whole_or_not_at_all(tmp_path, 
     assert after["delivery_by_distance.csv"] != before["delivery_by_distance.csv"]
     assert cli.run(["report", "--output", str(tmp_path / "fresh"), "--params", str(params)]) == 0
     assert after == {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+
+
+def test_report_written_a_few_bytes_per_call_matches_golden(tmp_path, monkeypatch):
+    # os.write may write less than it is given: _write carries on from there
+    original = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: original(fd, data[:7]))
+    out = tmp_path / "OUT"
+    assert cli.run(["report", "--output", str(out)]) == 0
+    golden = GOLDEN / "default_csv"
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+    for path in golden.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_output_files_take_the_umask(umask, tmp_path, capsys):
+    previous = os.umask(umask)
+    try:
+        assert cli.run(["report", "--output", str(tmp_path / "OUT")]) == 0
+        assert cli.run(["gtfp", "--output", str(tmp_path / "gtfp.csv")]) == 0
+    finally:
+        os.umask(previous)
+    for path in [tmp_path / "gtfp.csv", *(tmp_path / "OUT").iterdir()]:
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_report_converts_each_distinct_number_once_and_writes_each_file_once(
+        tmp_path, monkeypatch):
+    # the default CSV tree's 1,236 number cells hold 292 values distinct
+    # within their column, and each of its eight files takes one os.write
+    cells, writes = [], []
+    number_texts, write = cli._number_texts, os.write
+
+    def counting_texts(column):
+        cells.append(len(column))
+        return number_texts(column)
+
+    def counting_write(fd, data):
+        writes.append(len(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(cli, "_number_texts", counting_texts)
+    monkeypatch.setattr(os, "write", counting_write)
+    assert cli.run(["report", "--output", str(tmp_path / "out")]) == 0
+    assert sum(cells) == 292
+    assert len(writes) == 8
 
 
 @pytest.mark.parametrize("argv", [
