@@ -16,18 +16,29 @@ from .units import TCE_GJ
 
 # Co-firing rates of the standard scenario ladder (base case plus five cases).
 STANDARD_RATES = (0.0, 0.03, 0.05, 0.10, 0.15, 0.20)
+# The key of the boiler's efficiency loss at each co-fired rate of the ladder.
+_LOSS_KEYS = {rate: f"efficiency_loss_{int(rate * 100)}pct" for rate in STANDARD_RATES[1:]}
 
 
 class CofiringParams:
     """Parameter bundle for the co-firing cost and emission model.
 
     efficiency_loss maps a co-firing rate to the boiler's fractional
-    efficiency loss.
+    efficiency loss. `UNITS` declares each key that `from_mapping` reads,
+    with its unit; the other keys of cofiring.csv are reference values.
     """
 
-    __slots__ = ("coal_price_usd_per_tce", "ammonia_production_cost_usd_per_t",
-                 "gross_margin", "lhv_nh3_gj_per_t", "coal_consumption_tce_per_mwh",
-                 "base_emission_kg_per_mwh", "fuel_cost_share", "efficiency_loss")
+    UNITS = {
+        "coal_price_usd_per_tce": "USD_per_tce",
+        "ammonia_production_cost_usd_per_t": "USD_per_t",
+        "gross_margin": "fraction",
+        "lhv_nh3_gj_per_t": "GJ_per_t",
+        "coal_consumption_tce_per_mwh": "tce_per_MWh",
+        "base_emission_kg_per_mwh": "kgCO2_per_MWh",
+        "fuel_cost_share": "fraction",
+        **dict.fromkeys(_LOSS_KEYS.values(), "fraction"),
+    }
+    __slots__ = (*tuple(UNITS)[:-len(_LOSS_KEYS)], "efficiency_loss")
 
     def __init__(self, coal_price_usd_per_tce: float,
                  ammonia_production_cost_usd_per_t: float, gross_margin: float,
@@ -58,18 +69,8 @@ class CofiringParams:
     @classmethod
     def from_mapping(cls, params: Mapping[str, float]) -> "CofiringParams":
         """Build the bundle from a loaded parameter set."""
-        loss = {rate: params[f"efficiency_loss_{int(rate * 100)}pct"]
-                for rate in STANDARD_RATES if rate > 0}
-        return cls(
-            coal_price_usd_per_tce=params["coal_price_usd_per_tce"],
-            ammonia_production_cost_usd_per_t=params["ammonia_production_cost_usd_per_t"],
-            gross_margin=params["gross_margin"],
-            lhv_nh3_gj_per_t=params["lhv_nh3_gj_per_t"],
-            coal_consumption_tce_per_mwh=params["coal_consumption_tce_per_mwh"],
-            base_emission_kg_per_mwh=params["base_emission_kg_per_mwh"],
-            fuel_cost_share=params["fuel_cost_share"],
-            efficiency_loss=loss,
-        )
+        loss = {rate: params[key] for rate, key in _LOSS_KEYS.items()}
+        return cls(*(params[key] for key in cls.__slots__[:-1]), loss)
 
 
 class CofiringResult:

@@ -6,6 +6,11 @@ Every parameter row carries a provenance label so the numbers stay
 auditable; back-solved constants are additionally listed in the
 calibration ledger together with the recipe that produced them.
 
+`SCHEMAS` maps each parameter namespace to the keys its analysis reads
+and their units: `CARRIER_SCHEMA`, and the `UNITS` that the co-firing and
+scenario classes declare. Other keys in a file (all of gapfill.csv) are
+reference values that no analysis reads, and an override of one is an error.
+
 Loaders keep the raw cell text of each file, along with its comment lines
 and the line number of each row. Each loader reads its file, or parses
 bytes already read: a `Dataset` parses the bytes whose digests the
@@ -22,9 +27,10 @@ from functools import cached_property
 from pathlib import Path
 
 from .carriers import VOLUME_BRACKETS_KT
+from .cofiring import CofiringParams
 from .errors import InputError
 from .gtfp import RegionRecord
-from .scenarios import DemandLevel, SupplyLevel
+from .scenarios import DemandAssumptions, DemandLevel, SupplyAssumptions, SupplyLevel
 
 ENV_DATA_DIR = "NH3ECON_DATA"
 
@@ -66,62 +72,10 @@ CARRIER_SCHEMA: dict[str, str] = {
     "stored_share": "fraction",
 }
 
-COFIRING_SCHEMA: dict[str, str] = {
-    "coal_price_usd_per_tce": "USD_per_tce",
-    "coal_price_min_usd_per_tce": "USD_per_tce",
-    "coal_price_max_usd_per_tce": "USD_per_tce",
-    "lng_price_min_usd_per_tce": "USD_per_tce",
-    "lng_price_max_usd_per_tce": "USD_per_tce",
-    "gas_reference_price_usd_per_tce": "USD_per_tce",
-    "ammonia_production_cost_usd_per_t": "USD_per_t",
-    "gross_margin": "fraction",
-    "lhv_nh3_gj_per_t": "GJ_per_t",
-    "lhv_coal_kcal_per_kg": "kcal_per_kg",
-    "coal_consumption_tce_per_mwh": "tce_per_MWh",
-    "base_emission_kg_per_mwh": "kgCO2_per_MWh",
-    "fuel_cost_share": "fraction",
-    "efficiency_loss_3pct": "fraction",
-    "efficiency_loss_5pct": "fraction",
-    "efficiency_loss_10pct": "fraction",
-    "efficiency_loss_15pct": "fraction",
-    "efficiency_loss_20pct": "fraction",
-}
-
-SCENARIO_SCHEMA: dict[str, str] = {
-    "wind_gw": "GW",
-    "solar_gw": "GW",
-    "wind_hours": "h_per_yr",
-    "solar_hours": "h_per_yr",
-    "thermal_gw": "GW",
-    "coal_share": "fraction",
-    "coal_hours": "h_per_yr",
-    "coal_consumption_tce_per_mwh": "tce_per_MWh",
-    "conventional_ammonia_mt": "Mt",
-    "shipping_fuel_mt": "Mt",
-    "electrolyser_efficiency": "fraction",
-    "synthesis_conversion": "fraction",
-    "hrs_count": "count",
-    "hrs_capacity_kg_per_day": "kg_per_day",
-}
-
-GAPFILL_SCHEMA: dict[str, str] = {
-    "national_co2_2014_mt": "Mt",
-    "national_co2_2019_mt": "Mt",
-    "tibet_co2_2014_mt": "Mt",
-}
-
 SCHEMAS: dict[str, dict[str, str]] = {
     "carriers": CARRIER_SCHEMA,
-    "cofiring": COFIRING_SCHEMA,
-    "scenarios": SCENARIO_SCHEMA,
-    "gapfill": GAPFILL_SCHEMA,
-}
-
-NAMESPACE_FILES: dict[str, str] = {
-    "carriers": "carriers.csv",
-    "cofiring": "cofiring.csv",
-    "scenarios": "scenarios.csv",
-    "gapfill": "gapfill.csv",
+    "cofiring": CofiringParams.UNITS,
+    "scenarios": {**SupplyAssumptions.UNITS, **DemandAssumptions.UNITS},
 }
 
 
@@ -250,9 +204,11 @@ class ParameterSet(Mapping):
                 for e in self._entries.values()]
 
     def with_overrides(self, other: "ParameterSet") -> "ParameterSet":
-        """New set where `other`'s entries replace or extend this one's."""
+        """New set where `other`'s entries replace this one's, for the keys
+        that this set's namespace declares."""
+        schema = SCHEMAS[self.namespace]
         merged = dict(self._entries)
-        merged.update(other._entries)
+        merged.update((key, entry) for key, entry in other._entries.items() if key in schema)
         return ParameterSet(self.namespace, merged)
 
 
@@ -298,13 +254,14 @@ def load_params(path: Path | str, namespace: str,
 
 def load_overrides(path: Path | str) -> ParameterSet:
     """A user override file, each key checked against every schema, so
-    that one file can serve every namespace: a key that no schema declares,
-    or a unit other than the declaring schema's, is an input error."""
+    that one file can serve every namespace: a key that no schema declares
+    (a misspelling, or a reference value that no analysis reads), or a unit
+    other than the declaring schema's, is an input error."""
     overrides = load_params(path, "overrides")
     for key, _, unit, _ in overrides.rows():
         expected = {schema[key] for schema in SCHEMAS.values() if key in schema}
         if not expected:
-            raise InputError(f"{path}: unknown parameter key {key!r}: no namespace declares it")
+            raise InputError(f"{path}: unknown parameter key {key!r}: no analysis reads it")
         if expected != {unit}:
             raise InputError(
                 f"{path}: key {key!r} has unit {unit!r}, schema expects "
@@ -314,11 +271,11 @@ def load_overrides(path: Path | str) -> ParameterSet:
 
 def _load_namespace(namespace: str, directory: Path,
                     contents: Mapping[str, bytes] | None = None) -> ParameterSet:
-    """A namespace's bundled file, checked against its schema; parsed from
-    `contents` (file name -> bytes) when that holds the file."""
-    if namespace not in NAMESPACE_FILES:
+    """A namespace's file, `<namespace>.csv`, checked against its schema;
+    parsed from `contents` (file name -> bytes) when that holds the file."""
+    if namespace not in SCHEMAS:
         raise InputError(f"unknown parameter namespace {namespace!r}")
-    name = NAMESPACE_FILES[namespace]
+    name = f"{namespace}.csv"
     return load_params(directory / name, namespace, SCHEMAS[namespace],
                        contents.get(name) if contents else None)
 
@@ -455,8 +412,8 @@ class Dataset:
     verifies their digests, so a tampered dataset fails before anything is
     computed from it, and reads and checks the override file, if one is
     given. The rest is parsed on first use, from the bytes the manifest
-    verified, and kept: each namespace's parameters with the overrides
-    layered over them (override values win), the regions table (the given
+    verified, and kept: each namespace's parameters with the overrides of
+    its declared keys layered over them, the regions table (the given
     one, read from its file, or the bundled one) and the scenario levels.
     A file the manifest does not list is read from the directory.
     """

@@ -6,7 +6,8 @@ sectors, each linear in its penetration rate: conventional ammonia
 substitution, coal-power co-firing, shipping fuel substitution on an
 energy-equivalent basis, and fuel-cell mobility served through hydrogen
 refilling stations with ammonia as the carrier. Energy conversions use
-the named constants of `units`.
+the named constants of `units`. Each assumptions class declares in `UNITS`
+the keys that its `from_mapping` reads, in constructor order, with units.
 """
 
 from __future__ import annotations
@@ -29,8 +30,15 @@ SECTORS = ("power", "ammonia", "shipping", "mobility")
 class SupplyAssumptions:
     """Renewable build-out and conversion-chain efficiencies for 2030."""
 
-    __slots__ = ("wind_gw", "solar_gw", "wind_hours", "solar_hours",
-                 "electrolyser_efficiency", "synthesis_conversion")
+    UNITS = {
+        "wind_gw": "GW",
+        "solar_gw": "GW",
+        "wind_hours": "h_per_yr",
+        "solar_hours": "h_per_yr",
+        "electrolyser_efficiency": "fraction",
+        "synthesis_conversion": "fraction",
+    }
+    __slots__ = tuple(UNITS)
 
     def __init__(self, wind_gw: float, solar_gw: float, wind_hours: float,
                  solar_hours: float, electrolyser_efficiency: float,
@@ -62,20 +70,23 @@ class SupplyAssumptions:
 
     @classmethod
     def from_mapping(cls, params: Mapping[str, float]) -> "SupplyAssumptions":
-        return cls(
-            wind_gw=params["wind_gw"], solar_gw=params["solar_gw"],
-            wind_hours=params["wind_hours"], solar_hours=params["solar_hours"],
-            electrolyser_efficiency=params["electrolyser_efficiency"],
-            synthesis_conversion=params["synthesis_conversion"],
-        )
+        return cls(**{key: params[key] for key in cls.UNITS})
 
 
 class DemandAssumptions:
     """Sector baselines that the penetration rates act on."""
 
-    __slots__ = ("conventional_ammonia_mt", "shipping_fuel_mt", "thermal_gw",
-                 "coal_share", "coal_hours", "coal_consumption_tce_per_mwh",
-                 "hrs_count", "hrs_capacity_kg_per_day")
+    UNITS = {
+        "conventional_ammonia_mt": "Mt",
+        "shipping_fuel_mt": "Mt",
+        "thermal_gw": "GW",
+        "coal_share": "fraction",
+        "coal_hours": "h_per_yr",
+        "coal_consumption_tce_per_mwh": "tce_per_MWh",
+        "hrs_count": "count",
+        "hrs_capacity_kg_per_day": "kg_per_day",
+    }
+    __slots__ = tuple(UNITS)
 
     def __init__(self, conventional_ammonia_mt: float, shipping_fuel_mt: float,
                  thermal_gw: float, coal_share: float, coal_hours: float,
@@ -89,25 +100,15 @@ class DemandAssumptions:
         self.coal_consumption_tce_per_mwh = coal_consumption_tce_per_mwh
         self.hrs_count = hrs_count
         self.hrs_capacity_kg_per_day = hrs_capacity_kg_per_day
-        for name in ("conventional_ammonia_mt", "shipping_fuel_mt", "thermal_gw",
-                     "coal_hours", "coal_consumption_tce_per_mwh",
-                     "hrs_count", "hrs_capacity_kg_per_day"):
-            if not getattr(self, name) > 0:
+        for name in self.__slots__:
+            if name != "coal_share" and not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive")
         if not 0.0 < coal_share <= 1.0:
             raise InputError("coal_share must be in (0, 1]")
 
     @classmethod
     def from_mapping(cls, params: Mapping[str, float]) -> "DemandAssumptions":
-        return cls(
-            conventional_ammonia_mt=params["conventional_ammonia_mt"],
-            shipping_fuel_mt=params["shipping_fuel_mt"],
-            thermal_gw=params["thermal_gw"], coal_share=params["coal_share"],
-            coal_hours=params["coal_hours"],
-            coal_consumption_tce_per_mwh=params["coal_consumption_tce_per_mwh"],
-            hrs_count=params["hrs_count"],
-            hrs_capacity_kg_per_day=params["hrs_capacity_kg_per_day"],
-        )
+        return cls(**{key: params[key] for key in cls.UNITS})
 
 
 class SupplyLevel:

@@ -558,6 +558,25 @@ def test_override_key_outside_the_schemas_exits_2(row, message, tmp_path, capsys
     assert message in captured.err
 
 
+@pytest.mark.parametrize("key, replacement", [
+    ("gas_reference_price_usd_per_tce", []),
+    ("lhv_coal_kcal_per_kg", ["lhv_coal_kcal_per_kg,23.0,MJ_per_kg,the same value in MJ"]),
+], ids=["dropped", "another unit"])
+def test_a_dataset_may_drop_or_change_a_reference_key(key, replacement, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), data)
+    cofiring_csv = data / "cofiring.csv"
+    lines = [new for line in cofiring_csv.read_text(encoding="utf-8").splitlines()
+             for new in (replacement if line.startswith(f"{key},") else [line])]
+    cofiring_csv.write_text("\n".join(lines) + "\n")
+    _rehash(data, "cofiring.csv")
+    out = tmp_path / "out"
+    assert cli.run(["--data-dir", str(data), "report", "--output", str(out)]) == 0
+    for path in sorted((GOLDEN / "default_csv").iterdir()):
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+    assert len(list(out.iterdir())) == 8
+
+
 def test_zero_demand_level_exits_2_without_output(tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(data_io.data_dir(), data)

@@ -1,11 +1,14 @@
 """Dataset loading, validation, provenance and manifest checks."""
 
 import shutil
+from pathlib import Path
 
 import pytest
 
-from nh3econ import data_io
+from nh3econ import cli, data_io
 from nh3econ.errors import InputError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_bundled_regions():
@@ -65,11 +68,44 @@ def test_bundled_params_values():
     assert cofiring["base_emission_kg_per_mwh"] == 838.0
 
 
+PARAMETER_FILES = ("carriers.csv", "cofiring.csv", "scenarios.csv", "gapfill.csv")
+# (file, key): the rows of the parameter files that no analysis reads
+REFERENCE_KEYS = (
+    *(("cofiring.csv", key) for key in (
+        "coal_price_min_usd_per_tce", "coal_price_max_usd_per_tce",
+        "lng_price_min_usd_per_tce", "lng_price_max_usd_per_tce",
+        "gas_reference_price_usd_per_tce", "lhv_coal_kcal_per_kg")),
+    *(("gapfill.csv", key) for key in (
+        "national_co2_2014_mt", "national_co2_2019_mt", "tibet_co2_2014_mt")),
+)
+
+
 def test_provenance_nonempty_everywhere():
-    for namespace in data_io.SCHEMAS:
-        params = data_io.load_bundled_params(namespace)
+    for name in PARAMETER_FILES:
+        params = data_io.load_params(data_io.data_dir() / name, name[:-4])
         for key, _, _, provenance in params.rows():
             assert provenance.strip(), key
+
+
+def test_reference_keys_are_the_keys_no_schema_declares():
+    declared = {key for schema in data_io.SCHEMAS.values() for key in schema}
+    undeclared = {(name, key) for name in PARAMETER_FILES
+                  for key in data_io.load_params(data_io.data_dir() / name, name[:-4])
+                  if key not in declared}
+    assert undeclared == set(REFERENCE_KEYS)
+
+
+@pytest.mark.parametrize("name, key", REFERENCE_KEYS)
+def test_override_of_a_reference_key_exits_2_without_output(name, key, tmp_path, capsys):
+    row = next(line for line in (data_io.data_dir() / name).read_text().splitlines()
+               if line.startswith(f"{key},"))
+    params = tmp_path / "params.csv"
+    params.write_text(f"key,value,unit,provenance\n{row}\n")
+    out = tmp_path / "out"
+    assert cli.run(["report", "--params", str(params), "--output", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {params}: unknown parameter key {key!r}: no analysis reads it\n")
+    assert not out.exists()
 
 
 def test_missing_key_listed(tmp_path):
@@ -79,7 +115,7 @@ def test_missing_key_listed(tmp_path):
     path = tmp_path / "cofiring.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError, match="coal_consumption_tce_per_mwh"):
-        data_io.load_params(path, "cofiring", data_io.COFIRING_SCHEMA)
+        data_io.load_params(path, "cofiring", data_io.SCHEMAS["cofiring"])
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -193,6 +229,33 @@ def test_completeness_consumers_vs_providers():
     for namespace, schema in data_io.SCHEMAS.items():
         params = data_io.load_bundled_params(namespace)
         assert set(schema) <= set(params), namespace
+
+
+def test_one_report_reads_exactly_the_declared_keys(tmp_path, monkeypatch):
+    # every key a schema declares is read by a default report, and the
+    # report reads no key that a schema does not declare
+    served = set()
+    getitem = data_io.ParameterSet.__getitem__
+
+    def recording(self, key):
+        served.add((self.namespace, key))
+        return getitem(self, key)
+
+    monkeypatch.setattr(data_io.ParameterSet, "__getitem__", recording)
+    assert cli.run(["report", "--output", str(tmp_path / "out")]) == 0
+    assert served == {(namespace, key) for namespace, schema in data_io.SCHEMAS.items()
+                      for key in schema}
+
+
+def test_overrides_replace_only_the_keys_a_namespace_declares():
+    dataset = data_io.Dataset(params_path=GOLDEN / "overrides.csv")
+    for namespace in data_io.SCHEMAS:
+        bundled = data_io.load_bundled_params(namespace)
+        params = dataset.params(namespace)
+        assert list(params) == list(bundled), namespace
+    assert dataset.params("carriers")["wacc"] == 0.06
+    assert dataset.params("cofiring")["coal_price_usd_per_tce"] == 150.0
+    assert dataset.params("scenarios")["wind_gw"] == 800.0
 
 
 def test_levels_loaders():
