@@ -1,10 +1,10 @@
 """Command-line front end: run each analysis and emit plot-ready tables.
 
-Every subcommand computes its full table first and only then writes, so a
-failing run leaves no partial output. Output is deterministic: fixed row
-ordering and a fixed float format (four decimals, trailing zeros
-trimmed), which makes runs byte-comparable. A table never holds NaN or
-an infinity: adding one is an input error.
+Every subcommand computes and renders every table before its first write, so
+a failing run leaves no partial output. Output is deterministic: fixed row
+ordering and a fixed float format (four decimals, trailing zeros trimmed),
+which makes runs byte-comparable. No NaN or infinity becomes text: rendering
+a table that holds one is an input error naming the first, in row order.
 
 JSON output is the text of `json.dumps(payload, indent=2, sort_keys=True)`
 plus a newline, written directly: 2-space indent, keys `columns`,
@@ -16,7 +16,8 @@ Both writers turn cells into text a column at a time. A column whose cells
 all have one exact type (`str`, `bool`, `int` or `float`) is converted by
 one formatter for that type, once per distinct value; any other column
 (mixed types, a float subclass) goes cell by cell through `fmt` or
-`_json_cell`. Either way a cell's text is what `fmt` or `_json_cell` gives it.
+`_json_cell`. Either way a cell's text is what `fmt` or `_json_cell` gives it,
+and its finiteness is checked once per distinct value or once per cell.
 
 Exit codes: 0 success, 2 input error (including usage), 3 solver failure.
 An `--output` path that cannot be written (a `report` directory that is
@@ -38,7 +39,6 @@ import stat
 import sys
 from json.encoder import encode_basestring_ascii
 from math import isfinite, nan
-from pathlib import Path
 
 from . import carriers, cofiring, data_io, gtfp, scenarios
 from .errors import InputError, SolverError
@@ -50,12 +50,14 @@ COST_COLUMNS = ("medium", "volume_kt", "distance_km", "days", "stage", "usd_per_
 
 
 def fmt(value) -> str:
-    """Four decimals with trailing zeros trimmed; stable across runs."""
+    """Four decimals, trailing zeros trimmed; a non-finite float raises ValueError."""
     if type(value) is not float:    # most cells are floats: skip the checks
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, str):
             return value
+    if isinstance(value, float) and not isfinite(value):
+        raise ValueError(f"{value} is not a finite number")
     text = f"{float(value):.4f}".rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
 
@@ -82,6 +84,8 @@ _BOOL_TEXT = {True: "true", False: "false"}
 
 def _number_texts(column) -> list[str]:
     """`fmt` of every cell of a column of exact ints or exact floats."""
+    if not all(map(isfinite, column)):
+        raise ValueError("not a finite number")
     texts = [f"{float(value):.4f}".rstrip("0").rstrip(".") for value in column]
     if "-0" in texts:
         texts = ["0" if text == "-0" else text for text in texts]
@@ -150,22 +154,25 @@ class Table:
         self.rows: list[tuple] = []
 
     def add(self, *row) -> None:
+        """Append a row of the table's width; rendering checks its floats."""
         if len(row) != len(self.columns):
             raise ValueError("row width mismatch")
-        for cell in row:
-            if isinstance(cell, float) and not isfinite(cell):
-                # the first cell that is this object: an earlier one passed
-                index = next(i for i, other in enumerate(row) if other is cell)
-                raise InputError(
-                    f"{self.description}: column {self.columns[index]!r} is {cell}, "
-                    "not a finite number")
         self.rows.append(row)
 
     def _cell_texts(self, convert) -> list[tuple[str, ...]]:
-        """Each row's cell texts, converted a column at a time."""
+        """Each row's cell texts, converted a column at a time; a float
+        cell that is not finite is an input error naming the first one."""
         if not self.columns:
             return [()] * len(self.rows)
-        return list(zip(*map(convert, zip(*self.rows))))
+        try:
+            return list(zip(*map(convert, zip(*self.rows))))
+        except ValueError:
+            for row in self.rows:
+                for column, cell in zip(self.columns, row):
+                    if isinstance(cell, float) and not isfinite(cell):
+                        raise InputError(f"{self.description}: column {column!r} is "
+                                         f"{cell}, not a finite number") from None
+            raise
 
     def to_csv(self) -> str:
         lines = [f"# {self.description}", ",".join(self.columns)]
@@ -173,7 +180,10 @@ class Table:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        rows = [_json_list(row, "    ") for row in self._cell_texts(_json_column)]
+        rows = self._cell_texts(_json_column)
+        # every row laid out as _json_list(row, "    ") would, in two joins
+        rows = (["[\n      " + "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
+                 + "\n    ]"] if rows and self.columns else ["[]"] * len(rows))
         return (
             '{\n  "columns": '
             + _json_list(list(map(encode_basestring_ascii, self.columns)), "  ")
@@ -319,7 +329,7 @@ def _scenario_tables(dataset: data_io.Dataset, share: float | None = None) -> di
     return {"supply": supply_table, "demand": demand_table, "balance": balance_table}
 
 
-def _report(dataset: data_io.Dataset, output_format: str, output_dir: Path) -> None:
+def _report(dataset: data_io.Dataset, output_format: str, output_dir: str) -> None:
     chains_at = _chains_by_volume(dataset)
     outputs = {
         "regional_efficiency": _gtfp_table(dataset),
@@ -332,43 +342,47 @@ def _report(dataset: data_io.Dataset, output_format: str, output_dir: Path) -> N
         "storage_by_duration": _storage_table(dataset, (100.0,), STORAGE_DAYS, chains_at),
         "cofiring_ladder": _cofire_table(dataset, cofiring.STANDARD_RATES, False),
     }
-    scenario_tables = _scenario_tables(dataset)
-    outputs.update(scenario_supply=scenario_tables["supply"],
-                   scenario_demand=scenario_tables["demand"],
-                   supply_demand_balance=scenario_tables["balance"])
-    extension = "json" if output_format == "json" else "csv"
-    targets = {output_dir / f"{name}.{extension}": table for name, table in outputs.items()}
-    # Run in order if a write fails: remove the temporaries and the files
-    # this run created, then the directories it created, deepest first.
-    undo = []
-    for directory in (output_dir, *output_dir.parents):
-        if directory.exists():
-            break
-        undo.append(directory.rmdir)
+    outputs.update(zip(("scenario_supply", "scenario_demand", "supply_demand_balance"),
+                       _scenario_tables(dataset).values()))
+    # every table is rendered before anything is checked, created or written
+    texts = {f"{name}.{output_format}": table.render(output_format)
+             for name, table in outputs.items()}
+    output_dir = data_io.path_text(output_dir)
+    base = "" if output_dir == "." else output_dir    # as pathlib joins onto "."
+    missing = []    # output_dir and its missing parents, deepest first
+    directory = output_dir
+    while directory and not os.path.exists(directory):
+        missing.append(directory)
+        directory = os.path.dirname(directory)
     modes = {}    # the mode of each target that exists; a new directory has none
-    for path in () if undo else targets:
+    for name in () if missing else texts:
         with contextlib.suppress(OSError):
-            modes[path] = os.stat(path).st_mode
-            if not stat.S_ISREG(modes[path]):
-                raise InputError(
-                    f"cannot write output: {path} exists and is not a regular file")
+            modes[name] = os.stat(os.path.join(base, name)).st_mode
+            if not stat.S_ISREG(modes[name]):
+                raise InputError(f"cannot write output: {os.path.join(base, name)} "
+                                 "exists and is not a regular file")
     # A table whose file exists is written to a temporary name beside it and
     # renamed over it, with its permissions, only once every table is
     # written, so a failed run leaves an existing tree as it was; a new file
-    # is written in place.
-    staged = []
+    # is written in place. If a write fails, undo runs in order: temporaries
+    # and new files, then new directories, deepest first.
+    temporaries = {name: os.path.join(base, f".{name}.{os.getpid()}.tmp") for name in modes}
+    undo = [functools.partial(os.rmdir, directory) for directory in missing]
     try:
-        output_dir.mkdir(parents=True, exist_ok=True)
-        for path, table in targets.items():
-            if path in modes:
-                temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-                staged.append((temporary, path))
-                path = temporary
-            undo.insert(0, path.unlink)
-            _write(path, table.render(output_format))
-        for temporary, path in staged:
-            os.chmod(temporary, stat.S_IMODE(modes[path]))
-            os.replace(temporary, path)
+        try:    # as pathlib's mkdir(parents=True, exist_ok=True)
+            os.mkdir(output_dir)
+        except FileNotFoundError:
+            os.makedirs(output_dir, exist_ok=True)
+        except OSError:
+            if not os.path.isdir(output_dir):
+                raise
+        for name, text in texts.items():
+            path = temporaries.get(name) or os.path.join(base, name)
+            undo.insert(0, functools.partial(os.unlink, path))
+            _write(path, text)
+        for name, temporary in temporaries.items():
+            os.chmod(temporary, stat.S_IMODE(modes[name]))
+            os.replace(temporary, os.path.join(base, name))
     except OSError as exc:
         for step in undo:
             with contextlib.suppress(OSError):
@@ -393,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nh3econ",
         description="Green-ammonia techno-economic analyses over the bundled datasets.",
     )
-    parser.add_argument("--data-dir", type=Path, default=None,
+    parser.add_argument("--data-dir", default=None,
                         help="dataset directory (default: bundled, or NH3ECON_DATA)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -486,7 +500,7 @@ def run(argv=None) -> int:
             tables = _scenario_tables(dataset, getattr(args, "share", None))
             _emit(tables[args.scenario_command], args.format, args.output)
         elif args.command == "report":
-            _report(dataset, args.format, Path(args.output))
+            _report(dataset, args.format, args.output)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

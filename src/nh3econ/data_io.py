@@ -14,7 +14,9 @@ reference values that no analysis reads, and an override of one is an error.
 Loaders keep the raw cell text of each file, along with its comment lines
 and the line number of each row. Each loader reads its file, or parses
 bytes already read: a `Dataset` parses the bytes whose digests the
-manifest verified, so no file is read twice in a run.
+manifest verified, so no file is read twice in a run. A `ParameterSet` is
+a `dict` of floats, with each key's unit and provenance kept beside it.
+Paths are `str`, and messages name files as pathlib would.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from collections.abc import Mapping
 from functools import cached_property
-from pathlib import Path
 
 from .carriers import VOLUME_BRACKETS_KT
 from .cofiring import CofiringParams
@@ -79,12 +79,17 @@ SCHEMAS: dict[str, dict[str, str]] = {
 }
 
 
-def data_dir() -> Path:
+def data_dir() -> str:
     """Bundled data directory, overridable via the environment."""
-    override = os.environ.get(ENV_DATA_DIR)
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
+    return os.environ.get(ENV_DATA_DIR) or os.path.join(os.path.dirname(__file__), "data")
+
+
+def path_text(path) -> str:
+    """`path` as pathlib writes it: no empty or "." parts, "." if nothing is
+    left, and a leading "//" kept only as exactly two slashes."""
+    path = os.fspath(path)
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" * path.startswith("/")
+    return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
 
 
 class _Table:
@@ -93,7 +98,7 @@ class _Table:
 
     __slots__ = ("path", "comments", "header", "rows", "row_lines")
 
-    def __init__(self, path: Path, comments: tuple[str, ...], header: tuple[str, ...],
+    def __init__(self, path: str, comments: tuple[str, ...], header: tuple[str, ...],
                  rows: tuple[tuple[str, ...], ...], row_lines: tuple[int, ...]):
         self.path = path
         self.comments = comments
@@ -102,7 +107,7 @@ class _Table:
         self.row_lines = row_lines
 
 
-def _read_error(path: Path, exc: OSError | UnicodeDecodeError) -> InputError:
+def _read_error(path: str, exc: OSError | UnicodeDecodeError) -> InputError:
     """One-line input error for a file that cannot be read as UTF-8 text."""
     if isinstance(exc, FileNotFoundError):
         return InputError(f"dataset file not found: {path}")
@@ -111,18 +116,18 @@ def _read_error(path: Path, exc: OSError | UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
-def _read_bytes(path: Path) -> bytes:
+def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb", buffering=0) as file:
             return file.readall()
     except OSError as exc:
-        raise _read_error(path, exc) from None
+        raise _read_error(path_text(path), exc) from None
 
 
-def _read_table(path: Path | str, data: bytes | None = None) -> _Table:
+def _read_table(path: str, data: bytes | None = None) -> _Table:
     """Parse a dataset file: `data`, its bytes already read, or else the
     file at `path`, which error messages name either way."""
-    path = Path(path)
+    path = path_text(path)
     if data is None:
         data = _read_bytes(path)
     try:
@@ -153,7 +158,7 @@ def _read_table(path: Path | str, data: bytes | None = None) -> _Table:
     return _Table(path, tuple(comments), header, tuple(rows), tuple(row_lines))
 
 
-def _parse_float(cell: str, path: Path, lineno: int, column: str) -> float:
+def _parse_float(cell: str, path: str, lineno: int, column: str) -> float:
     try:
         value = float(cell)
     except ValueError:
@@ -175,28 +180,17 @@ class ParamEntry:
         self.provenance = provenance
 
 
-class ParameterSet(Mapping):
-    """Namespaced key -> (value, unit, provenance), loaded from one file.
-
-    Behaves as a read-only mapping from key to float value.
-    """
+class ParameterSet(dict):
+    """Namespaced key -> float value from one file, each key's `ParamEntry`
+    (value, unit, provenance) kept beside it; a missing key is an input error."""
 
     def __init__(self, namespace: str, entries: dict[str, ParamEntry]):
+        super().__init__((key, entry.value) for key, entry in entries.items())
         self.namespace = namespace
-        self._entries = dict(entries)
+        self._entries = entries
 
-    def __getitem__(self, key: str) -> float:
-        try:
-            return self._entries[key].value
-        except KeyError:
-            raise InputError(
-                f"parameter set {self.namespace!r} has no key {key!r}") from None
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def __missing__(self, key: str):
+        raise InputError(f"parameter set {self.namespace!r} has no key {key!r}")
 
     def rows(self) -> list[tuple[str, float, str, str]]:
         """Effective entries as (key, value, unit, provenance) rows."""
@@ -212,7 +206,7 @@ class ParameterSet(Mapping):
         return ParameterSet(self.namespace, merged)
 
 
-def load_params(path: Path | str, namespace: str,
+def load_params(path: str, namespace: str,
                 schema: dict[str, str] | None = None,
                 data: bytes | None = None) -> ParameterSet:
     """Load a key/value/unit/provenance file and validate it.
@@ -252,7 +246,7 @@ def load_params(path: Path | str, namespace: str,
     return ParameterSet(namespace, entries)
 
 
-def load_overrides(path: Path | str) -> ParameterSet:
+def load_overrides(path: str) -> ParameterSet:
     """A user override file, each key checked against every schema, so
     that one file can serve every namespace: a key that no schema declares
     (a misspelling, or a reference value that no analysis reads), or a unit
@@ -269,14 +263,14 @@ def load_overrides(path: Path | str) -> ParameterSet:
     return overrides
 
 
-def _load_namespace(namespace: str, directory: Path,
-                    contents: Mapping[str, bytes] | None = None) -> ParameterSet:
+def _load_namespace(namespace: str, directory: str,
+                    contents: dict[str, bytes] | None = None) -> ParameterSet:
     """A namespace's file, `<namespace>.csv`, checked against its schema;
     parsed from `contents` (file name -> bytes) when that holds the file."""
     if namespace not in SCHEMAS:
         raise InputError(f"unknown parameter namespace {namespace!r}")
     name = f"{namespace}.csv"
-    return load_params(directory / name, namespace, SCHEMAS[namespace],
+    return load_params(os.path.join(directory, name), namespace, SCHEMAS[namespace],
                        contents.get(name) if contents else None)
 
 
@@ -285,7 +279,7 @@ def load_bundled_params(namespace: str) -> ParameterSet:
     return _load_namespace(namespace, data_dir())
 
 
-def load_regions(path: Path | str, data: bytes | None = None) -> list[RegionRecord]:
+def load_regions(path: str, data: bytes | None = None) -> list[RegionRecord]:
     """Regional input/output records, validated strictly positive; `data`,
     when given, is the file's content, already read."""
     table = _read_table(path, data)
@@ -310,11 +304,11 @@ def load_regions(path: Path | str, data: bytes | None = None) -> list[RegionReco
     return records
 
 
-def bundled_regions_path(directory: Path | None = None) -> Path:
-    return (directory or data_dir()) / "regions_2019.csv"
+def bundled_regions_path(directory: str | None = None) -> str:
+    return os.path.join(data_dir() if directory is None else directory, "regions_2019.csv")
 
 
-def load_supply_levels(path: Path | str, data: bytes | None = None) -> list[SupplyLevel]:
+def load_supply_levels(path: str, data: bytes | None = None) -> list[SupplyLevel]:
     table = _read_table(path, data)
     if table.header != ("level", "renewable_share"):
         raise InputError(f"{table.path}: unexpected header")
@@ -323,7 +317,7 @@ def load_supply_levels(path: Path | str, data: bytes | None = None) -> list[Supp
             for row, ln in zip(table.rows, table.row_lines)]
 
 
-def load_demand_levels(path: Path | str, data: bytes | None = None) -> list[DemandLevel]:
+def load_demand_levels(path: str, data: bytes | None = None) -> list[DemandLevel]:
     table = _read_table(path, data)
     expected = ("level", "pr_ammonia", "pr_power", "pr_shipping", "pr_mobility")
     if table.header != expected:
@@ -348,10 +342,10 @@ class CalibrationEntry:
         self.oracle = oracle
 
 
-def calibration_ledger(directory: Path, data: bytes | None = None) -> list[CalibrationEntry]:
+def calibration_ledger(directory: str, data: bytes | None = None) -> list[CalibrationEntry]:
     """Every derived constant shipped with the data, with its derivation;
     `data`, when given, is the content of calibration.csv, already read."""
-    table = _read_table(directory / "calibration.csv", data)
+    table = _read_table(os.path.join(directory, "calibration.csv"), data)
     if table.header != ("constant", "value", "unit", "oracle"):
         raise InputError(f"{table.path}: unexpected header")
     return [CalibrationEntry(row[0], _parse_float(row[1], table.path, ln, "value"),
@@ -374,12 +368,12 @@ class DatasetManifest:
         self.calibration = calibration
 
 
-def load_manifest(directory: Path | None = None) -> DatasetManifest:
+def load_manifest(directory: str | None = None) -> DatasetManifest:
     """Read manifest.csv and every listed file, once, verifying its digest;
     the manifest keeps the bytes it verified. A file listed twice is an
     input error, so no row can replace another."""
-    base_dir = directory or data_dir()
-    table = _read_table(base_dir / "manifest.csv")
+    base_dir = data_dir() if directory is None else directory
+    table = _read_table(os.path.join(base_dir, "manifest.csv"))
     if table.header != ("file", "sha256"):
         raise InputError(f"{table.path}: unexpected header")
     version = ""
@@ -394,7 +388,7 @@ def load_manifest(directory: Path | None = None) -> DatasetManifest:
         files[name] = digest
     contents = {}
     for name, digest in files.items():
-        data = _read_bytes(base_dir / name)
+        data = _read_bytes(os.path.join(base_dir, name))
         actual = hashlib.sha256(data).hexdigest()
         if actual != digest:
             raise InputError(
@@ -418,16 +412,15 @@ class Dataset:
     A file the manifest does not list is read from the directory.
     """
 
-    def __init__(self, directory: Path | None = None,
-                 params_path: Path | str | None = None,
-                 regions_path: Path | str | None = None):
-        self.directory = directory or data_dir()
+    def __init__(self, directory: str | None = None, params_path: str | None = None,
+                 regions_path: str | None = None):
+        self.directory = data_dir() if directory is None else directory
         self.manifest = load_manifest(self.directory)
         self.version = self.manifest.version
         self.overrides = None if params_path is None else load_overrides(params_path)
         self._regions_path = regions_path or bundled_regions_path(self.directory)
-        self._regions_data = (None if regions_path
-                              else self.manifest.contents.get(self._regions_path.name))
+        self._regions_data = (None if regions_path else
+                              self.manifest.contents.get(os.path.basename(self._regions_path)))
         self._params: dict[str, ParameterSet] = {}
 
     def params(self, namespace: str) -> ParameterSet:
@@ -445,10 +438,10 @@ class Dataset:
 
     @cached_property
     def supply_levels(self) -> list[SupplyLevel]:
-        return load_supply_levels(self.directory / "supply_levels.csv",
+        return load_supply_levels(os.path.join(self.directory, "supply_levels.csv"),
                                   self.manifest.contents.get("supply_levels.csv"))
 
     @cached_property
     def demand_levels(self) -> list[DemandLevel]:
-        return load_demand_levels(self.directory / "demand_levels.csv",
+        return load_demand_levels(os.path.join(self.directory, "demand_levels.csv"),
                                   self.manifest.contents.get("demand_levels.csv"))

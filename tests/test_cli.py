@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 import nh3econ
 from nh3econ import cli, data_io
 from nh3econ.errors import SolverError
-
-GOLDEN = Path(__file__).parent / "golden"
+from test_golden import GOLDEN, _assert_matches_golden
 
 
 def _csv_rows(text):
@@ -155,7 +154,7 @@ def test_report_failing_mid_write_removes_what_it_created(tmp_path, monkeypatch,
     original = cli._write
 
     def failing(path, *args, **kwargs):
-        if path.name == "cofiring_ladder.csv":
+        if Path(path).name == "cofiring_ladder.csv":
             raise OSError(28, "No space left on device")
         return original(path, *args, **kwargs)
 
@@ -177,7 +176,7 @@ def test_report_over_an_existing_tree_replaces_it_whole_or_not_at_all(tmp_path, 
     original = cli._write
 
     def failing(path, *args, **kwargs):
-        if "cofiring_ladder" in path.name:
+        if "cofiring_ladder" in Path(path).name:
             raise OSError(28, "No space left on device")
         return original(path, *args, **kwargs)
 
@@ -279,6 +278,115 @@ def test_cofire_all_with_rate_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --rate: not allowed with argument --all" in captured.err
+
+
+@pytest.mark.parametrize("output", ["", ".", "out/", "./out", "out//", "./out/./", "x/../out"])
+def test_report_output_spellings_write_the_report(output, tmp_path, monkeypatch, capsys):
+    # "" is the current directory, as "." is; "x/.." is made on the way
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["report", "--output", output]) == 0
+    assert capsys.readouterr() == ("", "")
+    _assert_matches_golden(tmp_path / output, "default_csv")
+
+
+def test_report_failing_under_missing_parents_removes_each_of_them(tmp_path, monkeypatch,
+                                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    original = cli._write
+
+    def failing(path, *args):
+        if os.path.basename(path) == "cofiring_ladder.csv":
+            raise OSError(28, "No space left on device")
+        return original(path, *args)
+
+    monkeypatch.setattr(cli, "_write", failing)
+    assert cli.run(["report", "--output", "a/b/c"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot write output: [Errno 28] No space left on device\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("output, named", [
+    ("", "supply_demand_balance.csv"), (".", "supply_demand_balance.csv"),
+    ("./OUT/", "OUT/supply_demand_balance.csv"), ("OUT//.", "OUT/supply_demand_balance.csv"),
+])
+def test_directory_target_is_named_as_the_output_spelling_gives_it(output, named, tmp_path,
+                                                                   monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / named).mkdir(parents=True)
+    assert cli.run(["report", "--output", output]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: {named} exists and is not a regular file\n")
+
+
+@pytest.mark.parametrize("output, error", [
+    ("F", "[Errno 17] File exists: 'F'"),
+    ("F/x", "[Errno 20] Not a directory: 'F/x'"),
+    ("./F/x/y/", "[Errno 20] Not a directory: 'F/x/y'"),
+])
+def test_output_at_or_under_a_file_is_named_as_pathlib_names_it(output, error, tmp_path,
+                                                                monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("kept\n")
+    assert cli.run(["report", "--output", output]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write output: {error}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
+@pytest.mark.parametrize("spelling", ["./data", "data/", "data//.", "absolute"])
+def test_missing_dataset_file_is_named_alike_for_each_data_dir_spelling(
+        spelling, tmp_path, monkeypatch, capsys):
+    shutil.copytree(data_io.data_dir(), tmp_path / "data")
+    (tmp_path / "data" / "gapfill.csv").unlink()
+    monkeypatch.chdir(tmp_path)
+    absolute = spelling == "absolute"
+    data = str(tmp_path / "data") if absolute else spelling
+    assert cli.run(["--data-dir", data, "report", "--output", "out"]) == 2
+    named = f"{tmp_path}/data/gapfill.csv" if absolute else "data/gapfill.csv"
+    assert capsys.readouterr() == ("", f"error: dataset file not found: {named}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "data"]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("wacc,0.08,fraction,", "sub/p.csv: line 2: empty provenance for 'wacc'"),
+    ("wac,0.08,fraction,x", "./sub//p.csv: unknown parameter key 'wac': no analysis reads it"),
+])
+def test_params_file_is_named_as_each_message_names_it(row, message, tmp_path, monkeypatch,
+                                                       capsys):
+    # a parse error names the file as pathlib writes it; a key error names
+    # it as it was given
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "p.csv").write_text(f"key,value,unit,provenance\n{row}\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["report", "--output", "out", "--params", "./sub//p.csv"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_non_finite_cell_in_the_last_table_exits_2_before_any_write(
+        output_format, tmp_path, monkeypatch, capsys):
+    # every table is rendered, and so checked, before the first directory
+    # or file is made: no new tree, and an existing one keeps every byte
+    from nh3econ import scenarios
+    original = scenarios.balance_report
+
+    def infinite_coverage(*args):
+        rows = original(*args)
+        rows[-1].coverage = float("inf")
+        return rows
+
+    tree = tmp_path / "tree"
+    argv = ["report", "--format", output_format, "--output"]
+    assert cli.run([*argv, str(tree)]) == 0
+    before = {p.name: p.read_bytes() for p in tree.iterdir()}
+    monkeypatch.setattr(scenarios, "balance_report", infinite_coverage)
+    for out in (tmp_path / "new" / "out", tree):
+        assert cli.run([*argv, str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: green ammonia supply vs demand balance; dataset cn-2019-v1: "
+            "column 'coverage' is inf, not a finite number\n"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree"]
+    assert {p.name: p.read_bytes() for p in tree.iterdir()} == before
 
 
 def test_report_tree_is_deterministic(tmp_path):
@@ -483,7 +591,7 @@ def test_unusable_vehicle_or_storage_size_exits_2_naming_the_stage(
 
 @pytest.mark.parametrize("command", [["gtfp"], ["report"]])
 def test_regions_too_far_apart_to_score_exit_2_naming_both(command, tmp_path, capsys):
-    text = data_io.bundled_regions_path().read_text()
+    text = Path(data_io.bundled_regions_path()).read_text()
     regions = tmp_path / "regions.csv"
     regions.write_text(text.replace("North,943.50,", "North,1e-307,"))
     out = tmp_path / "out"
@@ -648,7 +756,7 @@ MUTATION_COMMANDS = (["gtfp"], ["carrier", "delivery"], ["carrier", "storage"], 
 def mutated_files(draw):
     """(file name, new text): one cell replaced, or one row dropped or doubled."""
     name = draw(st.sampled_from(DATASET_FILES))
-    lines = (data_io.data_dir() / name).read_text(encoding="utf-8").splitlines()
+    lines = (Path(data_io.data_dir()) / name).read_text(encoding="utf-8").splitlines()
     index = draw(st.sampled_from([i for i, line in enumerate(lines)
                                   if line.strip() and not line.startswith("#")]))
     kind = draw(st.sampled_from(("cell", "drop", "duplicate")))

@@ -82,7 +82,7 @@ REFERENCE_KEYS = (
 
 def test_provenance_nonempty_everywhere():
     for name in PARAMETER_FILES:
-        params = data_io.load_params(data_io.data_dir() / name, name[:-4])
+        params = data_io.load_params(Path(data_io.data_dir()) / name, name[:-4])
         for key, _, _, provenance in params.rows():
             assert provenance.strip(), key
 
@@ -90,14 +90,14 @@ def test_provenance_nonempty_everywhere():
 def test_reference_keys_are_the_keys_no_schema_declares():
     declared = {key for schema in data_io.SCHEMAS.values() for key in schema}
     undeclared = {(name, key) for name in PARAMETER_FILES
-                  for key in data_io.load_params(data_io.data_dir() / name, name[:-4])
+                  for key in data_io.load_params(Path(data_io.data_dir()) / name, name[:-4])
                   if key not in declared}
     assert undeclared == set(REFERENCE_KEYS)
 
 
 @pytest.mark.parametrize("name, key", REFERENCE_KEYS)
 def test_override_of_a_reference_key_exits_2_without_output(name, key, tmp_path, capsys):
-    row = next(line for line in (data_io.data_dir() / name).read_text().splitlines()
+    row = next(line for line in (Path(data_io.data_dir()) / name).read_text().splitlines()
                if line.startswith(f"{key},"))
     params = tmp_path / "params.csv"
     params.write_text(f"key,value,unit,provenance\n{row}\n")
@@ -109,7 +109,7 @@ def test_override_of_a_reference_key_exits_2_without_output(name, key, tmp_path,
 
 
 def test_missing_key_listed(tmp_path):
-    source = (data_io.data_dir() / "cofiring.csv").read_text()
+    source = (Path(data_io.data_dir()) / "cofiring.csv").read_text()
     lines = [line for line in source.splitlines()
              if not line.startswith("coal_consumption_tce_per_mwh")]
     path = tmp_path / "cofiring.csv"
@@ -136,7 +136,7 @@ def test_unit_mismatch_rejected(tmp_path):
 
 
 def test_fractional_lifetime_rejected(tmp_path):
-    source = (data_io.data_dir() / "carriers.csv").read_text()
+    source = (Path(data_io.data_dir()) / "carriers.csv").read_text()
     path = tmp_path / "carriers.csv"
     path.write_text(source.replace("lifetime_years,20,", "lifetime_years,20.5,"))
     with pytest.raises(InputError, match="key 'lifetime_years' must be a whole number "
@@ -167,7 +167,7 @@ def _serialize(table) -> str:
 def test_round_trip_is_byte_identical():
     # the loaders keep each file's raw cell text, so every bundled file can
     # be written back from its parse byte for byte
-    paths = sorted(data_io.data_dir().glob("*.csv"))
+    paths = sorted(Path(data_io.data_dir()).glob("*.csv"))
     assert len(paths) == 9
     for path in paths:
         assert _serialize(data_io._read_table(path)) == path.read_text(encoding="utf-8"), path
@@ -259,9 +259,9 @@ def test_overrides_replace_only_the_keys_a_namespace_declares():
 
 
 def test_levels_loaders():
-    supply = data_io.load_supply_levels(data_io.data_dir() / "supply_levels.csv")
+    supply = data_io.load_supply_levels(Path(data_io.data_dir()) / "supply_levels.csv")
     assert [lvl.renewable_share for lvl in supply] == [0.15, 0.35, 0.65]
-    demand = data_io.load_demand_levels(data_io.data_dir() / "demand_levels.csv")
+    demand = data_io.load_demand_levels(Path(data_io.data_dir()) / "demand_levels.csv")
     assert len(demand) == 5
     assert demand[4].pr_mobility == 0.80
 

@@ -3,6 +3,7 @@ utilities, and the structural DEA properties on randomized records."""
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ def test_extrapolate_emission():
 
 
 def test_tibet_gap_fill_matches_ledger():
-    params = data_io.load_params(data_io.data_dir() / "gapfill.csv", "gapfill")
+    params = data_io.load_params(Path(data_io.data_dir()) / "gapfill.csv", "gapfill")
     cagr = series_cagr(params["national_co2_2014_mt"], params["national_co2_2019_mt"], 5)
     ledger = {e.constant: e.value for e in data_io.Dataset().manifest.calibration}
     assert cagr == pytest.approx(ledger["national_co2_cagr_2014_2019"], abs=1e-9)

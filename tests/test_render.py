@@ -99,12 +99,21 @@ def test_empty_table_layout():
     assert table.to_csv() == "# nothing\n\n\n"
 
 
+def _each_writer(table):
+    """Each way a table becomes text."""
+    return (table.to_csv, table.to_json, lambda: table.render("csv"),
+            lambda: table.render("json"))
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_table_rejects_non_finite_cells(value):
+    # add takes the row; every writer refuses it
     table = cli.Table("balance", ("level", "coverage"))
-    with pytest.raises(InputError, match="'coverage' is .*not a finite number"):
-        table.add("Level 1", value)
-    assert table.rows == []
+    table.add("Level 1", value)
+    assert table.rows == [("Level 1", value)]
+    for write in _each_writer(table):
+        with pytest.raises(InputError, match="'coverage' is .*not a finite number"):
+            write()
 
 
 class _Float(float):
@@ -151,6 +160,47 @@ def test_column_writers_match_the_oracle(table):
 ])
 def test_table_names_the_first_non_finite_column(row, column):
     table = cli.Table("grid", ("a", "b", "c"))
-    with pytest.raises(InputError, match=f"^grid: column '{column}' is "):
+    table.add(*row)
+    assert table.rows == [row]
+    for write in _each_writer(table):
+        with pytest.raises(InputError, match=f"^grid: column '{column}' is "):
+            write()
+
+
+NON_FINITE = (math.inf, -math.inf, math.nan, _Float("inf"), _Float("-nan"))
+COLUMN_POOLS = (          # an exact-float column, a mixed one, a float-subclass one
+    (0.0, -0.0, 1.5, 0.65304, 123456789012345.67),
+    (1, 2.5, "x", True, _Float(2.0)),
+    (_Float(0.5), _Float(-0.0)),
+)
+
+
+@st.composite
+def tables_with_non_finite_cells(draw):
+    """A table over the pools, and its cells in row order with one or more
+    made non-finite: an exact float in an exact-float column, any
+    non-finite float elsewhere."""
+    pools = draw(st.lists(st.sampled_from(COLUMN_POOLS), min_size=1, max_size=4))
+    rows = [[draw(st.sampled_from(pool)) for pool in pools]
+            for _ in range(draw(st.integers(min_value=1, max_value=12)))]
+    cells = [(r, c) for r in range(len(rows)) for c in range(len(pools))]
+    for r, c in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True)):
+        bad = NON_FINITE[:3] if pools[c] is COLUMN_POOLS[0] else NON_FINITE
+        rows[r][c] = draw(st.sampled_from(bad))
+    table = cli.Table("grid", tuple(f"c{i}" for i in range(len(pools))))
+    for row in rows:
         table.add(*row)
-    assert table.rows == []
+    first = next((c, rows[r][c]) for r, c in cells
+                 if isinstance(rows[r][c], float) and not math.isfinite(rows[r][c]))
+    return table, first
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_non_finite_cells())
+def test_writers_name_the_first_non_finite_cell_in_row_order(drawn):
+    table, (column, value) = drawn
+    message = f"grid: column 'c{column}' is {value}, not a finite number"
+    for write in _each_writer(table):
+        with pytest.raises(InputError) as excinfo:
+            write()
+        assert str(excinfo.value) == message

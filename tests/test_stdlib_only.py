@@ -49,3 +49,12 @@ def test_stdout_matches_golden(name, output_format):
     result = _run(*COMMANDS[name], "--format", output_format)
     assert (result.returncode, result.stderr) == (0, b"")
     assert result.stdout == (GOLDEN / "stdout" / f"{name}.{output_format}").read_bytes()
+
+
+def test_cli_imports_without_pathlib():
+    # data_io and cli join, read and name files with os.path
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import nh3econ.cli, sys; print('pathlib' in sys.modules)"],
+        env=env, capture_output=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"False\n", b"")
