@@ -12,12 +12,12 @@ plus a newline, written directly: 2-space indent, keys `columns`,
 as `true`/`false`, and every other cell as the shortest repr of the value
 rounded to four decimals (`0.65`, `1.0`, never `-0.0`).
 
-Both writers turn cells into text a column at a time. A column whose cells
-all have one exact type (`str`, `bool`, `int` or `float`) is converted by
-one formatter for that type, once per distinct value; any other column
-(mixed types, a float subclass) goes cell by cell through `fmt` or
-`_json_cell`. Either way a cell's text is what `fmt` or `_json_cell` gives it,
-and its finiteness is checked once per distinct value or once per cell.
+Both writers turn cells into text a column at a time, through one
+converter, `_column_texts`, that converts each distinct value once: a str
+column as text, a bool column as `true`/`false`, and any other column as
+numbers, by `_number_texts` for CSV and `_json_number_texts` for JSON. A
+column that mixes str or bool with another type goes through the same
+converter one cell at a time.
 
 Exit codes: 0 success, 2 input error (including usage), 3 solver failure.
 An `--output` path that cannot be written (a `report` directory that is
@@ -49,41 +49,12 @@ CHAIN_ORDER = ("NH3_with_crack", "NH3_direct", "LH2", "pipeline")
 COST_COLUMNS = ("medium", "volume_kt", "distance_km", "days", "stage", "usd_per_kg")
 
 
-def fmt(value) -> str:
-    """Four decimals, trailing zeros trimmed; a non-finite float raises ValueError."""
-    if type(value) is not float:    # most cells are floats: skip the checks
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, str):
-            return value
-    if isinstance(value, float) and not isfinite(value):
-        raise ValueError(f"{value} is not a finite number")
-    text = f"{float(value):.4f}".rstrip("0").rstrip(".")
-    return "0" if text == "-0" else text
-
-
-def _json_cell(value) -> str:
-    """JSON text of a cell, as json.dumps writes float(fmt(value)).
-
-    Distinct decimals of up to 15 significant digits are distinct doubles,
-    so a number text of at most 15 characters is already the shortest
-    repr of the double it reads as, short of the ".0" that repr gives a
-    whole number; a longer one goes through repr."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    text = fmt(value)
-    if len(text) > 15:
-        return repr(float(text))
-    return text if "." in text else text + ".0"
-
-
 _BOOL_TEXT = {True: "true", False: "false"}
 
 
 def _number_texts(column) -> list[str]:
-    """`fmt` of every cell of a column of exact ints or exact floats."""
+    """Each number of a column to four decimals, trailing zeros trimmed and
+    "-0" written "0"; a cell that is not finite raises ValueError."""
     if not all(map(isfinite, column)):
         raise ValueError("not a finite number")
     texts = [f"{float(value):.4f}".rstrip("0").rstrip(".") for value in column]
@@ -92,49 +63,32 @@ def _number_texts(column) -> list[str]:
     return texts
 
 
-def _one_type(column) -> type | None:
-    """The exact type every cell of a column has, or None."""
+def _json_number_texts(column) -> list[str]:
+    """Each number of a column as json.dumps writes the float of its
+    `_number_texts` text: distinct decimals of up to 15 significant digits
+    are distinct doubles, so a text of at most 15 characters is already the
+    shortest repr, short of the ".0" that repr gives a whole number."""
+    return [repr(float(text)) if len(text) > 15 else text if "." in text else text + ".0"
+            for text in _number_texts(column)]
+
+
+def _column_texts(column, strings, numbers) -> list[str] | tuple[str, ...]:
+    """The text of every cell of a column, each distinct value converted
+    once: a str column by `strings` (None keeps it as it is), a bool column
+    by `_BOOL_TEXT` and any other column by `numbers`, which formats
+    float(value), so equal numbers of different types print alike. A column
+    that mixes str or bool with another type is converted cell by cell."""
     kinds = set(map(type, column))
-    return kinds.pop() if len(kinds) == 1 else None
-
-
-def _each_distinct(convert, column) -> list[str]:
-    """convert(column), converting each distinct value once (0.0 and -0.0 print alike)."""
+    if len(kinds) > 1 and (str in kinds or bool in kinds):
+        return [_column_texts((cell,), strings, numbers)[0] for cell in column]
+    if bool in kinds:
+        return list(map(_BOOL_TEXT.__getitem__, column))
+    convert = strings if str in kinds else numbers
+    if convert is None:
+        return column
     texts = dict.fromkeys(column)
     texts = dict(zip(texts, convert(list(texts))))
     return list(map(texts.__getitem__, column))
-
-
-def _csv_column(column) -> list[str] | tuple[str, ...]:
-    """`fmt` of every cell of a column."""
-    kind = _one_type(column)
-    if kind is str:
-        return column
-    if kind is bool:
-        return list(map(_BOOL_TEXT.__getitem__, column))
-    if kind is float or kind is int:
-        return _each_distinct(_number_texts, column)
-    return list(map(fmt, column))
-
-
-def _json_texts(values) -> list[str]:
-    """`_json_cell` of values of one exact type: str, int or float."""
-    if type(values[0]) is str:
-        return list(map(encode_basestring_ascii, values))
-    texts = _number_texts(values)
-    if max(map(len, texts)) <= 15:    # a longer one may not be the shortest repr
-        return [text if "." in text else text + ".0" for text in texts]
-    return list(map(_json_cell, values))
-
-
-def _json_column(column) -> list[str]:
-    """`_json_cell` of every cell of a column."""
-    kind = _one_type(column)
-    if kind is bool:
-        return list(map(_BOOL_TEXT.__getitem__, column))
-    if kind is str or kind is float or kind is int:
-        return _each_distinct(_json_texts, column)
-    return list(map(_json_cell, column))
 
 
 def _json_list(items: list[str] | tuple[str, ...], indent: str) -> str:
@@ -159,13 +113,14 @@ class Table:
             raise ValueError("row width mismatch")
         self.rows.append(row)
 
-    def _cell_texts(self, convert) -> list[tuple[str, ...]]:
-        """Each row's cell texts, converted a column at a time; a float
-        cell that is not finite is an input error naming the first one."""
+    def _cell_texts(self, strings, numbers) -> list[tuple[str, ...]]:
+        """Each row's cell texts, by `_column_texts` a column at a time; a
+        float cell that is not finite is an input error naming the first one."""
         if not self.columns:
             return [()] * len(self.rows)
         try:
-            return list(zip(*map(convert, zip(*self.rows))))
+            return list(zip(*(_column_texts(column, strings, numbers)
+                              for column in zip(*self.rows))))
         except ValueError:
             for row in self.rows:
                 for column, cell in zip(self.columns, row):
@@ -176,11 +131,12 @@ class Table:
 
     def to_csv(self) -> str:
         lines = [f"# {self.description}", ",".join(self.columns)]
-        lines += map(",".join, self._cell_texts(_csv_column))
+        lines += map(",".join, self._cell_texts(None, _number_texts))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        rows = self._cell_texts(_json_column)
+        rows = self._cell_texts(functools.partial(map, encode_basestring_ascii),
+                                _json_number_texts)
         # every row laid out as _json_list(row, "    ") would, in two joins
         rows = (["[\n      " + "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
                  + "\n    ]"] if rows and self.columns else ["[]"] * len(rows))
@@ -290,43 +246,45 @@ def _cofire_table(dataset: data_io.Dataset, rates, interpolate: bool) -> Table:
     return table
 
 
-def _scenario_tables(dataset: data_io.Dataset, share: float | None = None) -> dict[str, Table]:
-    params = dataset.params("scenarios")
-    supply = scenarios.SupplyAssumptions.from_mapping(params)
-    demand = scenarios.DemandAssumptions.from_mapping(params)
-    version = dataset.version
-
-    supply_table = Table(
-        f"green ammonia supply capacity by scenario level; dataset {version}",
+def _supply_table(dataset: data_io.Dataset, share: float | None = None) -> Table:
+    supply = scenarios.SupplyAssumptions.from_mapping(dataset.params("scenarios"))
+    table = Table(
+        f"green ammonia supply capacity by scenario level; dataset {dataset.version}",
         ("level", "renewable_share", "supply_mt"),
     )
-    if share is not None:
-        supply_table.add("custom", share, scenarios.supply_capacity_mt(supply, share))
-    else:
-        for level in dataset.supply_levels:
-            supply_table.add(level.name, level.renewable_share,
-                             scenarios.supply_capacity_mt(supply, level.renewable_share))
+    levels = ([("custom", share)] if share is not None else
+              [(level.name, level.renewable_share) for level in dataset.supply_levels])
+    for name, renewable_share in levels:
+        table.add(name, renewable_share, scenarios.supply_capacity_mt(supply, renewable_share))
+    return table
 
-    demand_table = Table(
-        f"green ammonia demand by scenario level and sector; dataset {version}",
+
+def _demand_table(dataset: data_io.Dataset) -> Table:
+    demand = scenarios.DemandAssumptions.from_mapping(dataset.params("scenarios"))
+    table = Table(
+        f"green ammonia demand by scenario level and sector; dataset {dataset.version}",
         ("level", "sector", "demand_mt"),
     )
     for level in dataset.demand_levels:
         breakdown = scenarios.demand_breakdown_mt(demand, level)
         for sector in scenarios.SECTORS:
-            demand_table.add(level.name, sector, breakdown[sector])
-        demand_table.add(level.name, "total", sum(breakdown.values()))
+            table.add(level.name, sector, breakdown[sector])
+        table.add(level.name, "total", sum(breakdown.values()))
+    return table
 
-    balance_table = Table(
-        f"green ammonia supply vs demand balance; dataset {version}",
-        ("supply_level", "demand_level", "supply_mt", "demand_mt",
-         "coverage", "covered"),
+
+def _balance_table(dataset: data_io.Dataset) -> Table:
+    params = dataset.params("scenarios")
+    table = Table(
+        f"green ammonia supply vs demand balance; dataset {dataset.version}",
+        ("supply_level", "demand_level", "supply_mt", "demand_mt", "coverage", "covered"),
     )
-    for row in scenarios.balance_report(supply, demand, dataset.supply_levels,
-                                        dataset.demand_levels):
-        balance_table.add(row.supply_level, row.demand_level, row.supply_mt,
-                          row.demand_mt, row.coverage, row.covered)
-    return {"supply": supply_table, "demand": demand_table, "balance": balance_table}
+    for row in scenarios.balance_report(scenarios.SupplyAssumptions.from_mapping(params),
+                                        scenarios.DemandAssumptions.from_mapping(params),
+                                        dataset.supply_levels, dataset.demand_levels):
+        table.add(row.supply_level, row.demand_level, row.supply_mt,
+                  row.demand_mt, row.coverage, row.covered)
+    return table
 
 
 def _report(dataset: data_io.Dataset, output_format: str, output_dir: str) -> None:
@@ -341,9 +299,10 @@ def _report(dataset: data_io.Dataset, output_format: str, output_dir: str) -> No
             DELIVERY_DISTANCES_KM, chains_at),
         "storage_by_duration": _storage_table(dataset, (100.0,), STORAGE_DAYS, chains_at),
         "cofiring_ladder": _cofire_table(dataset, cofiring.STANDARD_RATES, False),
+        "scenario_supply": _supply_table(dataset),
+        "scenario_demand": _demand_table(dataset),
+        "supply_demand_balance": _balance_table(dataset),
     }
-    outputs.update(zip(("scenario_supply", "scenario_demand", "supply_demand_balance"),
-                       _scenario_tables(dataset).values()))
     # every table is rendered before anything is checked, created or written
     texts = {f"{name}.{output_format}": table.render(output_format)
              for name, table in outputs.items()}
@@ -497,8 +456,10 @@ def run(argv=None) -> int:
             rates = cofiring.STANDARD_RATES if args.rate is None else (args.rate,)
             _emit(_cofire_table(dataset, rates, args.interpolate), args.format, args.output)
         elif args.command == "scenario":
-            tables = _scenario_tables(dataset, getattr(args, "share", None))
-            _emit(tables[args.scenario_command], args.format, args.output)
+            table = (_supply_table(dataset, args.share) if args.scenario_command == "supply"
+                     else _demand_table(dataset) if args.scenario_command == "demand"
+                     else _balance_table(dataset))
+            _emit(table, args.format, args.output)
         elif args.command == "report":
             _report(dataset, args.format, args.output)
     except InputError as exc:

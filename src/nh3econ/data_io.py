@@ -33,6 +33,7 @@ from .gtfp import RegionRecord
 from .scenarios import DemandAssumptions, DemandLevel, SupplyAssumptions, SupplyLevel
 
 ENV_DATA_DIR = "NH3ECON_DATA"
+REGIONS_FILE = "regions_2019.csv"
 
 REGION_COLUMNS = ("region", "energy_mtce", "labour_m", "capital_busd",
                   "co2_mt", "gdp_busd")
@@ -264,14 +265,14 @@ def load_overrides(path: str) -> ParameterSet:
 
 
 def _load_namespace(namespace: str, directory: str,
-                    contents: dict[str, bytes] | None = None) -> ParameterSet:
+                    manifest: DatasetManifest | None = None) -> ParameterSet:
     """A namespace's file, `<namespace>.csv`, checked against its schema;
-    parsed from `contents` (file name -> bytes) when that holds the file."""
+    parsed from the bytes that `manifest`, when given, verified."""
     if namespace not in SCHEMAS:
         raise InputError(f"unknown parameter namespace {namespace!r}")
     name = f"{namespace}.csv"
     return load_params(os.path.join(directory, name), namespace, SCHEMAS[namespace],
-                       contents.get(name) if contents else None)
+                       manifest.content(name) if manifest else None)
 
 
 def load_bundled_params(namespace: str) -> ParameterSet:
@@ -305,7 +306,7 @@ def load_regions(path: str, data: bytes | None = None) -> list[RegionRecord]:
 
 
 def bundled_regions_path(directory: str | None = None) -> str:
-    return os.path.join(data_dir() if directory is None else directory, "regions_2019.csv")
+    return os.path.join(data_dir() if directory is None else directory, REGIONS_FILE)
 
 
 def load_supply_levels(path: str, data: bytes | None = None) -> list[SupplyLevel]:
@@ -358,20 +359,27 @@ class DatasetManifest:
     content of each listed file (filename -> bytes) and the calibration
     ledger."""
 
-    __slots__ = ("version", "files", "contents", "calibration")
+    __slots__ = ("path", "version", "files", "contents", "calibration")
 
-    def __init__(self, version: str, files: dict[str, str], contents: dict[str, bytes],
-                 calibration: tuple[CalibrationEntry, ...]):
+    def __init__(self, path: str, version: str, files: dict[str, str],
+                 contents: dict[str, bytes]):
+        self.path = path
         self.version = version
         self.files = files
         self.contents = contents
-        self.calibration = calibration
+        self.calibration: tuple[CalibrationEntry, ...] = ()
+
+    def content(self, name: str) -> bytes:
+        """The verified bytes of a file; one the manifest does not list is an input error."""
+        if name not in self.contents:
+            raise InputError(f"{self.path}: does not list {name!r}, which this run parses")
+        return self.contents[name]
 
 
 def load_manifest(directory: str | None = None) -> DatasetManifest:
-    """Read manifest.csv and every listed file, once, verifying its digest;
-    the manifest keeps the bytes it verified. A file listed twice is an
-    input error, so no row can replace another."""
+    """Read manifest.csv and every listed file, once, verifying its digest,
+    and parse calibration.csv, which must be listed, from its verified bytes.
+    A file listed twice is an input error, so no row can replace another."""
     base_dir = data_dir() if directory is None else directory
     table = _read_table(os.path.join(base_dir, "manifest.csv"))
     if table.header != ("file", "sha256"):
@@ -395,8 +403,9 @@ def load_manifest(directory: str | None = None) -> DatasetManifest:
                 f"dataset file {name!r} digest mismatch: manifest has "
                 f"{digest[:12]}..., file has {actual[:12]}...")
         contents[name] = data
-    ledger = calibration_ledger(base_dir, contents.get("calibration.csv"))
-    return DatasetManifest(version, files, contents, tuple(ledger))
+    manifest = DatasetManifest(table.path, version, files, contents)
+    manifest.calibration = tuple(calibration_ledger(base_dir, manifest.content("calibration.csv")))
+    return manifest
 
 
 class Dataset:
@@ -409,7 +418,8 @@ class Dataset:
     verified, and kept: each namespace's parameters with the overrides of
     its declared keys layered over them, the regions table (the given
     one, read from its file, or the bundled one) and the scenario levels.
-    A file the manifest does not list is read from the directory.
+    A dataset file that a run parses must be listed in the manifest; only
+    the override and regions files given by path are read from outside it.
     """
 
     def __init__(self, directory: str | None = None, params_path: str | None = None,
@@ -418,30 +428,32 @@ class Dataset:
         self.manifest = load_manifest(self.directory)
         self.version = self.manifest.version
         self.overrides = None if params_path is None else load_overrides(params_path)
-        self._regions_path = regions_path or bundled_regions_path(self.directory)
-        self._regions_data = (None if regions_path else
-                              self.manifest.contents.get(os.path.basename(self._regions_path)))
+        self._regions_path = regions_path
         self._params: dict[str, ParameterSet] = {}
 
     def params(self, namespace: str) -> ParameterSet:
         """Effective parameters of one namespace."""
         if namespace not in self._params:
-            params = _load_namespace(namespace, self.directory, self.manifest.contents)
+            params = _load_namespace(namespace, self.directory, self.manifest)
             if self.overrides is not None:
                 params = params.with_overrides(self.overrides)
             self._params[namespace] = params
         return self._params[namespace]
 
+    def _load(self, load, name: str):
+        """`load` of a dataset file, parsed from the bytes the manifest verified."""
+        return load(os.path.join(self.directory, name), self.manifest.content(name))
+
     @cached_property
     def regions(self) -> list[RegionRecord]:
-        return load_regions(self._regions_path, self._regions_data)
+        if self._regions_path:
+            return load_regions(self._regions_path)
+        return self._load(load_regions, REGIONS_FILE)
 
     @cached_property
     def supply_levels(self) -> list[SupplyLevel]:
-        return load_supply_levels(os.path.join(self.directory, "supply_levels.csv"),
-                                  self.manifest.contents.get("supply_levels.csv"))
+        return self._load(load_supply_levels, "supply_levels.csv")
 
     @cached_property
     def demand_levels(self) -> list[DemandLevel]:
-        return load_demand_levels(os.path.join(self.directory, "demand_levels.csv"),
-                                  self.manifest.contents.get("demand_levels.csv"))
+        return self._load(load_demand_levels, "demand_levels.csv")

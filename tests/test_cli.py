@@ -403,12 +403,14 @@ def test_report_tree_is_deterministic(tmp_path):
 
 
 def test_float_format_is_trimmed():
-    assert cli.fmt(1.0) == "1"
-    assert cli.fmt(0.65) == "0.65"
-    assert cli.fmt(0.65304) == "0.653"
-    assert cli.fmt(-0.00001) == "0"
-    assert cli.fmt(True) == "true"
-    assert cli.fmt("NH3") == "NH3"
+    def csv_text(value):    # one cell, through the column converter
+        return cli._column_texts((value,), None, cli._number_texts)[0]
+    assert csv_text(1.0) == "1"
+    assert csv_text(0.65) == "0.65"
+    assert csv_text(0.65304) == "0.653"
+    assert csv_text(-0.00001) == "0"
+    assert csv_text(True) == "true"
+    assert csv_text("NH3") == "NH3"
 
 
 def test_report_hashes_each_manifest_file_once(tmp_path, monkeypatch):
@@ -470,6 +472,33 @@ def test_manifest_listing_a_missing_file_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.run(["--data-dir", str(data), "report", "--output", str(out)]) == 2
     _assert_one_line_naming(capsys, data / "gapfill.csv")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, command", [
+    ("calibration.csv", "cofire"),
+    ("carriers.csv", "carrier delivery"),
+    ("cofiring.csv", "cofire"),
+    ("demand_levels.csv", "scenario demand"),
+    ("regions_2019.csv", "gtfp"),
+    ("scenarios.csv", "scenario supply"),
+    ("supply_levels.csv", "scenario supply"),
+])
+def test_manifest_omitting_a_parsed_file_exits_2(name, command, tmp_path, capsys):
+    # the file on disk is changed too: a run must not read it unverified
+    data = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), data)
+    manifest = data / "manifest.csv"
+    manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                if not line.startswith(f"{name},")))
+    text = (data / name).read_text()
+    (data / name).write_text(text.replace("wacc,0.08,", "wacc,0.5,"))
+    line = f"error: {manifest}: does not list {name!r}, which this run parses\n"
+    out = tmp_path / "out"
+    assert cli.run(["--data-dir", str(data), *command.split()]) == 2
+    assert capsys.readouterr() == ("", line)
+    assert cli.run(["--data-dir", str(data), "report", "--output", str(out)]) == 2
+    assert capsys.readouterr() == ("", line)
     assert not out.exists()
 
 
@@ -702,6 +731,25 @@ def test_zero_demand_level_exits_2_without_output(tmp_path, capsys):
         "error: demand level 'Level 1' has a total demand of 0.0 Mt; "
         "supply coverage needs a positive demand"] * 2
     assert not out.exists()
+
+
+def test_zero_demand_level_leaves_supply_and_demand_tables_to_run(tmp_path, capsys):
+    # only the balance divides by a level's total demand
+    data = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), data)
+    demand = data / "demand_levels.csv"
+    demand.write_text(demand.read_text().replace(
+        "Level 1,0.10,0.01,0.03,0.10", "Level 1,0,0,0,0"))
+    _rehash(data, "demand_levels.csv")
+    assert cli.run(["--data-dir", str(data), "scenario", "supply"]) == 0
+    expected = (GOLDEN / "stdout" / "scenario_supply.csv").read_text()
+    assert capsys.readouterr() == (expected, "")
+    assert cli.run(["--data-dir", str(data), "scenario", "demand"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    level_1 = [line for line in captured.out.splitlines() if line.startswith("Level 1,")]
+    assert level_1 == [f"Level 1,{sector},0" for sector in ("power", "ammonia", "shipping",
+                                                             "mobility", "total")]
 
 
 def test_reused_parser_prints_what_a_fresh_process_prints(tmp_path, capsys):

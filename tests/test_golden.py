@@ -5,7 +5,8 @@ default_csv and default_json are the default report; override_csv and
 override_json are the report with tests/golden/overrides.csv, which
 overrides one key in each of the carriers, cofiring and scenarios
 namespaces. tests/golden/stdout/ holds what each analysis command prints,
-in CSV and JSON. A change that is meant to move an output byte re-records
+in CSV and JSON, and tests/golden/stderr/ what a command writes to stderr
+where that is not empty. A change that is meant to move an output byte re-records
 the affected files in the same change.
 """
 
@@ -38,7 +39,18 @@ COMMANDS = {
     "scenario_supply": ["scenario", "supply"],
     "scenario_demand": ["scenario", "demand"],
     "scenario_balance": ["scenario", "balance"],
+    "scenario_supply_share_0.5": ["scenario", "supply", "--share", "0.5"],
+    "cofire_rate_0.07_interpolate": ["cofire", "--rate", "0.07", "--interpolate"],
+    # both volumes are clamped, and 1e16 is a JSON number longer than 15 characters
+    "carrier_delivery_clamped": ["carrier", "delivery", "--volume", "5,1e16",
+                                 "--distance", "500"],
 }
+
+
+def golden_stderr(name: str) -> bytes:
+    """What a command of COMMANDS writes to stderr, in either format."""
+    path = GOLDEN / "stderr" / f"{name}.txt"
+    return path.read_bytes() if path.exists() else b""
 
 
 def _assert_matches_golden(out: Path, tree: str) -> None:
@@ -61,7 +73,7 @@ def test_report_tree_matches_golden(tree, tmp_path, capsys):
 def test_command_stdout_matches_golden(name, output_format, capsys):
     assert cli.run([*COMMANDS[name], "--format", output_format]) == 0
     expected = (GOLDEN / "stdout" / f"{name}.{output_format}").read_bytes().decode("utf-8")
-    assert capsys.readouterr() == (expected, "")
+    assert capsys.readouterr() == (expected, golden_stderr(name).decode("utf-8"))
 
 
 NO_NUMPY_REPORT = """

@@ -21,6 +21,16 @@ def _oracle_fmt(value) -> str:
     return "0" if text == "-0" else text
 
 
+def _csv_text(value) -> str:
+    """The CSV text of one cell, through the column converter."""
+    return cli._column_texts((value,), None, cli._number_texts)[0]
+
+
+def _json_number_text(value) -> str:
+    """The JSON text of one number cell, through the column converter."""
+    return cli._column_texts((value,), None, cli._json_number_texts)[0]
+
+
 def _oracle_csv(table) -> str:
     lines = [f"# {table.description}", ",".join(table.columns)]
     lines.extend(",".join(_oracle_fmt(cell) for cell in row) for row in table.rows)
@@ -77,8 +87,8 @@ def test_writers_match_the_oracle(table):
 @given(st.floats(allow_nan=False, allow_infinity=False)
        | st.floats(min_value=-1e16, max_value=1e16))
 def test_json_number_is_float_of_fmt(value):
-    assert cli._json_cell(value) == repr(float(_oracle_fmt(value)))
-    assert cli.fmt(value) == _oracle_fmt(value)
+    assert _json_number_text(value) == repr(float(_oracle_fmt(value)))
+    assert _csv_text(value) == _oracle_fmt(value)
 
 
 @pytest.mark.parametrize("value, text", [
@@ -88,7 +98,7 @@ def test_json_number_is_float_of_fmt(value):
     (123456789012345.67, "123456789012345.67"), (2**70, "1.1805916207174113e+21"),
 ])
 def test_json_number_edge_cases(value, text):
-    assert cli._json_cell(value) == text == repr(float(_oracle_fmt(value)))
+    assert _json_number_text(value) == text == repr(float(_oracle_fmt(value)))
 
 
 def test_empty_table_layout():
@@ -117,7 +127,7 @@ def test_table_rejects_non_finite_cells(value):
 
 
 class _Float(float):
-    """A float subclass: its columns go through fmt and _json_cell."""
+    """A float subclass: its columns go through the number converters."""
 
 
 # Small pools, so that columns repeat values and equal values of different

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from test_golden import COMMANDS, GOLDEN, TREES, _assert_matches_golden
+from test_golden import COMMANDS, GOLDEN, TREES, _assert_matches_golden, golden_stderr
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -47,7 +47,7 @@ def test_report_tree_matches_golden_and_again_over_itself(tree, tmp_path):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_golden(name, output_format):
     result = _run(*COMMANDS[name], "--format", output_format)
-    assert (result.returncode, result.stderr) == (0, b"")
+    assert (result.returncode, result.stderr) == (0, golden_stderr(name))
     assert result.stdout == (GOLDEN / "stdout" / f"{name}.{output_format}").read_bytes()
 
 
