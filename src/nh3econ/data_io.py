@@ -11,12 +11,14 @@ and their units: `CARRIER_SCHEMA`, and the `UNITS` that the co-firing and
 scenario classes declare. Other keys in a file (all of gapfill.csv) are
 reference values that no analysis reads, and an override of one is an error.
 
-Loaders keep the raw cell text of each file, along with its comment lines
-and the line number of each row. Each loader reads its file, or parses
-bytes already read: a `Dataset` parses the bytes whose digests the
-manifest verified, so no file is read twice in a run. A `ParameterSet` is
-a `dict` of floats, with each key's unit and provenance kept beside it.
-Paths are `str`, and messages name files as pathlib would.
+One reader parses every file: it keeps the raw cell text, the comment
+lines and the line number of each row, drops one leading byte-order mark
+and checks the header with one message, `<path>: expected header
+<columns>, got <cells>`. Bundled files are parsed only from the bytes whose
+digests `load_manifest` verified; only `--params` and `--regions` files are
+read by path. A `ParameterSet` is a `dict` of floats, with each key's unit
+and provenance kept beside it. Paths are `str`, and messages name files as
+pathlib would.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ REGIONS_FILE = "regions_2019.csv"
 REGION_COLUMNS = ("region", "energy_mtce", "labour_m", "capital_busd",
                   "co2_mt", "gdp_busd")
 PARAM_COLUMNS = ("key", "value", "unit", "provenance")
+MANIFEST_COLUMNS = ("file", "sha256")
+CALIBRATION_COLUMNS = ("constant", "value", "unit", "oracle")
+SUPPLY_COLUMNS = ("level", "renewable_share")
+DEMAND_COLUMNS = ("level", "pr_ammonia", "pr_power", "pr_shipping", "pr_mobility")
 
 CARRIER_SCHEMA: dict[str, str] = {
     "wacc": "fraction",
@@ -94,16 +100,15 @@ def path_text(path) -> str:
 
 
 class _Table:
-    """Raw parsed file: comment lines, header cells, row cells and the
-    line number of each row."""
+    """Raw parsed file: comment lines, row cells and the line number of
+    each row."""
 
-    __slots__ = ("path", "comments", "header", "rows", "row_lines")
+    __slots__ = ("path", "comments", "rows", "row_lines")
 
-    def __init__(self, path: str, comments: tuple[str, ...], header: tuple[str, ...],
+    def __init__(self, path: str, comments: tuple[str, ...],
                  rows: tuple[tuple[str, ...], ...], row_lines: tuple[int, ...]):
         self.path = path
         self.comments = comments
-        self.header = header
         self.rows = rows
         self.row_lines = row_lines
 
@@ -125,14 +130,15 @@ def _read_bytes(path: str) -> bytes:
         raise _read_error(path_text(path), exc) from None
 
 
-def _read_table(path: str, data: bytes | None = None) -> _Table:
-    """Parse a dataset file: `data`, its bytes already read, or else the
-    file at `path`, which error messages name either way."""
+def _read_table(path: str, columns: tuple[str, ...], data: bytes | None = None) -> _Table:
+    """Parse a dataset file whose header row must be `columns`: `data`, its
+    bytes already read, or else the file at `path`, which error messages
+    name either way. One leading byte-order mark is dropped after decoding."""
     path = path_text(path)
     if data is None:
         data = _read_bytes(path)
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise _read_error(path, exc) from None
     comments: list[str] = []
@@ -147,6 +153,9 @@ def _read_table(path: str, data: bytes | None = None) -> _Table:
             continue
         cells = tuple(map(str.strip, line.split(",")))
         if header is None:
+            if cells != columns:
+                raise InputError(
+                    f"{path}: expected header {','.join(columns)}, got {','.join(cells)}")
             header = cells
         elif len(cells) != len(header):
             raise InputError(
@@ -156,7 +165,7 @@ def _read_table(path: str, data: bytes | None = None) -> _Table:
             row_lines.append(lineno)
     if header is None:
         raise InputError(f"{path}: no header row found")
-    return _Table(path, tuple(comments), header, tuple(rows), tuple(row_lines))
+    return _Table(path, tuple(comments), tuple(rows), tuple(row_lines))
 
 
 def _parse_float(cell: str, path: str, lineno: int, column: str) -> float:
@@ -217,11 +226,7 @@ def load_params(path: str, namespace: str,
     provenance and a value in years (unit `yr`) that is not a whole number
     are rejected. `data`, when given, is the file's content, already read.
     """
-    table = _read_table(path, data)
-    if table.header != PARAM_COLUMNS:
-        raise InputError(
-            f"{table.path}: expected header {','.join(PARAM_COLUMNS)}, "
-            f"got {','.join(table.header)}")
+    table = _read_table(path, PARAM_COLUMNS, data)
     entries: dict[str, ParamEntry] = {}
     for cells, lineno in zip(table.rows, table.row_lines):
         key, raw_value, unit, provenance = cells
@@ -264,30 +269,15 @@ def load_overrides(path: str) -> ParameterSet:
     return overrides
 
 
-def _load_namespace(namespace: str, directory: str,
-                    manifest: DatasetManifest | None = None) -> ParameterSet:
-    """A namespace's file, `<namespace>.csv`, checked against its schema;
-    parsed from the bytes that `manifest`, when given, verified."""
-    if namespace not in SCHEMAS:
-        raise InputError(f"unknown parameter namespace {namespace!r}")
-    name = f"{namespace}.csv"
-    return load_params(os.path.join(directory, name), namespace, SCHEMAS[namespace],
-                       manifest.content(name) if manifest else None)
-
-
 def load_bundled_params(namespace: str) -> ParameterSet:
-    """Bundled parameters for a namespace, read from `data_dir()`."""
-    return _load_namespace(namespace, data_dir())
+    """Bundled parameters for a namespace, from a verified `Dataset()`."""
+    return Dataset().params(namespace)
 
 
 def load_regions(path: str, data: bytes | None = None) -> list[RegionRecord]:
     """Regional input/output records, validated strictly positive; `data`,
     when given, is the file's content, already read."""
-    table = _read_table(path, data)
-    if table.header != REGION_COLUMNS:
-        raise InputError(
-            f"{table.path}: expected header {','.join(REGION_COLUMNS)}, "
-            f"got {','.join(table.header)}")
+    table = _read_table(path, REGION_COLUMNS, data)
     if not table.rows:
         raise InputError(f"{table.path}: no records")
     records = []
@@ -305,30 +295,8 @@ def load_regions(path: str, data: bytes | None = None) -> list[RegionRecord]:
     return records
 
 
-def bundled_regions_path(directory: str | None = None) -> str:
-    return os.path.join(data_dir() if directory is None else directory, REGIONS_FILE)
-
-
-def load_supply_levels(path: str, data: bytes | None = None) -> list[SupplyLevel]:
-    table = _read_table(path, data)
-    if table.header != ("level", "renewable_share"):
-        raise InputError(f"{table.path}: unexpected header")
-    return [SupplyLevel(name=row[0],
-                        renewable_share=_parse_float(row[1], table.path, ln, "renewable_share"))
-            for row, ln in zip(table.rows, table.row_lines)]
-
-
-def load_demand_levels(path: str, data: bytes | None = None) -> list[DemandLevel]:
-    table = _read_table(path, data)
-    expected = ("level", "pr_ammonia", "pr_power", "pr_shipping", "pr_mobility")
-    if table.header != expected:
-        raise InputError(f"{table.path}: unexpected header")
-    levels = []
-    for row, ln in zip(table.rows, table.row_lines):
-        values = [_parse_float(cell, table.path, ln, col)
-                  for col, cell in zip(expected[1:], row[1:])]
-        levels.append(DemandLevel(row[0], *values))
-    return levels
+def bundled_regions_path() -> str:
+    return os.path.join(data_dir(), REGIONS_FILE)
 
 
 class CalibrationEntry:
@@ -343,73 +311,62 @@ class CalibrationEntry:
         self.oracle = oracle
 
 
-def calibration_ledger(directory: str, data: bytes | None = None) -> list[CalibrationEntry]:
-    """Every derived constant shipped with the data, with its derivation;
-    `data`, when given, is the content of calibration.csv, already read."""
-    table = _read_table(os.path.join(directory, "calibration.csv"), data)
-    if table.header != ("constant", "value", "unit", "oracle"):
-        raise InputError(f"{table.path}: unexpected header")
-    return [CalibrationEntry(row[0], _parse_float(row[1], table.path, ln, "value"),
-                             row[2], row[3])
-            for row, ln in zip(table.rows, table.row_lines)]
-
-
 class DatasetManifest:
-    """File list with content digests (filename -> sha256), the verified
-    content of each listed file (filename -> bytes) and the calibration
-    ledger."""
+    """The verified content of each listed file (filename -> bytes) and
+    the calibration ledger."""
 
-    __slots__ = ("path", "version", "files", "contents", "calibration")
+    __slots__ = ("path", "version", "files", "calibration")
 
-    def __init__(self, path: str, version: str, files: dict[str, str],
-                 contents: dict[str, bytes]):
+    def __init__(self, path: str, version: str, files: dict[str, bytes]):
         self.path = path
         self.version = version
         self.files = files
-        self.contents = contents
         self.calibration: tuple[CalibrationEntry, ...] = ()
 
     def content(self, name: str) -> bytes:
         """The verified bytes of a file; one the manifest does not list is an input error."""
-        if name not in self.contents:
+        if name not in self.files:
             raise InputError(f"{self.path}: does not list {name!r}, which this run parses")
-        return self.contents[name]
+        return self.files[name]
 
 
 def load_manifest(directory: str | None = None) -> DatasetManifest:
-    """Read manifest.csv and every listed file, once, verifying its digest,
-    and parse calibration.csv, which must be listed, from its verified bytes.
-    A file listed twice is an input error, so no row can replace another."""
+    """Read manifest.csv and every listed file, once, verifying its digest:
+    the only reads of a bundled file. Parse calibration.csv, which must be
+    listed, from its verified bytes. A file listed twice is an input error."""
     base_dir = data_dir() if directory is None else directory
-    table = _read_table(os.path.join(base_dir, "manifest.csv"))
-    if table.header != ("file", "sha256"):
-        raise InputError(f"{table.path}: unexpected header")
+    table = _read_table(os.path.join(base_dir, "manifest.csv"), MANIFEST_COLUMNS)
     version = ""
     for comment in table.comments:
         text = comment.lstrip("# ").strip()
         if text.startswith("version:"):
             version = text.split(":", 1)[1].strip()
-    files = {}
+    digests = {}
     for (name, digest), lineno in zip(table.rows, table.row_lines):
-        if name in files:
+        if name in digests:
             raise InputError(f"{table.path}: line {lineno}: {name!r} is listed twice")
-        files[name] = digest
-    contents = {}
-    for name, digest in files.items():
+        digests[name] = digest
+    files = {}
+    for name, digest in digests.items():
         data = _read_bytes(os.path.join(base_dir, name))
         actual = hashlib.sha256(data).hexdigest()
         if actual != digest:
             raise InputError(
                 f"dataset file {name!r} digest mismatch: manifest has "
                 f"{digest[:12]}..., file has {actual[:12]}...")
-        contents[name] = data
-    manifest = DatasetManifest(table.path, version, files, contents)
-    manifest.calibration = tuple(calibration_ledger(base_dir, manifest.content("calibration.csv")))
+        files[name] = data
+    manifest = DatasetManifest(table.path, version, files)
+    ledger = _read_table(os.path.join(base_dir, "calibration.csv"), CALIBRATION_COLUMNS,
+                         manifest.content("calibration.csv"))
+    manifest.calibration = tuple(
+        CalibrationEntry(row[0], _parse_float(row[1], ledger.path, ln, "value"), row[2], row[3])
+        for row, ln in zip(ledger.rows, ledger.row_lines))
     return manifest
 
 
 class Dataset:
-    """One run's view of a dataset directory.
+    """One run's view of a dataset directory, and the one way to parse a
+    bundled file.
 
     Construction reads manifest.csv and every file it lists, once, and
     verifies their digests, so a tampered dataset fails before anything is
@@ -432,28 +389,39 @@ class Dataset:
         self._params: dict[str, ParameterSet] = {}
 
     def params(self, namespace: str) -> ParameterSet:
-        """Effective parameters of one namespace."""
+        """Effective parameters of one namespace: `<namespace>.csv`, checked
+        against its schema, with the overrides of its declared keys on top."""
         if namespace not in self._params:
-            params = _load_namespace(namespace, self.directory, self.manifest)
+            if namespace not in SCHEMAS:
+                raise InputError(f"unknown parameter namespace {namespace!r}")
+            name = f"{namespace}.csv"
+            params = load_params(os.path.join(self.directory, name), namespace,
+                                 SCHEMAS[namespace], self.manifest.content(name))
             if self.overrides is not None:
                 params = params.with_overrides(self.overrides)
             self._params[namespace] = params
         return self._params[namespace]
 
-    def _load(self, load, name: str):
-        """`load` of a dataset file, parsed from the bytes the manifest verified."""
-        return load(os.path.join(self.directory, name), self.manifest.content(name))
-
     @cached_property
     def regions(self) -> list[RegionRecord]:
-        if self._regions_path:
+        if self._regions_path is not None:
             return load_regions(self._regions_path)
-        return self._load(load_regions, REGIONS_FILE)
+        return load_regions(os.path.join(self.directory, REGIONS_FILE),
+                            self.manifest.content(REGIONS_FILE))
 
     @cached_property
     def supply_levels(self) -> list[SupplyLevel]:
-        return self._load(load_supply_levels, "supply_levels.csv")
+        name = "supply_levels.csv"
+        table = _read_table(os.path.join(self.directory, name), SUPPLY_COLUMNS,
+                            self.manifest.content(name))
+        return [SupplyLevel(row[0], _parse_float(row[1], table.path, ln, "renewable_share"))
+                for row, ln in zip(table.rows, table.row_lines)]
 
     @cached_property
     def demand_levels(self) -> list[DemandLevel]:
-        return self._load(load_demand_levels, "demand_levels.csv")
+        name = "demand_levels.csv"
+        table = _read_table(os.path.join(self.directory, name), DEMAND_COLUMNS,
+                            self.manifest.content(name))
+        return [DemandLevel(row[0], *(_parse_float(cell, table.path, ln, column)
+                                      for column, cell in zip(DEMAND_COLUMNS[1:], row[1:])))
+                for row, ln in zip(table.rows, table.row_lines)]

@@ -414,8 +414,10 @@ def test_float_format_is_trimmed():
 
 
 def test_report_hashes_each_manifest_file_once(tmp_path, monkeypatch):
-    # every dataset file is read once, hashed and then parsed from those bytes
+    # every dataset file is read once, hashed and then parsed from those
+    # bytes, by a report and by load_bundled_params alike
     manifest = data_io.load_manifest()
+    expected = {"manifest.csv": 1, **{name: 1 for name in manifest.files}}
     read = []
     original = data_io._read_bytes
 
@@ -425,7 +427,10 @@ def test_report_hashes_each_manifest_file_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data_io, "_read_bytes", counting)
     assert cli.run(["report", "--output", str(tmp_path / "out")]) == 0
-    assert Counter(read) == {"manifest.csv": 1, **{name: 1 for name in manifest.files}}
+    assert Counter(read) == expected
+    read.clear()
+    data_io.load_bundled_params("carriers")
+    assert Counter(read) == expected
 
 
 def test_report_does_each_piece_of_work_once(tmp_path, monkeypatch):
@@ -521,6 +526,67 @@ def test_manifest_listing_a_file_twice_exits_2(tmp_path, capsys):
 def test_directory_as_input_file_exits_2(flag, tmp_path, capsys):
     assert cli.run(["gtfp", flag, str(tmp_path)]) == 2
     _assert_one_line_naming(capsys, tmp_path)
+
+
+@pytest.mark.parametrize("flag", ["--params", "--regions"])
+@pytest.mark.parametrize("command", [["gtfp"], ["report"]])
+def test_empty_input_path_exits_2_as_the_current_directory(command, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [*command, flag, ""]
+    if command == ["report"]:
+        argv += ["--output", str(out)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr() == ("", "error: cannot read .: Is a directory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["carrier", "delivery", "--params"], GOLDEN / "overrides.csv"),
+    (["gtfp", "--regions"], Path(data_io.bundled_regions_path())),
+])
+def test_byte_order_mark_is_dropped(argv, source, tmp_path, capsys):
+    # spreadsheets save "CSV UTF-8" with a leading U+FEFF; the header must
+    # still match, so the marked file prints what the unmarked one prints
+    lines = source.read_text(encoding="utf-8").splitlines(True)
+    plain = tmp_path / "plain.csv"
+    plain.write_text("".join(line for line in lines if not line.startswith("#")),
+                     encoding="utf-8")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert cli.run([*argv, str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert cli.run([*argv, str(marked)]) == 0
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("name", ["manifest.csv", "carriers.csv", "calibration.csv",
+                                  "supply_levels.csv", "demand_levels.csv",
+                                  "--params", "--regions"])
+def test_mangled_header_exits_2_with_one_line(name, tmp_path, capsys):
+    # every kind of file is read by one reader, with one header message; a
+    # bundled file is re-hashed, so the header check is what stops the run
+    data = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), data)
+    out = tmp_path / "out"
+    argv = ["--data-dir", str(data), "report", "--output", str(out)]
+    if name.startswith("--"):
+        target = tmp_path / "input.csv"
+        source = "carriers.csv" if name == "--params" else "regions_2019.csv"
+        shutil.copyfile(data / source, target)
+        argv += [name, str(target)]
+    else:
+        target = data / name
+    lines = target.read_text(encoding="utf-8").splitlines()
+    index = next(i for i, line in enumerate(lines) if line and not line.startswith("#"))
+    header = lines[index]
+    lines[index] = header.upper()
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if target.parent == data and name != "manifest.csv":
+        _rehash(data, name)
+    assert cli.run(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {target}: expected header {header}, got {header.upper()}\n")
+    assert not out.exists()
 
 
 def test_non_utf8_params_file_exits_2(tmp_path, capsys):

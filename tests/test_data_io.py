@@ -158,19 +158,31 @@ def test_unknown_key_lookup_raises():
         params["does_not_exist"]
 
 
-def _serialize(table) -> str:
-    """A parsed file as text: its comment lines, header and rows."""
-    lines = [*table.comments, ",".join(table.header), *map(",".join, table.rows)]
+# the header each bundled file must have; the others are parameter files
+FILE_COLUMNS = {
+    "calibration.csv": data_io.CALIBRATION_COLUMNS,
+    "demand_levels.csv": data_io.DEMAND_COLUMNS,
+    "manifest.csv": data_io.MANIFEST_COLUMNS,
+    "regions_2019.csv": data_io.REGION_COLUMNS,
+    "supply_levels.csv": data_io.SUPPLY_COLUMNS,
+}
+
+
+def _serialize(table, columns) -> str:
+    """A parsed file as text: its comment lines, its header and its rows."""
+    lines = [*table.comments, ",".join(columns), *map(",".join, table.rows)]
     return "\n".join(lines) + "\n"
 
 
 def test_round_trip_is_byte_identical():
-    # the loaders keep each file's raw cell text, so every bundled file can
+    # the reader keeps each file's raw cell text, so every bundled file can
     # be written back from its parse byte for byte
     paths = sorted(Path(data_io.data_dir()).glob("*.csv"))
     assert len(paths) == 9
     for path in paths:
-        assert _serialize(data_io._read_table(path)) == path.read_text(encoding="utf-8"), path
+        columns = FILE_COLUMNS.get(path.name, data_io.PARAM_COLUMNS)
+        table = data_io._read_table(path, columns)
+        assert _serialize(table, columns) == path.read_text(encoding="utf-8"), path
 
 
 def test_overrides_layering(tmp_path):
@@ -200,8 +212,18 @@ def test_manifest_detects_tampering(tmp_path):
         data_io.load_manifest(target)
 
 
+def test_bundled_params_verify_the_manifest(tmp_path, monkeypatch):
+    target = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), target)
+    carriers_csv = target / "carriers.csv"
+    carriers_csv.write_text(carriers_csv.read_text().replace("wacc,0.08,", "wacc,0.09,"))
+    monkeypatch.setenv(data_io.ENV_DATA_DIR, str(target))
+    with pytest.raises(InputError, match="'carriers.csv' digest mismatch"):
+        data_io.load_bundled_params("carriers")
+
+
 def test_calibration_ledger_contents():
-    ledger = {e.constant: e for e in data_io.calibration_ledger(data_io.data_dir())}
+    ledger = {e.constant: e for e in data_io.load_manifest().calibration}
     assert "coal_price_usd_per_tce" in ledger
     assert "electricity_per_t_nh3_mwh" in ledger
     for entry in ledger.values():
@@ -259,9 +281,10 @@ def test_overrides_replace_only_the_keys_a_namespace_declares():
 
 
 def test_levels_loaders():
-    supply = data_io.load_supply_levels(Path(data_io.data_dir()) / "supply_levels.csv")
+    dataset = data_io.Dataset()
+    supply = dataset.supply_levels
     assert [lvl.renewable_share for lvl in supply] == [0.15, 0.35, 0.65]
-    demand = data_io.load_demand_levels(Path(data_io.data_dir()) / "demand_levels.csv")
+    demand = dataset.demand_levels
     assert len(demand) == 5
     assert demand[4].pr_mobility == 0.80
 
