@@ -6,8 +6,10 @@ override_json are the report with tests/golden/overrides.csv, which
 overrides one key in each of the carriers, cofiring and scenarios
 namespaces. tests/golden/stdout/ holds what each analysis command prints,
 in CSV and JSON, and tests/golden/stderr/ what a command writes to stderr
-where that is not empty. A change that is meant to move an output byte re-records
-the affected files in the same change.
+where that is not empty. tests/golden/help/ holds what the commands of HELP
+print with COLUMNS=80: a `--help` text on stdout, or a usage error on
+stderr. A change that is meant to move an output byte re-records the
+affected files in the same change.
 """
 
 import os
@@ -47,6 +49,34 @@ COMMANDS = {
 }
 
 
+# tests/golden/help/<name>.txt: each command's --help on stdout (exit 0), or
+# its usage error on stderr (exit 2), at COLUMNS=80
+HELP = {
+    "nh3econ": ["--help"],
+    "carrier": ["carrier", "--help"],
+    "scenario": ["scenario", "--help"],
+    "gtfp": ["gtfp", "--help"],
+    "carrier_delivery": ["carrier", "delivery", "--help"],
+    "carrier_storage": ["carrier", "storage", "--help"],
+    "cofire": ["cofire", "--help"],
+    "scenario_supply": ["scenario", "supply", "--help"],
+    "scenario_demand": ["scenario", "demand", "--help"],
+    "scenario_balance": ["scenario", "balance", "--help"],
+    "report": ["report", "--help"],
+    "report_format_xml": ["report", "--format", "xml"],
+    "report_without_output": ["report"],
+    "cofire_all_with_rate": ["cofire", "--all", "--rate", "0.03"],
+    "transmute": ["transmute"],
+    "carrier_delivery_volume_1_x": ["carrier", "delivery", "--volume", "1,x"],
+}
+
+
+def golden_help(name: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of a command of HELP."""
+    text = (GOLDEN / "help" / f"{name}.txt").read_bytes().decode("utf-8")
+    return (0, text, "") if "--help" in HELP[name] else (2, "", text)
+
+
 def golden_stderr(name: str) -> bytes:
     """What a command of COMMANDS writes to stderr, in either format."""
     path = GOLDEN / "stderr" / f"{name}.txt"
@@ -74,6 +104,14 @@ def test_command_stdout_matches_golden(name, output_format, capsys):
     assert cli.run([*COMMANDS[name], "--format", output_format]) == 0
     expected = (GOLDEN / "stdout" / f"{name}.{output_format}").read_bytes().decode("utf-8")
     assert capsys.readouterr() == (expected, golden_stderr(name).decode("utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_and_usage_errors_match_golden(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run(HELP[name])
+    assert (excinfo.value.code, *capsys.readouterr()) == golden_help(name)
 
 
 NO_NUMPY_REPORT = """

@@ -2,9 +2,9 @@
 the test extras runs it: `python -S -m nh3econ`, with PYTHONPATH=src.
 
 -S skips `site`, so no installed package can be imported: each report
-tree and each command's stdout must come from src alone and match the
-golden files byte for byte. The same checks run in CI on every supported
-interpreter; one `python -m pytest tests/test_stdlib_only.py` under an
+tree, each command's stdout and each `--help` text and usage error (at
+COLUMNS=80) must come from src alone and match the golden files byte for
+byte. The same checks run in CI on every supported interpreter; one `python -m pytest tests/test_stdlib_only.py` under an
 interpreter reproduces them there.
 """
 
@@ -16,13 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from test_golden import COMMANDS, GOLDEN, TREES, _assert_matches_golden, golden_stderr
+from test_golden import (COMMANDS, GOLDEN, HELP, TREES, _assert_matches_golden, golden_help,
+                         golden_stderr)
 
 SRC = Path(__file__).parents[1] / "src"
 
 
-def _run(*args, umask=-1):
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+def _run(*args, umask=-1, **environ):
+    env = {**os.environ, "PYTHONPATH": str(SRC), **environ}
     return subprocess.run([sys.executable, "-S", "-m", "nh3econ", *args], env=env,
                           capture_output=True, timeout=60, umask=umask)
 
@@ -49,6 +50,12 @@ def test_stdout_matches_golden(name, output_format):
     result = _run(*COMMANDS[name], "--format", output_format)
     assert (result.returncode, result.stderr) == (0, golden_stderr(name))
     assert result.stdout == (GOLDEN / "stdout" / f"{name}.{output_format}").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_and_usage_errors_match_golden(name):
+    result = _run(*HELP[name], COLUMNS="80")
+    assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == golden_help(name)
 
 
 def test_cli_imports_without_pathlib():
