@@ -1,5 +1,9 @@
 """Command-line front end: run each analysis and emit plot-ready tables.
 
+`COMMANDS` is the one place a command is declared: its path, help, own
+arguments and table function, from (dataset, args) to a `Table`.
+`build_parser` and `run` read it, and so does `report`, through `REPORT`.
+
 Every subcommand computes and renders every table before its first write, so
 a failing run leaves no partial output. Output is deterministic: fixed row
 ordering and a fixed float format (four decimals, trailing zeros trimmed),
@@ -45,7 +49,6 @@ from .errors import InputError, SolverError
 
 DELIVERY_DISTANCES_KM = (500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
 STORAGE_DAYS = (30.0, 150.0, 365.0, 1000.0, 2000.0)
-CHAIN_ORDER = ("NH3_with_crack", "NH3_direct", "LH2", "pipeline")
 COST_COLUMNS = ("medium", "volume_kt", "distance_km", "days", "stage", "usd_per_kg")
 
 
@@ -162,18 +165,7 @@ def _write(path, text: str) -> None:
         os.close(fd)
 
 
-def _emit(table: Table, output_format: str, output: str | None) -> None:
-    text = table.render(output_format)
-    if output:
-        try:
-            _write(output, text)
-        except OSError as exc:
-            raise InputError(f"cannot write output: {exc}") from None
-    else:
-        sys.stdout.write(text)
-
-
-def _gtfp_table(dataset: data_io.Dataset) -> Table:
+def _gtfp_table(dataset: data_io.Dataset, args) -> Table:
     table = Table(
         f"regional efficiency scores and intensity metrics; dataset {dataset.version}",
         ("region", "gtfp", "energy_intensity_kbtu_per_usd",
@@ -185,21 +177,15 @@ def _gtfp_table(dataset: data_io.Dataset) -> Table:
     return table
 
 
-def _chains_by_volume(dataset: data_io.Dataset):
-    """`builtin_chains` over the dataset's carrier parameters, built once per volume."""
+def _delivery_table(dataset: data_io.Dataset, args) -> Table:
     params = dataset.params("carriers")
-    return functools.cache(functools.partial(carriers.builtin_chains, params))
-
-
-def _delivery_table(dataset: data_io.Dataset, description: str,
-                    volumes, distances, chains_at) -> Table:
-    params = dataset.params("carriers")
+    description = getattr(args, "description", "hydrogen delivery cost breakdown by carrier")
     table = Table(f"{description}; dataset {dataset.version}", COST_COLUMNS)
-    for volume in volumes:
-        chains = chains_at(volume)
+    for volume in args.volume:
+        chains = dataset.chains(volume)
         queries = [(distance, carriers.default_query(params, volume, distance))
-                   for distance in distances]
-        for name in CHAIN_ORDER:
+                   for distance in args.distance]
+        for name in ("NH3_with_crack", "NH3_direct", "LH2", "pipeline"):
             chain = chains[name]
             for distance, query in queries:
                 breakdown = carriers.delivery_cost(chain, query)
@@ -209,16 +195,16 @@ def _delivery_table(dataset: data_io.Dataset, description: str,
     return table
 
 
-def _storage_table(dataset: data_io.Dataset, volumes, durations, chains_at) -> Table:
+def _storage_table(dataset: data_io.Dataset, args) -> Table:
     params = dataset.params("carriers")
     table = Table(
         f"hydrogen storage cost breakdown by carrier and duration; dataset {dataset.version}",
         COST_COLUMNS,
     )
-    for volume in volumes:
-        chains = chains_at(volume)
+    for volume in args.volume:
+        chains = dataset.chains(volume)
         queries = [(days, carriers.default_query(params, volume, 0.0, days))
-                   for days in durations]
+                   for days in args.days]
         for name in ("NH3_with_crack", "LH2"):
             chain = chains[name]
             for days, query in queries:
@@ -229,7 +215,7 @@ def _storage_table(dataset: data_io.Dataset, volumes, durations, chains_at) -> T
     return table
 
 
-def _cofire_table(dataset: data_io.Dataset, rates, interpolate: bool) -> Table:
+def _cofire_table(dataset: data_io.Dataset, args) -> Table:
     params = cofiring.CofiringParams.from_mapping(dataset.params("cofiring"))
     table = Table(
         f"coal/ammonia co-firing costs and emission intensity; dataset {dataset.version}",
@@ -237,8 +223,8 @@ def _cofire_table(dataset: data_io.Dataset, rates, interpolate: bool) -> Table:
          "lcoe_usd_per_mwh", "lcoe_delta_pct", "emission_kg_per_mwh",
          "emission_delta_kg_per_mwh"),
     )
-    for rate in rates:
-        result = cofiring.evaluate(params, rate, interpolate_loss=interpolate)
+    for rate in cofiring.STANDARD_RATES if args.rate is None else (args.rate,):
+        result = cofiring.evaluate(params, rate, interpolate_loss=args.interpolate)
         table.add(result.rate, result.mixed_fuel_cost_usd_per_tce,
                   result.fuel_cost_delta * 100.0, result.lcoe_usd_per_mwh,
                   result.lcoe_delta * 100.0, result.emission_kg_per_mwh,
@@ -246,20 +232,20 @@ def _cofire_table(dataset: data_io.Dataset, rates, interpolate: bool) -> Table:
     return table
 
 
-def _supply_table(dataset: data_io.Dataset, share: float | None = None) -> Table:
+def _supply_table(dataset: data_io.Dataset, args) -> Table:
     supply = scenarios.SupplyAssumptions.from_mapping(dataset.params("scenarios"))
     table = Table(
         f"green ammonia supply capacity by scenario level; dataset {dataset.version}",
         ("level", "renewable_share", "supply_mt"),
     )
-    levels = ([("custom", share)] if share is not None else
+    levels = ([("custom", args.share)] if args.share is not None else
               [(level.name, level.renewable_share) for level in dataset.supply_levels])
     for name, renewable_share in levels:
         table.add(name, renewable_share, scenarios.supply_capacity_mt(supply, renewable_share))
     return table
 
 
-def _demand_table(dataset: data_io.Dataset) -> Table:
+def _demand_table(dataset: data_io.Dataset, args) -> Table:
     demand = scenarios.DemandAssumptions.from_mapping(dataset.params("scenarios"))
     table = Table(
         f"green ammonia demand by scenario level and sector; dataset {dataset.version}",
@@ -273,7 +259,7 @@ def _demand_table(dataset: data_io.Dataset) -> Table:
     return table
 
 
-def _balance_table(dataset: data_io.Dataset) -> Table:
+def _balance_table(dataset: data_io.Dataset, args) -> Table:
     params = dataset.params("scenarios")
     table = Table(
         f"green ammonia supply vs demand balance; dataset {dataset.version}",
@@ -287,26 +273,105 @@ def _balance_table(dataset: data_io.Dataset) -> Table:
     return table
 
 
-def _report(dataset: data_io.Dataset, output_format: str, output_dir: str) -> None:
-    chains_at = _chains_by_volume(dataset)
-    outputs = {
-        "regional_efficiency": _gtfp_table(dataset),
-        "delivery_by_volume": _delivery_table(
-            dataset, "delivery cost by volume at 500 km", carriers.VOLUME_BRACKETS_KT,
-            (500.0,), chains_at),
-        "delivery_by_distance": _delivery_table(
-            dataset, "delivery cost by distance at 50 and 100 kt/yr", (50.0, 100.0),
-            DELIVERY_DISTANCES_KM, chains_at),
-        "storage_by_duration": _storage_table(dataset, (100.0,), STORAGE_DAYS, chains_at),
-        "cofiring_ladder": _cofire_table(dataset, cofiring.STANDARD_RATES, False),
-        "scenario_supply": _supply_table(dataset),
-        "scenario_demand": _demand_table(dataset),
-        "supply_demand_balance": _balance_table(dataset),
-    }
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        values = (nan,)
+    if not all(map(isfinite, values)):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of finite numbers, got {text!r}")
+    return values
+
+
+# Each command, declared once: its path, its help (None: no help line), its
+# table function (None: a group of commands) and its own arguments, each a
+# flag with its add_argument options; a list of them is a group of flags
+# that exclude each other.
+COMMANDS = {
+    "gtfp": ("regional efficiency scores and intensities", _gtfp_table,
+             ("--regions", dict(help="regions table (CSV)"))),
+    "carrier": ("hydrogen carrier chain costs", None),
+    "carrier delivery": (
+        "delivery cost sweeps", _delivery_table,
+        ("--volume", dict(type=_float_list, default=carriers.VOLUME_BRACKETS_KT,
+                          help="kt H2 per year, comma list")),
+        ("--distance", dict(type=_float_list, default=DELIVERY_DISTANCES_KM,
+                            help="km, comma list"))),
+    "carrier storage": (
+        "storage cost sweeps", _storage_table,
+        ("--volume", dict(type=_float_list, default=(100.0,), help="kt H2 per year, comma list")),
+        ("--days", dict(type=_float_list, default=STORAGE_DAYS,
+                        help="storage duration in days, comma list"))),
+    "cofire": (
+        "co-firing cost and emission ladder", _cofire_table,
+        [("--rate", dict(type=float, help="single co-firing rate, e.g. 0.03")),
+         ("--all", dict(action="store_true",
+                        help="evaluate the whole standard ladder (the default)"))],
+        ("--interpolate", dict(action="store_true", help="linearly interpolate efficiency "
+                                                          "loss between tabulated rates"))),
+    "scenario": ("2030 supply/demand scenarios", None),
+    "scenario supply": (None, _supply_table,
+                        ("--share", dict(type=float, help="custom renewable-generation share"))),
+    "scenario demand": (None, _demand_table),
+    "scenario balance": (None, _balance_table),
+}
+
+# Every table command takes these before its own arguments.
+_COMMON = (("--format", dict(choices=("csv", "json"), default="csv")),
+           ("--output", dict(help="output file (default: stdout)")),
+           ("--params", dict(help="parameter override file (key,value,unit,provenance)")))
+
+# `report` writes one file per entry: its name, and the command and arguments
+# whose table it holds.
+REPORT = (
+    ("regional_efficiency", "gtfp", {}),
+    ("delivery_by_volume", "carrier delivery",
+     dict(description="delivery cost by volume at 500 km",
+          volume=carriers.VOLUME_BRACKETS_KT, distance=(500.0,))),
+    ("delivery_by_distance", "carrier delivery",
+     dict(description="delivery cost by distance at 50 and 100 kt/yr",
+          volume=(50.0, 100.0), distance=DELIVERY_DISTANCES_KM)),
+    ("storage_by_duration", "carrier storage", dict(volume=(100.0,), days=STORAGE_DAYS)),
+    ("cofiring_ladder", "cofire", dict(rate=None, interpolate=False)),
+    ("scenario_supply", "scenario supply", dict(share=None)),
+    ("scenario_demand", "scenario demand", {}),
+    ("supply_demand_balance", "scenario balance", {}),
+)
+
+
+def _add_arguments(parser, arguments) -> None:
+    for argument in arguments:
+        if isinstance(argument, list):
+            _add_arguments(parser.add_mutually_exclusive_group(), argument)
+        else:
+            parser.add_argument(argument[0], **argument[1])
+
+
+def _print_table(table, dataset: data_io.Dataset, args) -> None:
+    """A table command: its table to --output or stdout, then a note on
+    stderr for each --volume outside the tabulated brackets."""
+    text = table(dataset, args).render(args.format)
+    if args.output:
+        try:
+            _write(args.output, text)
+        except OSError as exc:
+            raise InputError(f"cannot write output: {exc}") from None
+    else:
+        sys.stdout.write(text)
+    for volume in getattr(args, "volume", ()):
+        bracket, clamped = carriers.volume_bracket(volume)
+        if clamped:
+            print(f"note: volume {volume:g} kt/yr is outside the tabulated "
+                  f"brackets; capex uses the {bracket:g} kt/yr bracket", file=sys.stderr)
+
+
+def _report(dataset: data_io.Dataset, args) -> None:
+    tables = {f"{name}.{args.format}": COMMANDS[path][1](dataset, argparse.Namespace(**fixed))
+              for name, path, fixed in REPORT}
     # every table is rendered before anything is checked, created or written
-    texts = {f"{name}.{output_format}": table.render(output_format)
-             for name, table in outputs.items()}
-    output_dir = data_io.path_text(output_dir)
+    texts = {name: table.render(args.format) for name, table in tables.items()}
+    output_dir = data_io.path_text(args.output)
     base = "" if output_dir == "." else output_dir    # as pathlib joins onto "."
     missing = []    # output_dir and its missing parents, deepest first
     directory = output_dir
@@ -349,77 +414,29 @@ def _report(dataset: data_io.Dataset, output_format: str, output_dir: str) -> No
         raise InputError(f"cannot write output: {exc}") from None
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        values = (nan,)
-    if not all(map(isfinite, values)):
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of finite numbers, got {text!r}")
-    return values
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the command line; `run` builds one per process."""
+    """A new parser for the command line, a subcommand for each entry of
+    COMMANDS and one for report; `run` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="nh3econ",
         description="Green-ammonia techno-economic analyses over the bundled datasets.",
     )
     parser.add_argument("--data-dir", default=None,
                         help="dataset directory (default: bundled, or NH3ECON_DATA)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, params_help="parameter override file (key,value,unit,provenance)"):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default=None, help="output file (default: stdout)")
-        p.add_argument("--params", default=None, help=params_help)
-
-    p_gtfp = sub.add_parser("gtfp", help="regional efficiency scores and intensities")
-    add_common(p_gtfp)
-    p_gtfp.add_argument("--regions", default=None, help="regions table (CSV)")
-
-    p_carrier = sub.add_parser("carrier", help="hydrogen carrier chain costs")
-    carrier_sub = p_carrier.add_subparsers(dest="carrier_command", required=True)
-    p_delivery = carrier_sub.add_parser("delivery", help="delivery cost sweeps")
-    add_common(p_delivery)
-    p_delivery.add_argument("--volume", type=_float_list,
-                            default=carriers.VOLUME_BRACKETS_KT,
-                            help="kt H2 per year, comma list")
-    p_delivery.add_argument("--distance", type=_float_list,
-                            default=DELIVERY_DISTANCES_KM, help="km, comma list")
-    p_storage = carrier_sub.add_parser("storage", help="storage cost sweeps")
-    add_common(p_storage)
-    p_storage.add_argument("--volume", type=_float_list, default=(100.0,),
-                           help="kt H2 per year, comma list")
-    p_storage.add_argument("--days", type=_float_list, default=STORAGE_DAYS,
-                           help="storage duration in days, comma list")
-
-    p_cofire = sub.add_parser("cofire", help="co-firing cost and emission ladder")
-    add_common(p_cofire)
-    ladder = p_cofire.add_mutually_exclusive_group()
-    ladder.add_argument("--rate", type=float, default=None,
-                        help="single co-firing rate, e.g. 0.03")
-    ladder.add_argument("--all", action="store_true",
-                        help="evaluate the whole standard ladder (the default)")
-    p_cofire.add_argument("--interpolate", action="store_true",
-                          help="linearly interpolate efficiency loss between tabulated rates")
-
-    p_scenario = sub.add_parser("scenario", help="2030 supply/demand scenarios")
-    scenario_sub = p_scenario.add_subparsers(dest="scenario_command", required=True)
-    for name in ("supply", "demand", "balance"):
-        p = scenario_sub.add_parser(name)
-        add_common(p)
-        if name == "supply":
-            p.add_argument("--share", type=float, default=None,
-                           help="custom renewable-generation share")
-
-    p_report = sub.add_parser("report", help="write every analysis table to a directory")
-    p_report.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_report.add_argument("--output", required=True, help="output directory")
-    p_report.add_argument("--params", default=None)
-    p_report.add_argument("--regions", default=None)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, (help, table, *arguments) in COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        # help=None would list the command with an empty help line
+        command = groups[group].add_parser(name, **{"help": help} if help else {})
+        if table is None:
+            groups[path] = command.add_subparsers(dest=f"{name}_command", required=True)
+        else:
+            _add_arguments(command, _COMMON + tuple(arguments))
+            command.set_defaults(emit=functools.partial(_print_table, table))
+    report = groups[""].add_parser("report", help="write every analysis table to a directory")
+    _add_arguments(report, (_COMMON[0], ("--output", dict(required=True, help="output directory")),
+                            ("--params", {}), ("--regions", {})))
+    report.set_defaults(emit=_report)
     return parser
 
 
@@ -433,35 +450,8 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        dataset = data_io.Dataset(args.data_dir, args.params,
-                                  getattr(args, "regions", None))
-        if args.command == "gtfp":
-            _emit(_gtfp_table(dataset), args.format, args.output)
-        elif args.command == "carrier":
-            if args.carrier_command == "delivery":
-                table = _delivery_table(
-                    dataset, "hydrogen delivery cost breakdown by carrier",
-                    args.volume, args.distance, _chains_by_volume(dataset))
-            else:
-                table = _storage_table(dataset, args.volume, args.days,
-                                       _chains_by_volume(dataset))
-            _emit(table, args.format, args.output)
-            for volume in args.volume:
-                bracket, clamped = carriers.volume_bracket(volume)
-                if clamped:
-                    print(f"note: volume {volume:g} kt/yr is outside the tabulated "
-                          f"brackets; capex uses the {bracket:g} kt/yr bracket",
-                          file=sys.stderr)
-        elif args.command == "cofire":
-            rates = cofiring.STANDARD_RATES if args.rate is None else (args.rate,)
-            _emit(_cofire_table(dataset, rates, args.interpolate), args.format, args.output)
-        elif args.command == "scenario":
-            table = (_supply_table(dataset, args.share) if args.scenario_command == "supply"
-                     else _demand_table(dataset) if args.scenario_command == "demand"
-                     else _balance_table(dataset))
-            _emit(table, args.format, args.output)
-        elif args.command == "report":
-            _report(dataset, args.format, args.output)
+        args.emit(data_io.Dataset(args.data_dir, args.params, getattr(args, "regions", None)),
+                  args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

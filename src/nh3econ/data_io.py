@@ -26,8 +26,9 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from functools import cached_property
+from functools import cache, cached_property, partial
 
+from . import carriers
 from .carriers import VOLUME_BRACKETS_KT
 from .cofiring import CofiringParams
 from .errors import InputError
@@ -134,6 +135,8 @@ def _read_table(path: str, columns: tuple[str, ...], data: bytes | None = None) 
     """Parse a dataset file whose header row must be `columns`: `data`, its
     bytes already read, or else the file at `path`, which error messages
     name either way. One leading byte-order mark is dropped after decoding."""
+    if not path:    # which path_text, as pathlib, would name "."
+        raise InputError("cannot read '': empty path")
     path = path_text(path)
     if data is None:
         data = _read_bytes(path)
@@ -401,6 +404,11 @@ class Dataset:
                 params = params.with_overrides(self.overrides)
             self._params[namespace] = params
         return self._params[namespace]
+
+    @cached_property
+    def chains(self):
+        """`builtin_chains` over the carrier parameters, built once per volume."""
+        return cache(partial(carriers.builtin_chains, self.params("carriers")))
 
     @cached_property
     def regions(self) -> list[RegionRecord]:

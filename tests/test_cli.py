@@ -531,13 +531,34 @@ def test_directory_as_input_file_exits_2(flag, tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--params", "--regions"])
 @pytest.mark.parametrize("command", [["gtfp"], ["report"]])
 def test_empty_input_path_exits_2_as_the_current_directory(command, flag, tmp_path, capsys):
+    # the message names the empty path the user gave, not the "." that
+    # pathlib would read it as; an empty --output still writes to "."
     out = tmp_path / "out"
     argv = [*command, flag, ""]
     if command == ["report"]:
         argv += ["--output", str(out)]
     assert cli.run(argv) == 2
-    assert capsys.readouterr() == ("", "error: cannot read .: Is a directory\n")
+    assert capsys.readouterr() == ("", "error: cannot read '': empty path\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["carrier", "delivery", "--volume", "0"], "annual hydrogen volume must be positive"),
+    (["carrier", "delivery", "--distance", "-5"], "distance must be nonnegative"),
+    (["carrier", "storage", "--days", "0"], "storage_days must be positive for storage costing"),
+    (["carrier", "delivery", "--params", "lifetime_years,0,yr,x"],
+     "lifetime must be at least one year"),
+    (["cofire", "--rate", "0.9", "--interpolate"], "rate 0.9 is above the tabulated range"),
+    (["cofire", "--rate", "nan"], "co-firing rate must be in [0, 1], got nan"),
+])
+def test_guard_behind_the_command_line_exits_2_with_one_line(argv, message, tmp_path, capsys):
+    # guards that other tests reach only by calling the function directly
+    if argv[-2] == "--params":    # the last item is the one row of the file
+        params = tmp_path / "params.csv"
+        params.write_text(f"key,value,unit,provenance\n{argv[-1]}\n")
+        argv = [*argv[:-1], str(params)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, source", [

@@ -114,6 +114,23 @@ def test_help_and_usage_errors_match_golden(name, monkeypatch, capsys):
     assert (excinfo.value.code, *capsys.readouterr()) == golden_help(name)
 
 
+def test_each_command_has_its_goldens_and_report_writes_the_golden_files():
+    # a command added to cli.COMMANDS without its golden files fails here
+    leaves = [path for path, (_, table, *_) in cli.COMMANDS.items() if table is not None]
+    for path in leaves:
+        names = [name for name, argv in COMMANDS.items()
+                 if argv[:len(path.split())] == path.split()]
+        assert names, f"no golden stdout runs {path!r}"
+        for name in names:
+            for output_format in ("csv", "json"):
+                assert (GOLDEN / "stdout" / f"{name}.{output_format}").is_file()
+    for path in [*cli.COMMANDS, "report"]:
+        assert HELP[path.replace(" ", "_")] == [*path.split(), "--help"], path
+    assert {path for _, path, _ in cli.REPORT} <= set(leaves)
+    assert sorted(f"{name}.csv" for name, _, _ in cli.REPORT) == sorted(
+        path.name for path in (GOLDEN / "default_csv").iterdir())
+
+
 NO_NUMPY_REPORT = """
 import sys
 import nh3econ.cli
