@@ -4,8 +4,9 @@ the test extras runs it: `python -S -m nh3econ`, with PYTHONPATH=src.
 -S skips `site`, so no installed package can be imported: each report
 tree, each command's stdout and each `--help` text and usage error (at
 COLUMNS=80) must come from src alone and match the golden files byte for
-byte. The same checks run in CI on every supported interpreter; one `python -m pytest tests/test_stdlib_only.py` under an
-interpreter reproduces them there.
+byte. The same checks run in CI on every supported interpreter; one
+`python -m pytest tests/test_stdlib_only.py` under an interpreter
+reproduces them there.
 """
 
 import os
