@@ -135,7 +135,7 @@ def _read_table(path: str, columns: tuple[str, ...], data: bytes | None = None) 
     """Parse a dataset file whose header row must be `columns`: `data`, its
     bytes already read, or else the file at `path`, which error messages
     name either way. One leading byte-order mark is dropped after decoding."""
-    if not path:    # which path_text, as pathlib, would name "."
+    if not path:    # path_text, as pathlib, would name it "."
         raise InputError("cannot read '': empty path")
     path = path_text(path)
     if data is None:
