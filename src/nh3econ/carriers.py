@@ -33,10 +33,6 @@ from collections.abc import Mapping
 from .errors import InputError
 from .units import NH3_T_PER_T_H2
 
-CAPEX_BASES = ("per_t_per_yr", "per_asset", "per_km", "per_m3")
-ROLES = ("conversion", "transport", "storage", "reconversion")
-_ROLE_ORDER = {"conversion": 0, "transport": 1, "storage": 2, "reconversion": 3}
-
 VOLUME_BRACKETS_KT = (10.0, 30.0, 50.0, 100.0)
 
 
@@ -44,8 +40,6 @@ def annuity_factor(dr: float, years: int) -> float:
     """Present value of a unit annual payment over `years` at rate `dr`."""
     if years < 1:
         raise InputError("lifetime must be at least one year")
-    if dr == 0.0:
-        return float(years)
     # (1 - (1 + dr)^-years) / dr, without the cancellation at small dr
     return -math.expm1(-years * math.log1p(dr)) / dr
 
@@ -88,10 +82,6 @@ class StageSpec:
                  loss_rate: float = 0.0, conversion_efficiency: float = 1.0,
                  payload_t: float = 0.0, daily_range_km: float = 0.0,
                  hold_days: float = 0.0, density_t_per_m3: float = 0.0):
-        if role not in ROLES:
-            raise InputError(f"stage {name!r}: unknown role {role!r}")
-        if capex_basis not in CAPEX_BASES:
-            raise InputError(f"stage {name!r}: unknown capex basis {capex_basis!r}")
         if capex_value < 0:
             raise InputError(f"stage {name!r}: capex must be nonnegative")
         if not 0.0 <= loss_rate < 1.0:
@@ -124,24 +114,18 @@ class StageSpec:
 
 class CarrierChain:
     """Ordered stages moving hydrogen via one medium: "NH3", "LH2" or
-    "GH2_pipeline"."""
+    "GH2_pipeline".
+
+    `builtin_chains` builds every chain, and every stage, from literals:
+    the medium, each stage's role and capex basis, and the stage order
+    (conversion, transport, storage, reconversion; a pipeline carries
+    gaseous hydrogen in one transport stage) are fixed where it is built.
+    """
 
     __slots__ = ("medium", "stages", "storage_stages")
 
     def __init__(self, medium: str, stages: tuple[StageSpec, ...],
                  storage_stages: tuple[StageSpec, ...] = ()):
-        if medium not in ("NH3", "LH2", "GH2_pipeline"):
-            raise InputError(f"unknown carrier medium {medium!r}")
-        last = -1
-        for stage in stages:
-            order = _ROLE_ORDER[stage.role]
-            if order < last:
-                raise InputError(
-                    f"stage {stage.name!r} out of order: expected "
-                    "conversion -> transport -> storage -> reconversion")
-            last = order
-            if medium == "GH2_pipeline" and stage.role in ("conversion", "reconversion"):
-                raise InputError("pipeline chains carry gaseous hydrogen end to end")
         self.medium = medium
         self.stages = stages
         self.storage_stages = storage_stages
@@ -205,10 +189,7 @@ def volume_bracket(volume_kt: float) -> tuple[float, bool]:
 
 
 def _param(params: Mapping[str, float], key: str) -> float:
-    try:
-        return float(params[key])
-    except KeyError:
-        raise InputError(f"missing carrier parameter {key!r}") from None
+    return float(params[key])
 
 
 def _bracket_param(params: Mapping[str, float], stem: str, volume_kt: float) -> float:
@@ -261,14 +242,11 @@ def _walk_delivery(chain: CarrierChain, q: CostQuery) -> tuple[list[_StageFlow],
                 capex = spec.capex_value * q.distance_km
                 energy = spec.energy_use_mwh_per_t * basis_mass * q.distance_km / 100.0
                 survival = (1.0 - spec.loss_rate) ** (q.distance_km / 1000.0)
-            elif spec.capex_basis == "per_asset":
+            else:   # per_asset
                 fleet = _transport_fleet(spec, basis_mass, q.distance_km)
                 capex = spec.capex_value * fleet
                 energy = spec.energy_use_mwh_per_t * basis_mass
                 survival = (1.0 - spec.loss_rate) ** (q.distance_km / spec.daily_range_km)
-            else:
-                raise InputError(f"transport stage {spec.name!r}: unsupported "
-                                 f"capex basis {spec.capex_basis!r}")
             out_mass = mass_t * survival
         elif spec.role == "storage":
             # working buffer sized in days of throughput
@@ -336,8 +314,6 @@ def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
     """
     if q.storage_days <= 0:
         raise InputError("storage_days must be positive for storage costing")
-    if not chain.storage_stages:
-        raise InputError(f"{chain.medium} chain has no storage stages")
 
     h2_in_t = q.annual_h2_kt * 1000.0 * q.stored_share
     if chain.medium == "NH3":
@@ -378,19 +354,9 @@ def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
 def default_query(params: Mapping[str, float], annual_h2_kt: float,
                   distance_km: float = 0.0, storage_days: float = 0.0) -> CostQuery:
     """CostQuery with financial context taken from the parameter set."""
-    key = "wacc"   # the key being read, named if it is missing
-    try:
-        dr = float(params[key])
-        key = "lifetime_years"
-        lifetime_years = int(float(params[key]))
-        key = "electricity_usd_per_mwh"
-        price = float(params[key])
-        key = "stored_share"
-        stored_share = float(params[key])
-    except KeyError:
-        raise InputError(f"missing carrier parameter {key!r}") from None
-    return CostQuery(annual_h2_kt, distance_km, storage_days, dr, lifetime_years,
-                     price, stored_share)
+    return CostQuery(annual_h2_kt, distance_km, storage_days, float(params["wacc"]),
+                     int(float(params["lifetime_years"])),
+                     float(params["electricity_usd_per_mwh"]), float(params["stored_share"]))
 
 
 def builtin_chains(params: Mapping[str, float],
@@ -398,10 +364,9 @@ def builtin_chains(params: Mapping[str, float],
     """The four standard chains, with bracketed capex resolved for a volume.
 
     Volumes outside the tabulated brackets use the nearest bracket
-    (`volume_bracket` says which, and whether it clamped).
+    (`volume_bracket` says which, and whether it clamped). The volume is
+    checked where it is priced, by `CostQuery`.
     """
-    if annual_h2_kt <= 0:
-        raise InputError("annual hydrogen volume must be positive")
     opex = _param(params, "fixed_opex_rate")
 
     reformer_capex = _bracket_param(params, "reformer_capex", annual_h2_kt)

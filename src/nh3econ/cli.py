@@ -111,9 +111,7 @@ class Table:
         self.rows: list[tuple] = []
 
     def add(self, *row) -> None:
-        """Append a row of the table's width; rendering checks its floats."""
-        if len(row) != len(self.columns):
-            raise ValueError("row width mismatch")
+        """Append a row, one cell per column; rendering checks its floats."""
         self.rows.append(row)
 
     def _cell_texts(self, strings, numbers) -> list[tuple[str, ...]]:

@@ -126,13 +126,10 @@ def _efficiency_loss(params: CofiringParams, rate: float, interpolate: bool) -> 
             f"(pass interpolate_loss=True for linear interpolation)"
         )
     points = sorted([(0.0, 0.0), *params.efficiency_loss.items()])
-    rates = [p[0] for p in points]
-    if rate > rates[-1]:
-        raise InputError(f"rate {rate:g} is above the tabulated range")
     for (r0, l0), (r1, l1) in zip(points, points[1:]):
-        if r0 <= rate <= r1:
+        if rate <= r1:    # the first segment that holds the rate
             return l0 + (l1 - l0) * (rate - r0) / (r1 - r0)
-    raise InputError(f"rate {rate:g} is outside the tabulated range")
+    raise InputError(f"rate {rate:g} is above the tabulated range")
 
 
 def base_lcoe(params: CofiringParams) -> float:

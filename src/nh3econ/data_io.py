@@ -392,11 +392,10 @@ class Dataset:
         self._params: dict[str, ParameterSet] = {}
 
     def params(self, namespace: str) -> ParameterSet:
-        """Effective parameters of one namespace: `<namespace>.csv`, checked
-        against its schema, with the overrides of its declared keys on top."""
+        """Effective parameters of one namespace of `SCHEMAS` (every caller
+        passes a literal): `<namespace>.csv`, checked against its schema, with
+        the overrides of its declared keys on top."""
         if namespace not in self._params:
-            if namespace not in SCHEMAS:
-                raise InputError(f"unknown parameter namespace {namespace!r}")
             name = f"{namespace}.csv"
             params = load_params(os.path.join(self.directory, name), namespace,
                                  SCHEMAS[namespace], self.manifest.content(name))

@@ -65,19 +65,13 @@ _INPUT_FIELDS = ("energy_mtce", "labour_m", "capital_busd", "co2_mt")
 
 
 class RegionRecord:
-    """One region's annual inputs and output for the efficiency model."""
+    """One region's annual inputs and output for the efficiency model, each
+    strictly positive: `data_io.load_regions` checks them, naming line and column."""
 
     __slots__ = ("name", *_INPUT_FIELDS, "gdp_busd")
 
     def __init__(self, name: str, energy_mtce: float, labour_m: float,
                  capital_busd: float, co2_mt: float, gdp_busd: float):
-        values = (energy_mtce, labour_m, capital_busd, co2_mt, gdp_busd)
-        for field_name, value in zip(self.__slots__[1:], values):
-            if not value > 0:
-                raise InputError(
-                    f"region {name!r}: {field_name} must be strictly "
-                    f"positive, got {value}"
-                )
         self.name = name
         self.energy_mtce = energy_mtce
         self.labour_m = labour_m
@@ -117,10 +111,6 @@ def build_dea_lp(records: list[RegionRecord], i: int) -> lp.LinearProgram:
     is an InputError naming regions i and j; `_check_every_pair` bounds
     these same ratios, so a change to them changes it too.
     """
-    if not records:
-        raise InputError("at least one region record is required")
-    if not 0 <= i < len(records):
-        raise InputError(f"region index {i} out of range for {len(records)} records")
     x_i = records[i].inputs
     y_i = records[i].gdp_busd
     c = []
@@ -151,8 +141,6 @@ def dea_score(records: list[RegionRecord], i: int) -> float:
 
 def intensities(record: RegionRecord) -> tuple[float, float]:
     """(energy intensity kBtu/USD, carbon intensity kg CO2/USD)."""
-    if record.gdp_busd <= 0:
-        raise InputError(f"region {record.name!r}: GDP must be positive")
     energy_kbtu = record.energy_mtce * 1e6 * TCE_GJ / KBTU_GJ
     gdp_usd = record.gdp_busd * 1e9
     co2_kg = record.co2_mt * 1e6 / 1e-3     # not * 1e9: the last bit differs

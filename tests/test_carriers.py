@@ -62,7 +62,6 @@ def test_levelized_cost_validation():
 
 
 def test_annuity_factor_edge_cases():
-    assert carriers.annuity_factor(0.0, 20) == 20.0
     with pytest.raises(InputError):
         carriers.annuity_factor(0.08, 0)
 
@@ -113,19 +112,27 @@ def test_bracket_clamp_warning(params):
     assert carriers.volume_bracket(50.0) == (50.0, False)
 
 
-def test_missing_parameter_is_named():
+def _parameter_set(params, keys):
+    """A carrier ParameterSet holding only `keys` of `params`."""
+    return data_io.ParameterSet("carriers", {
+        key: data_io.ParamEntry(key, value, unit, provenance)
+        for key, value, unit, provenance in params.rows() if key in keys})
+
+
+def test_missing_parameter_is_named(params):
+    # the parameter set names a key that it lacks; builtin_chains adds nothing
     with pytest.raises(InputError) as excinfo:
-        carriers.builtin_chains({"wacc": 0.08}, 100.0)
-    assert "fixed_opex_rate" in str(excinfo.value)
+        carriers.builtin_chains(_parameter_set(params, {"wacc"}), 100.0)
+    assert str(excinfo.value) == "parameter set 'carriers' has no key 'fixed_opex_rate'"
 
 
 @pytest.mark.parametrize("index", range(len(FINANCIAL_KEYS)))
 def test_default_query_names_the_first_missing_key(params, index):
-    # the keys before this one are present, this one and the rest are not
-    partial = {key: params[key] for key in FINANCIAL_KEYS[:index]}
+    # the keys before this one are present, this one and the rest are not:
+    # default_query reads them in order, so the parameter set names this one
     with pytest.raises(InputError) as excinfo:
-        carriers.default_query(partial, 100.0)
-    assert str(excinfo.value) == f"missing carrier parameter {FINANCIAL_KEYS[index]!r}"
+        carriers.default_query(_parameter_set(params, FINANCIAL_KEYS[:index]), 100.0)
+    assert str(excinfo.value) == f"parameter set 'carriers' has no key {FINANCIAL_KEYS[index]!r}"
 
 
 @pytest.mark.parametrize("missing", FINANCIAL_KEYS)
@@ -171,14 +178,20 @@ def test_kernel_matches_two_pass_oracle_bit_for_bit(params, factors, lifetime, v
         assert new == old, (cost.__name__, chain.medium, sizing)
 
 
-def test_stage_order_enforced():
-    plant = carriers.StageSpec("p", "conversion", "per_t_per_yr", 1.0, 0.03)
-    truck = carriers.StageSpec("t", "transport", "per_asset", 1.0, 2.4,
-                               payload_t=25, daily_range_km=1000)
-    with pytest.raises(InputError):
-        carriers.CarrierChain(medium="NH3", stages=(truck, plant))
-    with pytest.raises(InputError):
-        carriers.CarrierChain(medium="GH2_pipeline", stages=(plant,))
+def test_stage_order_enforced(params):
+    # builtin_chains fixes each chain's medium, roles, bases and stage order
+    # where it builds the chain: nothing checks them later
+    order = ("conversion", "transport", "storage", "reconversion")
+    for volume in (1.0, *VOLUMES, 1e6):
+        chains = chains_at(params, volume)
+        for chain in chains.values():
+            roles = [order.index(stage.role) for stage in chain.stages]
+            assert roles == sorted(roles)
+            assert chain.medium in ("NH3", "LH2", "GH2_pipeline")
+            for stage in chain.stages + chain.storage_stages:
+                assert stage.role in order
+                assert stage.capex_basis in ("per_t_per_yr", "per_asset", "per_km", "per_m3")
+        assert [stage.role for stage in chains["pipeline"].stages] == ["transport"]
 
 
 def test_query_validation(params):
@@ -198,9 +211,10 @@ TRUCK = carriers.StageSpec(**{**STAGE, "name": "t", "role": "transport"})
 
 
 @pytest.mark.parametrize("cls, kwargs, message", [
-    (carriers.StageSpec, {**STAGE, "role": "storing"}, "stage 's': unknown role 'storing'"),
-    (carriers.StageSpec, {**STAGE, "capex_basis": "per_kg"},
-     "stage 's': unknown capex basis 'per_kg'"),
+    (carriers.StageSpec, {**STAGE, "loss_rate": math.nan},
+     "stage 's': loss rate must be in [0, 1)"),
+    (carriers.StageSpec, {**STAGE, "conversion_efficiency": math.nan},
+     "stage 's': conversion efficiency must be in (0, 1]"),
     (carriers.StageSpec, {**STAGE, "capex_value": -1.0}, "stage 's': capex must be nonnegative"),
     (carriers.StageSpec, {**STAGE, "loss_rate": -0.1}, "stage 's': loss rate must be in [0, 1)"),
     (carriers.StageSpec, {**STAGE, "loss_rate": 1.0}, "stage 's': loss rate must be in [0, 1)"),
@@ -208,11 +222,14 @@ TRUCK = carriers.StageSpec(**{**STAGE, "name": "t", "role": "transport"})
      "stage 's': conversion efficiency must be in (0, 1]"),
     (carriers.StageSpec, {**STAGE, "conversion_efficiency": 1.2},
      "stage 's': conversion efficiency must be in (0, 1]"),
-    (carriers.CarrierChain, {"medium": "CH4", "stages": ()}, "unknown carrier medium 'CH4'"),
-    (carriers.CarrierChain, {"medium": "NH3", "stages": (TRUCK, PLANT)},
-     "stage 's' out of order: expected conversion -> transport -> storage -> reconversion"),
-    (carriers.CarrierChain, {"medium": "GH2_pipeline", "stages": (PLANT,)},
-     "pipeline chains carry gaseous hydrogen end to end"),
+    (carriers.StageSpec, {**STAGE, "capex_basis": "per_asset", "payload_t": math.nan,
+                          "daily_range_km": 800.0},
+     "stage 's': a per_asset stage needs a positive payload and daily range, "
+     "got nan t and 800.0 km"),
+    (carriers.StageSpec, {**STAGE, "capex_basis": "per_m3", "density_t_per_m3": math.nan},
+     "stage 's': a per_m3 stage needs a positive density, got nan t/m3"),
+    (carriers.CostQuery, {"annual_h2_kt": 10.0, "dr": math.nan},
+     "discount rate must be in (0, 1)"),
     (carriers.CostQuery, {"annual_h2_kt": 0.0}, "annual hydrogen volume must be positive"),
     (carriers.CostQuery, {"annual_h2_kt": math.nan}, "annual hydrogen volume must be positive"),
     (carriers.CostQuery, {"annual_h2_kt": 10.0, "distance_km": -5.0},
@@ -410,6 +427,7 @@ def test_storage_requires_positive_days(params):
 
 
 def test_pipeline_has_no_storage_stages(params):
-    chain = chains_at(params, 100.0)["pipeline"]
-    with pytest.raises(InputError):
-        carriers.storage_cost(chain, query(params, 100.0, days=30.0))
+    # so `carrier storage` prices the other chains only
+    chains = chains_at(params, 100.0)
+    assert chains["pipeline"].storage_stages == ()
+    assert all(chains[name].storage_stages for name in ("NH3_with_crack", "NH3_direct", "LH2"))

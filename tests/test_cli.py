@@ -542,23 +542,136 @@ def test_empty_input_path_exits_2_as_the_current_directory(command, flag, tmp_pa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, message", [
+def _file(name, content):
+    """An argument naming a file of the case's directory that holds
+    `content`, str or bytes."""
+    def write(directory):
+        path = directory / name
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        return str(path)
+    return write
+
+
+def _params(*rows):
+    """An argument naming a `--params` file that holds `rows` under the header."""
+    return _file("params.csv",
+                 "key,value,unit,provenance\n" + "".join(f"{row}\n" for row in rows))
+
+
+def _dataset(changes):
+    """An argument naming a copy of the bundled dataset with `old` replaced
+    by `new` in each file of `changes` ({file: (old, new)}), which the
+    manifest lists with its new digest."""
+    def copy(directory):
+        data = directory / "data"
+        shutil.copytree(data_io.data_dir(), data)
+        for name, (old, new) in changes.items():
+            text = (data / name).read_text(encoding="utf-8")
+            assert old in text, (name, old)
+            (data / name).write_text(text.replace(old, new), encoding="utf-8")
+            _rehash(data, name)
+        return str(data)
+    return copy
+
+
+REGIONS_HEADER = "region,energy_mtce,labour_m,capital_busd,co2_mt,gdp_busd\n"
+
+# Inputs that only the command line gives each guard behind it, with the one
+# line the guard prints; cli_argv writes the files that an argument names.
+GUARDS = [
     (["carrier", "delivery", "--volume", "0"], "annual hydrogen volume must be positive"),
     (["carrier", "delivery", "--distance", "-5"], "distance must be nonnegative"),
     (["carrier", "storage", "--days", "0"], "storage_days must be positive for storage costing"),
-    (["carrier", "delivery", "--params", "lifetime_years,0,yr,x"],
+    (["carrier", "delivery", "--params", _params("lifetime_years,0,yr,x")],
      "lifetime must be at least one year"),
     (["cofire", "--rate", "0.9", "--interpolate"], "rate 0.9 is above the tabulated range"),
     (["cofire", "--rate", "nan"], "co-firing rate must be in [0, 1], got nan"),
-])
+    (["carrier", "storage", "--days", "-5"], "storage days must be nonnegative"),
+    (["carrier", "delivery", "--distance", "0"], "pipeline delivery requires a positive distance"),
+    (["carrier", "delivery", "--distance", "1e308"],
+     "stage 'truck_transport': a vehicle completes no delivery over 1e+308 km"),
+    (["carrier", "delivery", "--distance", "1e300"], "chain delivers no hydrogen"),
+    (["carrier", "delivery", "--params", _file("params.csv", "")],
+     "{tmp}/params.csv: no header row found"),
+    (["gtfp", "--regions", _file("regions.csv", REGIONS_HEADER)], "{tmp}/regions.csv: no records"),
+    (["gtfp", "--regions", _file("regions.csv", REGIONS_HEADER + "North,0,1,1,1,1\n")],
+     "{tmp}/regions.csv: line 2 (region 'North'), column 'energy_mtce': "
+     "value must be positive, got 0"),
+    (["carrier", "delivery", "--params", _params("wacc,1.5,fraction,x")],
+     "discount rate must be in (0, 1)"),
+    (["carrier", "delivery", "--params", _params("stored_share,0,fraction,x")],
+     "stored share must be in (0, 1]"),
+    (["carrier", "delivery", "--params", _params("truck_capex_usd,-1,USD,x")],
+     "stage 'truck_transport': capex must be nonnegative"),
+    (["carrier", "delivery", "--params", _params("nh3_boiloff_per_day,1,fraction_per_day,x")],
+     "stage 'truck_transport': loss rate must be in [0, 1)"),
+    (["carrier", "delivery", "--params", _params("nh3_synthesis_conversion,0,fraction,x")],
+     "stage 'ammonia_plant': conversion efficiency must be in (0, 1]"),
+    (["carrier", "delivery", "--params", _params("delivery_buffer_days,-1,days,x")],
+     "stage 'terminal_buffer': hold days must be nonnegative, got -1.0"),
+    (["carrier", "delivery", "--params", _params("truck_payload_t,0,t,x")],
+     "stage 'truck_transport': a per_asset stage needs a positive payload and daily range, "
+     "got 0.0 t and 1000.0 km"),
+    (["carrier", "storage", "--params", _params("lh2_truck_tank_m3,-1,m3,x",
+                                                "lh2_density_t_per_m3,-0.07,t_per_m3,x")],
+     "stage 'cryo_tank': a per_m3 stage needs a positive density, got -0.07 t/m3"),
+    (["cofire", "--params", _params("coal_price_usd_per_tce,0,USD_per_tce,x")],
+     "coal_price_usd_per_tce must be positive"),
+    (["cofire", "--params", _params("fuel_cost_share,1,fraction,x")],
+     "fuel_cost_share must be in (0, 1)"),
+    (["cofire", "--params", _params("gross_margin,-1,fraction,x")],
+     "gross_margin must be nonnegative"),
+    (["cofire", "--params", _params("efficiency_loss_3pct,1,fraction,x")],
+     "efficiency loss at rate 0.03 must be in [0, 1)"),
+    (["scenario", "supply", "--params", _params("wind_gw,-1,GW,x")],
+     "wind_gw must be nonnegative"),
+    (["scenario", "supply", "--params", _params("electrolyser_efficiency,0,fraction,x")],
+     "electrolyser_efficiency must be in (0, 1]"),
+    (["scenario", "demand", "--params", _params("thermal_gw,0,GW,x")],
+     "thermal_gw must be positive"),
+    (["scenario", "demand", "--params", _params("coal_share,0,fraction,x")],
+     "coal_share must be in (0, 1]"),
+    (["--data-dir", _dataset({"supply_levels.csv": ("Level 1,0.15", "Level 1,1.5")}),
+      "scenario", "supply"], "supply level 'Level 1': share must be in [0, 1]"),
+    (["--data-dir", _dataset({"demand_levels.csv": ("Level 1,0.10", "Level 1,1.5")}),
+      "scenario", "demand"], "demand level 'Level 1': pr_ammonia must be in [0, 1]"),
+]
+
+# Inputs at an edge that a command runs through, with what it prints.
+EDGES = [
+    # a dataset with no supply level prints an empty table
+    (["--data-dir", _dataset({"supply_levels.csv": ("Level 1,0.15\nLevel 2,0.35\n"
+                                                    "Level 3,0.65\n", "")}),
+      "scenario", "supply", "--format", "json"],
+     '{\n  "columns": [\n    "level",\n    "renewable_share",\n    "supply_mt"\n  ],\n'
+     '  "description": "green ammonia supply capacity by scenario level; '
+     'dataset cn-2019-v1",\n  "rows": []\n}\n'),
+    # the emission delta is a negative number that rounds to -0, written 0
+    (["cofire", "--rate", "1e-9", "--interpolate"],
+     "# coal/ammonia co-firing costs and emission intensity; dataset cn-2019-v1\n"
+     "rate,mixed_fuel_cost_usd_per_tce,fuel_cost_delta_pct,lcoe_usd_per_mwh,lcoe_delta_pct,"
+     "emission_kg_per_mwh,emission_delta_kg_per_mwh\n"
+     "0,153.4681,0,67.9645,0,838,0\n"),
+]
+
+
+def cli_argv(argv, directory) -> list[str]:
+    """argv with each argument that is a function replaced by what it
+    returns for the case's directory, where it writes its files."""
+    return [arg if isinstance(arg, str) else arg(directory) for arg in argv]
+
+
+@pytest.mark.parametrize("argv, message", GUARDS)
 def test_guard_behind_the_command_line_exits_2_with_one_line(argv, message, tmp_path, capsys):
     # guards that other tests reach only by calling the function directly
-    if argv[-2] == "--params":    # the last item is the one row of the file
-        params = tmp_path / "params.csv"
-        params.write_text(f"key,value,unit,provenance\n{argv[-1]}\n")
-        argv = [*argv[:-1], str(params)]
-    assert cli.run(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert cli.run(cli_argv(argv, tmp_path)) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+@pytest.mark.parametrize("argv, expected", EDGES)
+def test_edge_input_exits_0(argv, expected, tmp_path, capsys):
+    assert cli.run(cli_argv(argv, tmp_path)) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 @pytest.mark.parametrize("argv, source", [

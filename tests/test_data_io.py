@@ -1,5 +1,6 @@
 """Dataset loading, validation, provenance and manifest checks."""
 
+import ast
 import shutil
 from pathlib import Path
 
@@ -290,8 +291,20 @@ def test_levels_loaders():
 
 
 def test_unknown_namespace():
-    with pytest.raises(InputError, match="namespace"):
-        data_io.load_bundled_params("mystery")
+    # Dataset.params does not check its namespace: every call names a
+    # namespace of SCHEMAS as a literal, in the package and in bench/
+    root = Path(data_io.__file__).parents[2]
+    named = []
+    for path in [*(root / "src" / "nh3econ").glob("*.py"), *(root / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) in (
+                    "params", "load_bundled_params"):
+                if ast.unparse(node) == "Dataset().params(namespace)":
+                    continue    # load_bundled_params passes on what its callers name
+                assert [type(arg) for arg in node.args] == [ast.Constant], ast.unparse(node)
+                named.append(node.args[0].value)
+    assert set(named) == set(data_io.SCHEMAS)
 
 
 def test_dataset_parses_the_bytes_the_manifest_verified(tmp_path):

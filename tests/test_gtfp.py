@@ -132,17 +132,29 @@ def test_a_ratio_outside_the_float_range_names_both_regions(regions, values):
 
 
 def test_build_dea_lp_validation(regions):
-    with pytest.raises(InputError):
-        gtfp.build_dea_lp([], 0)
-    with pytest.raises(InputError):
-        gtfp.build_dea_lp(regions, 17)
+    # its callers pass every i of range(len(records)); what it checks is
+    # that each ratio is a double
+    for i in range(len(regions)):
+        program = gtfp.build_dea_lp(regions, i)
+        assert (len(program.c), program.b_ub) == (len(regions), (1.0,) * 4)
+    with pytest.raises(InputError) as excinfo:
+        gtfp.build_dea_lp(_with_value(regions, 0, "energy_mtce", 1e-307), 0)
+    assert str(excinfo.value).startswith("regions 'North' and 'Northeast': ")
 
 
-def test_record_requires_positive_values():
+def _load_row(tmp_path, row):
+    """load_regions over a table holding one region row."""
+    path = tmp_path / "regions.csv"
+    path.write_text(",".join(data_io.REGION_COLUMNS) + "\n" + ",".join(map(str, row)) + "\n")
+    return data_io.load_regions(str(path))
+
+
+def test_record_requires_positive_values(tmp_path):
+    # load_regions, which builds every record, checks each value
     with pytest.raises(InputError):
-        gtfp.RegionRecord("bad", 0.0, 1.0, 1.0, 1.0, 1.0)
+        _load_row(tmp_path, ("bad", 0.0, 1.0, 1.0, 1.0, 1.0))
     with pytest.raises(InputError):
-        gtfp.RegionRecord("bad", 1.0, 1.0, 1.0, 1.0, -2.0)
+        _load_row(tmp_path, ("bad", 1.0, 1.0, 1.0, 1.0, -2.0))
 
 
 ROW = {"name": "bad", "energy_mtce": 1.0, "labour_m": 2.0, "capital_busd": 3.0,
@@ -152,11 +164,14 @@ ROW = {"name": "bad", "energy_mtce": 1.0, "labour_m": 2.0, "capital_busd": 3.0,
 @pytest.mark.parametrize("field", ["energy_mtce", "labour_m", "capital_busd",
                                    "co2_mt", "gdp_busd"])
 @pytest.mark.parametrize("value", [0.0, -2.0, float("nan")])
-def test_record_check_names_field_and_value(field, value):
+def test_record_check_names_field_and_value(field, value, tmp_path):
     with pytest.raises(InputError) as excinfo:
-        gtfp.RegionRecord(**{**ROW, field: value})
+        _load_row(tmp_path, {**ROW, field: value}.values())
+    problem = (f"cannot parse 'nan' as a finite number" if math.isnan(value)
+               else f"value must be positive, got {value}")
+    region = "" if math.isnan(value) else " (region 'bad')"
     assert str(excinfo.value) == (
-        f"region 'bad': {field} must be strictly positive, got {value}")
+        f"{tmp_path / 'regions.csv'}: line 2{region}, column {field!r}: {problem}")
 
 
 def test_record_from_keywords_matches_positional():
