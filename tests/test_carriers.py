@@ -207,7 +207,6 @@ def test_query_validation(params):
 STAGE = {"name": "s", "role": "conversion", "capex_basis": "per_t_per_yr",
          "capex_value": 1.0, "fixed_opex_rate": 0.03}
 PLANT = carriers.StageSpec(**STAGE)
-TRUCK = carriers.StageSpec(**{**STAGE, "name": "t", "role": "transport"})
 
 
 @pytest.mark.parametrize("cls, kwargs, message", [

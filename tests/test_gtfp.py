@@ -167,7 +167,7 @@ ROW = {"name": "bad", "energy_mtce": 1.0, "labour_m": 2.0, "capital_busd": 3.0,
 def test_record_check_names_field_and_value(field, value, tmp_path):
     with pytest.raises(InputError) as excinfo:
         _load_row(tmp_path, {**ROW, field: value}.values())
-    problem = (f"cannot parse 'nan' as a finite number" if math.isnan(value)
+    problem = ("cannot parse 'nan' as a finite number" if math.isnan(value)
                else f"value must be positive, got {value}")
     region = "" if math.isnan(value) else " (region 'bad')"
     assert str(excinfo.value) == (

@@ -22,6 +22,7 @@ hook is used because no coverage package is a dependency.
 
 import ast
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -214,14 +215,9 @@ ALLOWED = {
 }
 
 
-class _Statement:
-    __slots__ = ("name", "line", "header", "children")
-
-    def __init__(self, name, line, header, children):
-        self.name = name
-        self.line = line
-        self.header = header
-        self.children = children
+# name: (module.qualname, first line); header: the lines whose events reach
+# it; children: the statements of its bodies
+_Statement = namedtuple("_Statement", "name line header children")
 
 
 def _statements(path: Path) -> list[_Statement]:
@@ -236,7 +232,9 @@ def _statements(path: Path) -> list[_Statement]:
         for node in nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 function = not isinstance(node, ast.ClassDef)
-                body = node.body[function and ast.get_docstring(node) is not None:]
+                body = node.body
+                if function and ast.get_docstring(node) is not None:
+                    body = body[1:]     # a docstring compiles to no instruction
                 walk(body, f"{qualname}{'.<locals>' * in_function}.{node.name}",
                      in_function or function)
                 children = []     # a nested function's body runs when it is called
