@@ -44,7 +44,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from math import isfinite, nan
 
-from . import carriers, cofiring, data_io, gtfp, scenarios
+from . import carriers, cofiring, data_io, scenarios
 from .errors import InputError, SolverError
 
 DELIVERY_DISTANCES_KM = (500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
@@ -169,7 +169,7 @@ def _gtfp_table(dataset: data_io.Dataset, args) -> Table:
         ("region", "gtfp", "energy_intensity_kbtu_per_usd",
          "carbon_intensity_kg_per_usd", "efficient"),
     )
-    for row in gtfp.gtfp_scores(dataset.regions):
+    for row in dataset.scores():
         table.add(row.name, row.gtfp, row.energy_intensity_kbtu_per_usd,
                   row.carbon_intensity_kg_per_usd, row.efficient)
     return table

@@ -16,9 +16,19 @@ lines and the line number of each row, drops one leading byte-order mark
 and checks the header with one message, `<path>: expected header
 <columns>, got <cells>`. Bundled files are parsed only from the bytes whose
 digests `load_manifest` verified; only `--params` and `--regions` files are
-read by path. A `ParameterSet` is a `dict` of floats, with each key's unit
-and provenance kept beside it. Paths are `str`, and messages name files as
-pathlib would.
+read by path. A `ParameterSet` is a read-only `dict` of floats, with each
+key's unit and provenance kept beside it. Paths are `str`, and messages
+name files as pathlib would.
+
+What is kept in-process, and what is not: every run reads and hashes every
+listed file. What is derived from the verified bytes (each namespace's
+base parameters, the bundled regions and their scores, the scenario levels,
+the calibration ledger and the carrier chains over the base parameters) is
+computed at most once per process for each verified content of a
+directory, and only the most recent content's values are kept. A value
+whose computation fails is not kept, so the same bad bytes fail the same
+way on every run. The `--params` and `--regions` files are read and parsed
+on every run, and so is whatever depends on them.
 """
 
 from __future__ import annotations
@@ -26,9 +36,10 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from functools import cache, cached_property, partial
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
-from . import carriers
+from . import carriers, gtfp
 from .carriers import VOLUME_BRACKETS_KT
 from .cofiring import CofiringParams
 from .errors import InputError
@@ -195,7 +206,11 @@ class ParamEntry:
 
 class ParameterSet(dict):
     """Namespaced key -> float value from one file, each key's `ParamEntry`
-    (value, unit, provenance) kept beside it; a missing key is an input error."""
+    (value, unit, provenance) kept beside it; a missing key is an input error.
+    A set is read-only, as the bundled ones are shared between runs."""
+
+    # None marks an operation as unsupported: calling it raises TypeError
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = None
 
     def __init__(self, namespace: str, entries: dict[str, ParamEntry]):
         super().__init__((key, entry.value) for key, entry in entries.items())
@@ -277,7 +292,7 @@ def load_bundled_params(namespace: str) -> ParameterSet:
     return Dataset().params(namespace)
 
 
-def load_regions(path: str, data: bytes | None = None) -> list[RegionRecord]:
+def load_regions(path: str, data: bytes | None = None) -> tuple[RegionRecord, ...]:
     """Regional input/output records, validated strictly positive; `data`,
     when given, is the file's content, already read."""
     table = _read_table(path, REGION_COLUMNS, data)
@@ -295,7 +310,7 @@ def load_regions(path: str, data: bytes | None = None) -> list[RegionRecord]:
                     f"{column!r}: value must be positive, got {cell}")
             values[column] = value
         records.append(RegionRecord(name=name, **values))
-    return records
+    return tuple(records)
 
 
 def bundled_regions_path() -> str:
@@ -315,16 +330,26 @@ class CalibrationEntry:
 
 
 class DatasetManifest:
-    """The verified content of each listed file (filename -> bytes) and
-    the calibration ledger."""
+    """The verified content of each listed file (filename -> bytes) of one
+    dataset directory, and the calibration ledger, which `Dataset` fills.
+    Two manifests are equal when they name the same directory and version
+    and verified the same bytes of the same files."""
 
-    __slots__ = ("path", "version", "files", "calibration")
+    __slots__ = ("directory", "path", "version", "files", "calibration")
 
-    def __init__(self, path: str, version: str, files: dict[str, bytes]):
+    def __init__(self, directory: str, path: str, version: str, files: dict[str, bytes]):
+        self.directory = directory
         self.path = path
         self.version = version
         self.files = files
         self.calibration: tuple[CalibrationEntry, ...] = ()
+
+    def __eq__(self, other) -> bool:
+        return ((self.directory, self.version, self.files)
+                == (other.directory, other.version, other.files))
+
+    def __hash__(self) -> int:
+        return hash((self.directory, self.version, *self.files))
 
     def content(self, name: str) -> bytes:
         """The verified bytes of a file; one the manifest does not list is an input error."""
@@ -332,11 +357,14 @@ class DatasetManifest:
             raise InputError(f"{self.path}: does not list {name!r}, which this run parses")
         return self.files[name]
 
+    def table(self, name: str, columns: tuple[str, ...]) -> _Table:
+        """A listed file parsed from its verified bytes."""
+        return _read_table(os.path.join(self.directory, name), columns, self.content(name))
+
 
 def load_manifest(directory: str | None = None) -> DatasetManifest:
     """Read manifest.csv and every listed file, once, verifying its digest:
-    the only reads of a bundled file. Parse calibration.csv, which must be
-    listed, from its verified bytes. A file listed twice is an input error."""
+    the only reads of a bundled file. A file listed twice is an input error."""
     base_dir = data_dir() if directory is None else directory
     table = _read_table(os.path.join(base_dir, "manifest.csv"), MANIFEST_COLUMNS)
     version = ""
@@ -358,13 +386,64 @@ def load_manifest(directory: str | None = None) -> DatasetManifest:
                 f"dataset file {name!r} digest mismatch: manifest has "
                 f"{digest[:12]}..., file has {actual[:12]}...")
         files[name] = data
-    manifest = DatasetManifest(table.path, version, files)
-    ledger = _read_table(os.path.join(base_dir, "calibration.csv"), CALIBRATION_COLUMNS,
-                         manifest.content("calibration.csv"))
-    manifest.calibration = tuple(
-        CalibrationEntry(row[0], _parse_float(row[1], ledger.path, ln, "value"), row[2], row[3])
-        for row, ln in zip(ledger.rows, ledger.row_lines))
-    return manifest
+    return DatasetManifest(base_dir, table.path, version, files)
+
+
+class _Verified:
+    """What runs derive from one verified content of a dataset directory:
+    the calibration ledger, parsed on construction, and, each on first use,
+    every namespace's base parameters, the bundled regions and their
+    scores, the scenario levels and the carrier chains over the base
+    parameters, one entry per volume. Every value is immutable or a
+    read-only view. A value whose computation fails is not kept; the
+    analyses are called through their modules."""
+
+    def __init__(self, manifest: DatasetManifest):
+        self.manifest = manifest
+        ledger = manifest.table("calibration.csv", CALIBRATION_COLUMNS)
+        self.calibration = tuple(
+            CalibrationEntry(row[0], _parse_float(row[1], ledger.path, ln, "value"), row[2], row[3])
+            for row, ln in zip(ledger.rows, ledger.row_lines))
+        self.params: dict[str, ParameterSet] = {}
+        self.chains: dict[float, MappingProxyType] = {}
+
+    def base_params(self, namespace: str) -> ParameterSet:
+        """`<namespace>.csv`, checked against its schema."""
+        if namespace not in self.params:
+            name = f"{namespace}.csv"
+            self.params[namespace] = load_params(
+                os.path.join(self.manifest.directory, name), namespace, SCHEMAS[namespace],
+                self.manifest.content(name))
+        return self.params[namespace]
+
+    @cached_property
+    def regions(self) -> tuple[RegionRecord, ...]:
+        return load_regions(os.path.join(self.manifest.directory, REGIONS_FILE),
+                            self.manifest.content(REGIONS_FILE))
+
+    @cached_property
+    def scores(self) -> tuple[gtfp.RegionEfficiency, ...]:
+        return tuple(gtfp.gtfp_scores(self.regions))
+
+    @cached_property
+    def supply_levels(self) -> tuple[SupplyLevel, ...]:
+        table = self.manifest.table("supply_levels.csv", SUPPLY_COLUMNS)
+        return tuple(SupplyLevel(row[0], _parse_float(row[1], table.path, ln, "renewable_share"))
+                     for row, ln in zip(table.rows, table.row_lines))
+
+    @cached_property
+    def demand_levels(self) -> tuple[DemandLevel, ...]:
+        table = self.manifest.table("demand_levels.csv", DEMAND_COLUMNS)
+        return tuple(DemandLevel(row[0], *(_parse_float(cell, table.path, ln, column)
+                                           for column, cell in zip(DEMAND_COLUMNS[1:], row[1:])))
+                     for row, ln in zip(table.rows, table.row_lines))
+
+
+@lru_cache(maxsize=1)
+def _verified(manifest: DatasetManifest) -> _Verified:
+    """The values derived from a manifest's verified content, kept for the
+    most recent content only; `_verified.cache_clear()` forgets them."""
+    return _Verified(manifest)
 
 
 class Dataset:
@@ -373,62 +452,68 @@ class Dataset:
 
     Construction reads manifest.csv and every file it lists, once, and
     verifies their digests, so a tampered dataset fails before anything is
-    computed from it, and reads and checks the override file, if one is
-    given. The rest is parsed on first use, from the bytes the manifest
-    verified, and kept: each namespace's parameters with the overrides of
-    its declared keys layered over them, the regions table (the given
-    one, read from its file, or the bundled one) and the scenario levels.
-    A dataset file that a run parses must be listed in the manifest; only
-    the override and regions files given by path are read from outside it.
+    computed from it; then it takes the calibration ledger and reads and
+    checks the override file, if one is given. What the verified bytes
+    give is shared by every run over the same content in the process (see
+    `_Verified`): each namespace's parameters, the bundled regions and
+    their scores, the scenario levels and the carrier chains. A namespace
+    that the overrides touch gets its declared keys layered over the
+    shared set, and its own chains, for this run only; a given regions
+    table is read from its file and scored for this run only. A dataset
+    file that a run parses must be listed in the manifest; only the
+    override and regions files given by path are read from outside it.
     """
 
     def __init__(self, directory: str | None = None, params_path: str | None = None,
                  regions_path: str | None = None):
-        self.directory = data_dir() if directory is None else directory
-        self.manifest = load_manifest(self.directory)
+        self.manifest = load_manifest(directory)
         self.version = self.manifest.version
+        self._shared = _verified(self.manifest)
+        self.manifest.calibration = self._shared.calibration
         self.overrides = None if params_path is None else load_overrides(params_path)
         self._regions_path = regions_path
         self._params: dict[str, ParameterSet] = {}
 
     def params(self, namespace: str) -> ParameterSet:
         """Effective parameters of one namespace of `SCHEMAS` (every caller
-        passes a literal): `<namespace>.csv`, checked against its schema, with
-        the overrides of its declared keys on top."""
+        passes a literal): the shared set, or, where the overrides touch
+        its declared keys, a set with those keys replaced."""
         if namespace not in self._params:
-            name = f"{namespace}.csv"
-            params = load_params(os.path.join(self.directory, name), namespace,
-                                 SCHEMAS[namespace], self.manifest.content(name))
-            if self.overrides is not None:
+            params = self._shared.base_params(namespace)
+            if self.overrides is not None and not self.overrides.keys().isdisjoint(
+                    SCHEMAS[namespace]):
                 params = params.with_overrides(self.overrides)
             self._params[namespace] = params
         return self._params[namespace]
 
     @cached_property
-    def chains(self):
-        """`builtin_chains` over the carrier parameters, built once per volume."""
-        return cache(partial(carriers.builtin_chains, self.params("carriers")))
+    def _chains(self) -> dict[float, MappingProxyType]:
+        shared = self._shared
+        return shared.chains if self.params("carriers") is shared.base_params("carriers") else {}
+
+    def chains(self, volume: float) -> MappingProxyType:
+        """`builtin_chains` over the carrier parameters at one volume, built
+        once per volume: once per process for the shared parameters."""
+        if volume not in self._chains:
+            self._chains[volume] = MappingProxyType(
+                carriers.builtin_chains(self.params("carriers"), volume))
+        return self._chains[volume]
 
     @cached_property
-    def regions(self) -> list[RegionRecord]:
-        if self._regions_path is not None:
-            return load_regions(self._regions_path)
-        return load_regions(os.path.join(self.directory, REGIONS_FILE),
-                            self.manifest.content(REGIONS_FILE))
+    def regions(self) -> tuple[RegionRecord, ...]:
+        """The given regions table, or the bundled one."""
+        return self._shared.regions if self._regions_path is None else load_regions(
+            self._regions_path)
 
-    @cached_property
-    def supply_levels(self) -> list[SupplyLevel]:
-        name = "supply_levels.csv"
-        table = _read_table(os.path.join(self.directory, name), SUPPLY_COLUMNS,
-                            self.manifest.content(name))
-        return [SupplyLevel(row[0], _parse_float(row[1], table.path, ln, "renewable_share"))
-                for row, ln in zip(table.rows, table.row_lines)]
+    def scores(self) -> tuple[gtfp.RegionEfficiency, ...]:
+        """`gtfp_scores` of the regions: once per process for the bundled table."""
+        return self._shared.scores if self._regions_path is None else tuple(
+            gtfp.gtfp_scores(self.regions))
 
-    @cached_property
-    def demand_levels(self) -> list[DemandLevel]:
-        name = "demand_levels.csv"
-        table = _read_table(os.path.join(self.directory, name), DEMAND_COLUMNS,
-                            self.manifest.content(name))
-        return [DemandLevel(row[0], *(_parse_float(cell, table.path, ln, column)
-                                      for column, cell in zip(DEMAND_COLUMNS[1:], row[1:])))
-                for row, ln in zip(table.rows, table.row_lines)]
+    @property
+    def supply_levels(self) -> tuple[SupplyLevel, ...]:
+        return self._shared.supply_levels
+
+    @property
+    def demand_levels(self) -> tuple[DemandLevel, ...]:
+        return self._shared.demand_levels

@@ -60,7 +60,7 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
     def boom(records):
         raise SolverError("synthetic failure")
 
-    monkeypatch.setattr("nh3econ.cli.gtfp.gtfp_scores", boom)
+    monkeypatch.setattr("nh3econ.gtfp.gtfp_scores", boom)
     assert cli.run(["gtfp"]) == 3
     assert "synthetic failure" in capsys.readouterr().err
 

@@ -198,7 +198,7 @@ def test_overrides_layering(tmp_path):
 
 
 def test_manifest_verifies():
-    manifest = data_io.load_manifest()
+    manifest = data_io.Dataset().manifest
     assert manifest.version == "cn-2019-v1"
     assert "regions_2019.csv" in manifest.files
     assert len(manifest.calibration) >= 3
@@ -224,7 +224,7 @@ def test_bundled_params_verify_the_manifest(tmp_path, monkeypatch):
 
 
 def test_calibration_ledger_contents():
-    ledger = {e.constant: e for e in data_io.load_manifest().calibration}
+    ledger = {e.constant: e for e in data_io.Dataset().manifest.calibration}
     assert "coal_price_usd_per_tce" in ledger
     assert "electricity_per_t_nh3_mwh" in ledger
     for entry in ledger.values():
