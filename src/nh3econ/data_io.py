@@ -390,12 +390,9 @@ def load_manifest(directory: str | None = None) -> DatasetManifest:
 
 
 class _Verified:
-    """What runs derive from one verified content of a dataset directory:
-    the calibration ledger, parsed on construction, and, each on first use,
-    every namespace's base parameters, the bundled regions and their
-    scores, the scenario levels and the carrier chains over the base
-    parameters, one entry per volume. Every value is immutable or a
-    read-only view. A value whose computation fails is not kept; the
+    """What runs derive from one verified content of a dataset directory
+    (see the module docstring): the ledger, parsed on construction, and the
+    rest on first use, each value immutable or a read-only view. The
     analyses are called through their modules."""
 
     def __init__(self, manifest: DatasetManifest):
@@ -451,17 +448,18 @@ class Dataset:
     bundled file.
 
     Construction reads manifest.csv and every file it lists, once, and
-    verifies their digests, so a tampered dataset fails before anything is
-    computed from it; then it takes the calibration ledger and reads and
-    checks the override file, if one is given. What the verified bytes
-    give is shared by every run over the same content in the process (see
-    `_Verified`): each namespace's parameters, the bundled regions and
-    their scores, the scenario levels and the carrier chains. A namespace
-    that the overrides touch gets its declared keys layered over the
-    shared set, and its own chains, for this run only; a given regions
-    table is read from its file and scored for this run only. A dataset
-    file that a run parses must be listed in the manifest; only the
-    override and regions files given by path are read from outside it.
+    verifies their digests, on every run, so a tampered dataset fails
+    before anything is computed from it; then it takes the calibration
+    ledger and reads and checks the override file, if one is given. Each
+    verified content is parsed and scored once per process, and runs over
+    the same content share the values: each namespace's parameters, the
+    bundled regions and their scores, the scenario levels and the carrier
+    chains. A namespace that the overrides touch gets its declared keys
+    layered over the shared set, and its own chains, for this run only; a
+    given regions table is read from its file and scored for this run
+    only. A dataset file that a run parses must be listed in the manifest;
+    only the override and regions files given by path are read from
+    outside it.
     """
 
     def __init__(self, directory: str | None = None, params_path: str | None = None,

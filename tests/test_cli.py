@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import nh3econ
 from nh3econ import cli, data_io
 from nh3econ.errors import SolverError
-from test_golden import GOLDEN, _assert_matches_golden
+from test_golden import COMMANDS, GOLDEN, TREES, _assert_matches_golden, golden_stderr
 
 
 def _csv_rows(text):
@@ -436,7 +436,9 @@ def test_report_hashes_each_manifest_file_once(tmp_path, monkeypatch):
 def test_report_does_each_piece_of_work_once(tmp_path, monkeypatch):
     # chains once per distinct volume (10, 30, 50 and 100 kt/yr), each
     # demand level's breakdown once for its table and once for the balance,
-    # and a program only for the four regions off the ratio frontier
+    # and a program only for the four regions off the ratio frontier; a
+    # second report over the same content builds no chain and solves no
+    # program, and one with a carriers override builds its own chains
     from nh3econ import carriers, lp, scenarios
     calls = Counter()
     for module, name in ((carriers, "builtin_chains"), (scenarios, "demand_breakdown_mt"),
@@ -445,8 +447,126 @@ def test_report_does_each_piece_of_work_once(tmp_path, monkeypatch):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(module, name, counting)
-    assert cli.run(["report", "--output", str(tmp_path / "out")]) == 0
-    assert calls == {"builtin_chains": 4, "demand_breakdown_mt": 10, "solve": 4}
+    override = _params("wacc,0.06,fraction,x")(tmp_path)
+    for extra, expected in (([], {"builtin_chains": 4, "demand_breakdown_mt": 10, "solve": 4}),
+                            ([], {"demand_breakdown_mt": 10}),
+                            (["--params", override],
+                             {"builtin_chains": 4, "demand_breakdown_mt": 10})):
+        calls.clear()
+        assert cli.run(["report", "--output", str(tmp_path / "out"), *extra]) == 0
+        assert calls == expected, extra
+
+
+def _stdout(argv, capsys) -> str:
+    assert cli.run(argv) == 0, argv
+    out, err = capsys.readouterr()
+    return out + err
+
+
+def test_runs_in_one_process_match_their_goldens_cold_and_warm(tmp_path, capsys):
+    # every golden tree and stdout, run twice in one process, the first
+    # time from no derived values; after each, a run over other content:
+    # a copy of the dataset whose carriers.csv holds another wacc, a
+    # --regions table, a --params file with another truck capex (a chain
+    # parameter), or the override tree; each of the first three gives its
+    # own numbers
+    copy = _dataset({"carriers.csv": ("wacc,0.08,", "wacc,0.09,")})(tmp_path)
+    regions = _file("regions.csv", REGIONS_HEADER + "North,10,1,1,1,5\n"
+                    "South,5,1,1,1,5\nWest,5,2,1,1,4\n")(tmp_path)
+    truck = _params("truck_capex_usd,300000,USD,x")(tmp_path)
+    others = [["--data-dir", copy, "carrier", "delivery"], ["gtfp", "--regions", regions],
+              ["carrier", "delivery", "--params", truck]]
+    own = []     # what each of those prints, each from no derived values
+    for argv in others:
+        data_io._verified.cache_clear()
+        own.append(_stdout(argv, capsys))
+    for text, name in zip(own, ("carrier_delivery", "gtfp", "carrier_delivery")):
+        assert text != (GOLDEN / "stdout" / f"{name}.csv").read_text()
+    data_io._verified.cache_clear()
+    goldens = [(tree, None) for tree in sorted(TREES)] + [
+        (name, output_format) for name in sorted(COMMANDS) for output_format in ("csv", "json")]
+    for warm in (False, True):
+        for k, (name, output_format) in enumerate(goldens):
+            if output_format is None:
+                out = tmp_path / f"{name}_{warm}"
+                assert cli.run(["report", "--output", str(out), *TREES[name]]) == 0
+                _assert_matches_golden(out, name)
+                assert capsys.readouterr() == ("", "")
+            else:
+                expected = (GOLDEN / "stdout" / f"{name}.{output_format}").read_bytes()
+                assert _stdout([*COMMANDS[name], "--format", output_format], capsys) == (
+                    expected + golden_stderr(name)).decode(), (name, output_format, warm)
+            if k % 4 == 3:
+                out = tmp_path / f"override_{warm}_{k}"
+                assert cli.run(["report", "--output", str(out), *TREES["override_csv"]]) == 0
+                _assert_matches_golden(out, "override_csv")
+            else:
+                assert _stdout(others[k % 4], capsys) == own[k % 4], (warm, k)
+
+
+def test_file_changed_after_a_warm_run_fails_its_digest(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_io.data_dir(), data)
+    assert cli.run(["--data-dir", str(data), "report", "--output", str(tmp_path / "first")]) == 0
+    carriers_csv = data / "carriers.csv"
+    carriers_csv.write_text(carriers_csv.read_text().replace("wacc,0.08,", "wacc,0.09,"))
+    for _ in range(2):
+        out = tmp_path / "out"
+        assert cli.run(["--data-dir", str(data), "report", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "error: dataset file 'carriers.csv' digest mismatch" in captured.err
+        assert not out.exists()
+
+
+def test_a_run_over_other_content_names_its_own_files(tmp_path, capsys):
+    # two directories with the same content, whose carriers.csv cannot be
+    # parsed: cofire on the first does not parse it, carrier delivery on
+    # the second fails naming the second's file, and fails the same way again
+    broken = _dataset({"carriers.csv": ("wacc,0.08,fraction", "wacc,0.08")})
+    first, second = broken(tmp_path / "a"), broken(tmp_path / "b")
+    assert cli.run(["--data-dir", first, "cofire"]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        assert cli.run(["--data-dir", second, "carrier", "delivery"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {second}/carriers.csv: line 5: expected 4 cells, got 3\n")
+
+
+def test_malformed_ledger_exits_2_on_every_run(tmp_path, capsys):
+    # the ledger is parsed where a run's dataset is set up, before any
+    # table, and a ledger that fails to parse is not kept
+    data = _dataset({"calibration.csv": ("coal_price_usd_per_tce,153.4681287403,",
+                                         "coal_price_usd_per_tce,x,")})(tmp_path)
+    assert cli.run(["cofire"]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        assert cli.run(["--data-dir", data, "cofire"]) == 2
+        assert capsys.readouterr() == ("", f"error: {data}/calibration.csv: line 3, "
+                                           "column 'value': cannot parse 'x' as a finite number\n")
+
+
+def test_shared_values_cannot_be_changed_by_a_caller():
+    dataset = data_io.Dataset()
+    assert data_io.Dataset().scores() is dataset.scores()     # shared between runs
+    for values in (dataset.regions, dataset.scores(), dataset.supply_levels,
+                   dataset.demand_levels, dataset.manifest.calibration,
+                   dataset.chains(100.0)["LH2"].stages):
+        assert type(values) is tuple
+    chains = dataset.chains(100.0)
+    assert data_io.Dataset().chains(100.0) is chains
+    with pytest.raises(TypeError):
+        chains["LH2"] = None
+    params = dataset.params("carriers")
+    assert data_io.Dataset().params("carriers") is params
+    for change in (lambda: params.__setitem__("wacc", 0.5), lambda: params.__delitem__("wacc"),
+                   lambda: params.update(wacc=0.5), lambda: params.pop("wacc"),
+                   params.popitem, params.clear, lambda: params.setdefault("x", 1.0)):
+        with pytest.raises(TypeError):
+            change()
+    with pytest.raises(TypeError):
+        params |= {"wacc": 0.5}
+    assert params["wacc"] == 0.08 and len(params) == len(data_io.CARRIER_SCHEMA)
 
 
 def test_report_on_tampered_dataset_exits_2_without_output(tmp_path, capsys):

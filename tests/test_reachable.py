@@ -12,8 +12,9 @@ function of `src/nh3econ` that no line event reached, and fails on any that
 reaches or that no longer exists.
 
 A statement is named by `module.qualname` and the stripped text of its
-first line, so the allow-list does not move with line numbers; statements
-of one function with the same first line share a name. A compound
+first line, so the allow-list does not move with line numbers; where
+statements of one function share that text, each name ends in its place
+among them in line order, " #1", " #2" and so on. A compound
 statement (if, for, while, with, try, except) counts as reached when a
 line of its header is, or a statement of its body: an interpreter may
 emit no event for `while True:` or `try:`. The standard library's trace
@@ -191,7 +192,8 @@ ALLOWED = {
         "return LpSolution(LpStatus.UNBOUNDED)",
         "a[i] = [-v for v in a[i]]",
         "b[i] = -b[i]",
-        "needs_artificial.append(i)",
+        "needs_artificial.append(i) #1",
+        "needs_artificial.append(i) #2",
         "basis[i] = n_slack + k",
         "for i in needs_artificial:",
         "tableau[-1] = [o - v for o, v in zip(tableau[-1], tableau[i])]",
@@ -200,7 +202,7 @@ ALLOWED = {
         "if phase1_obj > TOL * max(1.0, *map(abs, b)):",
         "return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)",
         "keep_rows = [True] * m",
-        "for i in range(m):",
+        "for i in range(m): #2",
         "if basis[i] >= n_slack:",
         "j = next((j for j in range(n_slack) if abs(tableau[i][j]) > TOL), -1)",
         "if j >= 0:",
@@ -253,18 +255,31 @@ def _statements(path: Path) -> list[_Statement]:
     return found
 
 
+def _numbered(statements: list[_Statement]) -> dict[int, tuple[str, str]]:
+    """The name of each statement by its id: the first line's text, with
+    " #k" added where k - 1 statements of the function before it have that text."""
+    lines = {}
+    for s in statements:
+        lines.setdefault(s.name, []).append(s.line)
+    return {id(s): s.name if len(lines[s.name]) == 1 else
+            (s.name[0], f"{s.name[1]} #{sorted(lines[s.name]).index(s.line) + 1}")
+            for s in statements}
+
+
 def _unreached(events: set[tuple[str, int]]) -> dict[tuple[str, str], str]:
-    """{(module.qualname, first line): "file:line"} of each statement of the
+    """{(module.qualname, name): "file:line"} of each statement of the
     package that no line event reached."""
     unreached = {}
     for path in sorted(PACKAGE.glob("*.py")):
         hit = {line for name, line in events if name == str(path)}
         reached = set()
-        for s in _statements(path):     # a body's statements come first
+        statements = _statements(path)
+        names = _numbered(statements)
+        for s in statements:     # a body's statements come first
             if any(line in hit for line in s.header) or any(id(c) in reached for c in s.children):
                 reached.add(id(s))
             else:
-                unreached.setdefault(s.name, f"{path.name}:{s.line}")
+                unreached.setdefault(names[id(s)], f"{path.name}:{s.line}")
     return unreached
 
 
@@ -321,6 +336,7 @@ def test_every_statement_runs_from_the_command_line_or_is_allowed(tmp_path, monk
     sys.settrace(call)
     try:
         cli._parser.cache_clear()     # so that build_parser runs under the trace
+        data_io._verified.cache_clear()     # and the dataset's values are derived under it
         _run_corpus(tmp_path, monkeypatch, capsys)
     finally:
         sys.settrace(previous)
@@ -330,3 +346,14 @@ def test_every_statement_runs_from_the_command_line_or_is_allowed(tmp_path, monk
                   if key not in allowed) == [], "statements that no command reaches"
     assert sorted(allowed - set(unreached)) == [], (
         "allowed statements that a command reaches, or that are gone")
+
+
+def test_statements_with_one_text_are_numbered_in_line_order():
+    # lp.solve's three `for i in range(m):` loops have a name each, and
+    # the allow-list names the phase-1 loop, the second, alone
+    statements = _statements(PACKAGE / "lp.py")
+    names = _numbered(statements)
+    loops = sorted((s.line, names[id(s)][1]) for s in statements
+                   if s.name == ("lp.solve", "for i in range(m):"))
+    assert [name for _, name in loops] == [f"for i in range(m): #{k}" for k in (1, 2, 3)]
+    assert [name for _, name in loops if name in ALLOWED["lp.solve"]] == ["for i in range(m): #2"]
