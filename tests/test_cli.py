@@ -457,7 +457,8 @@ def test_report_does_each_piece_of_work_once(tmp_path, monkeypatch):
         assert calls == expected, extra
 
 
-def _stdout(argv, capsys) -> str:
+def _printed(argv, capsys) -> str:
+    """What a run that exits 0 prints: its stdout, then its stderr."""
     assert cli.run(argv) == 0, argv
     out, err = capsys.readouterr()
     return out + err
@@ -479,7 +480,7 @@ def test_runs_in_one_process_match_their_goldens_cold_and_warm(tmp_path, capsys)
     own = []     # what each of those prints, each from no derived values
     for argv in others:
         data_io._verified.cache_clear()
-        own.append(_stdout(argv, capsys))
+        own.append(_printed(argv, capsys))
     for text, name in zip(own, ("carrier_delivery", "gtfp", "carrier_delivery")):
         assert text != (GOLDEN / "stdout" / f"{name}.csv").read_text()
     data_io._verified.cache_clear()
@@ -494,14 +495,14 @@ def test_runs_in_one_process_match_their_goldens_cold_and_warm(tmp_path, capsys)
                 assert capsys.readouterr() == ("", "")
             else:
                 expected = (GOLDEN / "stdout" / f"{name}.{output_format}").read_bytes()
-                assert _stdout([*COMMANDS[name], "--format", output_format], capsys) == (
+                assert _printed([*COMMANDS[name], "--format", output_format], capsys) == (
                     expected + golden_stderr(name)).decode(), (name, output_format, warm)
             if k % 4 == 3:
                 out = tmp_path / f"override_{warm}_{k}"
                 assert cli.run(["report", "--output", str(out), *TREES["override_csv"]]) == 0
                 _assert_matches_golden(out, "override_csv")
             else:
-                assert _stdout(others[k % 4], capsys) == own[k % 4], (warm, k)
+                assert _printed(others[k % 4], capsys) == own[k % 4], (warm, k)
 
 
 def test_file_changed_after_a_warm_run_fails_its_digest(tmp_path, capsys):

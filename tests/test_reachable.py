@@ -256,8 +256,9 @@ def _statements(path: Path) -> list[_Statement]:
 
 
 def _numbered(statements: list[_Statement]) -> dict[int, tuple[str, str]]:
-    """The name of each statement by its id: the first line's text, with
-    " #k" added where k - 1 statements of the function before it have that text."""
+    """The name of each statement by its id: where statements of one
+    function share a first line, each name ends in " #k", k its place among
+    them in line order."""
     lines = {}
     for s in statements:
         lines.setdefault(s.name, []).append(s.line)
