@@ -237,7 +237,7 @@ def _supply_table(dataset: data_io.Dataset, args) -> Table:
         ("level", "renewable_share", "supply_mt"),
     )
     levels = ([("custom", args.share)] if args.share is not None else
-              [(level.name, level.renewable_share) for level in dataset.supply_levels])
+              [(level.name, level.renewable_share) for level in dataset.manifest.supply_levels])
     for name, renewable_share in levels:
         table.add(name, renewable_share, scenarios.supply_capacity_mt(supply, renewable_share))
     return table
@@ -249,7 +249,7 @@ def _demand_table(dataset: data_io.Dataset, args) -> Table:
         f"green ammonia demand by scenario level and sector; dataset {dataset.version}",
         ("level", "sector", "demand_mt"),
     )
-    for level in dataset.demand_levels:
+    for level in dataset.manifest.demand_levels:
         breakdown = scenarios.demand_breakdown_mt(demand, level)
         for sector in scenarios.SECTORS:
             table.add(level.name, sector, breakdown[sector])
@@ -265,7 +265,8 @@ def _balance_table(dataset: data_io.Dataset, args) -> Table:
     )
     for row in scenarios.balance_report(scenarios.SupplyAssumptions.from_mapping(params),
                                         scenarios.DemandAssumptions.from_mapping(params),
-                                        dataset.supply_levels, dataset.demand_levels):
+                                        dataset.manifest.supply_levels,
+                                        dataset.manifest.demand_levels):
         table.add(row.supply_level, row.demand_level, row.supply_mt,
                   row.demand_mt, row.coverage, row.covered)
     return table

@@ -21,14 +21,17 @@ key's unit and provenance kept beside it. Paths are `str`, and messages
 name files as pathlib would.
 
 What is kept in-process, and what is not: every run reads and hashes every
-listed file. What is derived from the verified bytes (each namespace's
-base parameters, the bundled regions and their scores, the scenario levels,
-the calibration ledger and the carrier chains over the base parameters) is
-computed at most once per process for each verified content of a
-directory, and only the most recent content's values are kept. A value
-whose computation fails is not kept, so the same bad bytes fail the same
-way on every run. The `--params` and `--regions` files are read and parsed
-on every run, and so is whatever depends on them.
+listed file. `load_manifest` then hands out the equal `DatasetManifest` it
+handed out last, if there is one, so runs over the same verified content of
+a directory share one manifest, and with it what the manifest derives from
+its bytes, each value on first use: the calibration ledger, each
+namespace's base parameters, the bundled regions' scores, the scenario
+levels and the carrier chains over the base parameters. Only the most
+recent content's manifest is kept. A value whose computation fails is not
+kept, so the same bad bytes fail the same way on every run. Every shared
+value is immutable or a read-only view. The `--params` and `--regions`
+files are read and parsed on every run, and so is whatever depends on
+them, which a run's `Dataset` keeps for that run only.
 """
 
 from __future__ import annotations
@@ -330,19 +333,18 @@ class CalibrationEntry:
 
 
 class DatasetManifest:
-    """The verified content of each listed file (filename -> bytes) of one
-    dataset directory, and the calibration ledger, which `Dataset` fills.
-    Two manifests are equal when they name the same directory and version
-    and verified the same bytes of the same files."""
-
-    __slots__ = ("directory", "path", "version", "files", "calibration")
+    """The verified content of each listed file (a read-only filename ->
+    bytes mapping) of one dataset directory, and what runs derive from it
+    (see the module docstring). Two manifests are equal when they name the
+    same directory and version and verified the same bytes of the same files."""
 
     def __init__(self, directory: str, path: str, version: str, files: dict[str, bytes]):
         self.directory = directory
         self.path = path
         self.version = version
-        self.files = files
-        self.calibration: tuple[CalibrationEntry, ...] = ()
+        self.files = MappingProxyType(files)
+        self._params: dict[str, ParameterSet] = {}
+        self._chains: dict[float, MappingProxyType] = {}
 
     def __eq__(self, other) -> bool:
         return ((self.directory, self.version, self.files)
@@ -361,12 +363,49 @@ class DatasetManifest:
         """A listed file parsed from its verified bytes."""
         return _read_table(os.path.join(self.directory, name), columns, self.content(name))
 
+    @cached_property
+    def calibration(self) -> tuple[CalibrationEntry, ...]:
+        """The calibration ledger."""
+        ledger = self.table("calibration.csv", CALIBRATION_COLUMNS)
+        return tuple(
+            CalibrationEntry(row[0], _parse_float(row[1], ledger.path, ln, "value"), row[2], row[3])
+            for row, ln in zip(ledger.rows, ledger.row_lines))
+
+    @cached_property
+    def supply_levels(self) -> tuple[SupplyLevel, ...]:
+        table = self.table("supply_levels.csv", SUPPLY_COLUMNS)
+        return tuple(SupplyLevel(row[0], _parse_float(row[1], table.path, ln, "renewable_share"))
+                     for row, ln in zip(table.rows, table.row_lines))
+
+    @cached_property
+    def demand_levels(self) -> tuple[DemandLevel, ...]:
+        table = self.table("demand_levels.csv", DEMAND_COLUMNS)
+        return tuple(DemandLevel(row[0], *(_parse_float(cell, table.path, ln, column)
+                                           for column, cell in zip(DEMAND_COLUMNS[1:], row[1:])))
+                     for row, ln in zip(table.rows, table.row_lines))
+
+    def _base_params(self, namespace: str) -> ParameterSet:
+        """`<namespace>.csv`, checked against its schema."""
+        if namespace not in self._params:
+            name = f"{namespace}.csv"
+            self._params[namespace] = load_params(
+                os.path.join(self.directory, name), namespace, SCHEMAS[namespace],
+                self.content(name))
+        return self._params[namespace]
+
+    @cached_property
+    def _scores(self) -> tuple[gtfp.RegionEfficiency, ...]:
+        """`gtfp_scores` of the bundled regions table."""
+        return tuple(gtfp.gtfp_scores(load_regions(
+            os.path.join(self.directory, REGIONS_FILE), self.content(REGIONS_FILE))))
+
 
 def load_manifest(directory: str | None = None) -> DatasetManifest:
     """Read manifest.csv and every listed file, once, verifying its digest:
-    the only reads of a bundled file. A file listed twice is an input error."""
+    the only reads of a bundled file. A file listed twice is an input error,
+    and so is an empty `directory`, as an empty file path is."""
     base_dir = data_dir() if directory is None else directory
-    table = _read_table(os.path.join(base_dir, "manifest.csv"), MANIFEST_COLUMNS)
+    table = _read_table(base_dir and os.path.join(base_dir, "manifest.csv"), MANIFEST_COLUMNS)
     version = ""
     for comment in table.comments:
         text = comment.lstrip("# ").strip()
@@ -386,132 +425,54 @@ def load_manifest(directory: str | None = None) -> DatasetManifest:
                 f"dataset file {name!r} digest mismatch: manifest has "
                 f"{digest[:12]}..., file has {actual[:12]}...")
         files[name] = data
-    return DatasetManifest(base_dir, table.path, version, files)
-
-
-class _Verified:
-    """What runs derive from one verified content of a dataset directory
-    (see the module docstring): the ledger, parsed on construction, and the
-    rest on first use, each value immutable or a read-only view. The
-    analyses are called through their modules."""
-
-    def __init__(self, manifest: DatasetManifest):
-        self.manifest = manifest
-        ledger = manifest.table("calibration.csv", CALIBRATION_COLUMNS)
-        self.calibration = tuple(
-            CalibrationEntry(row[0], _parse_float(row[1], ledger.path, ln, "value"), row[2], row[3])
-            for row, ln in zip(ledger.rows, ledger.row_lines))
-        self.params: dict[str, ParameterSet] = {}
-        self.chains: dict[float, MappingProxyType] = {}
-
-    def base_params(self, namespace: str) -> ParameterSet:
-        """`<namespace>.csv`, checked against its schema."""
-        if namespace not in self.params:
-            name = f"{namespace}.csv"
-            self.params[namespace] = load_params(
-                os.path.join(self.manifest.directory, name), namespace, SCHEMAS[namespace],
-                self.manifest.content(name))
-        return self.params[namespace]
-
-    @cached_property
-    def regions(self) -> tuple[RegionRecord, ...]:
-        return load_regions(os.path.join(self.manifest.directory, REGIONS_FILE),
-                            self.manifest.content(REGIONS_FILE))
-
-    @cached_property
-    def scores(self) -> tuple[gtfp.RegionEfficiency, ...]:
-        return tuple(gtfp.gtfp_scores(self.regions))
-
-    @cached_property
-    def supply_levels(self) -> tuple[SupplyLevel, ...]:
-        table = self.manifest.table("supply_levels.csv", SUPPLY_COLUMNS)
-        return tuple(SupplyLevel(row[0], _parse_float(row[1], table.path, ln, "renewable_share"))
-                     for row, ln in zip(table.rows, table.row_lines))
-
-    @cached_property
-    def demand_levels(self) -> tuple[DemandLevel, ...]:
-        table = self.manifest.table("demand_levels.csv", DEMAND_COLUMNS)
-        return tuple(DemandLevel(row[0], *(_parse_float(cell, table.path, ln, column)
-                                           for column, cell in zip(DEMAND_COLUMNS[1:], row[1:])))
-                     for row, ln in zip(table.rows, table.row_lines))
+    return _shared(DatasetManifest(base_dir, table.path, version, files))
 
 
 @lru_cache(maxsize=1)
-def _verified(manifest: DatasetManifest) -> _Verified:
-    """The values derived from a manifest's verified content, kept for the
-    most recent content only; `_verified.cache_clear()` forgets them."""
-    return _Verified(manifest)
+def _shared(manifest: DatasetManifest) -> DatasetManifest:
+    """`manifest`, or the equal one handed out last; `_shared.cache_clear()`
+    forgets it."""
+    return manifest
 
 
 class Dataset:
     """One run's view of a dataset directory, and the one way to parse a
-    bundled file.
-
-    Construction reads manifest.csv and every file it lists, once, and
-    verifies their digests, on every run, so a tampered dataset fails
-    before anything is computed from it; then it takes the calibration
-    ledger and reads and checks the override file, if one is given. Each
-    verified content is parsed and scored once per process, and runs over
-    the same content share the values: each namespace's parameters, the
-    bundled regions and their scores, the scenario levels and the carrier
-    chains. A namespace that the overrides touch gets its declared keys
-    layered over the shared set, and its own chains, for this run only; a
-    given regions table is read from its file and scored for this run
-    only. A dataset file that a run parses must be listed in the manifest;
-    only the override and regions files given by path are read from
-    outside it.
-    """
+    bundled file: its verified manifest, taken when the run starts, with
+    the calibration ledger checked, and what the run's own `--params` and
+    `--regions` files change. A dataset file that a run parses must be
+    listed in the manifest; only those two files are read by path."""
 
     def __init__(self, directory: str | None = None, params_path: str | None = None,
                  regions_path: str | None = None):
         self.manifest = load_manifest(directory)
         self.version = self.manifest.version
-        self._shared = _verified(self.manifest)
-        self.manifest.calibration = self._shared.calibration
+        self.manifest.calibration    # a malformed ledger fails every run, before any table
         self.overrides = None if params_path is None else load_overrides(params_path)
         self._regions_path = regions_path
-        self._params: dict[str, ParameterSet] = {}
+        self._params: dict[str, ParameterSet] = {}    # the namespaces the overrides touch
+        self._chains: dict[float, MappingProxyType] = {}    # over overridden carriers
 
     def params(self, namespace: str) -> ParameterSet:
         """Effective parameters of one namespace of `SCHEMAS` (every caller
-        passes a literal): the shared set, or, where the overrides touch
+        passes a literal): the manifest's set, or, where the overrides touch
         its declared keys, a set with those keys replaced."""
+        params = self.manifest._base_params(namespace)
+        if self.overrides is None or self.overrides.keys().isdisjoint(SCHEMAS[namespace]):
+            return params
         if namespace not in self._params:
-            params = self._shared.base_params(namespace)
-            if self.overrides is not None and not self.overrides.keys().isdisjoint(
-                    SCHEMAS[namespace]):
-                params = params.with_overrides(self.overrides)
-            self._params[namespace] = params
+            self._params[namespace] = params.with_overrides(self.overrides)
         return self._params[namespace]
-
-    @cached_property
-    def _chains(self) -> dict[float, MappingProxyType]:
-        shared = self._shared
-        return shared.chains if self.params("carriers") is shared.base_params("carriers") else {}
 
     def chains(self, volume: float) -> MappingProxyType:
         """`builtin_chains` over the carrier parameters at one volume, built
-        once per volume: once per process for the shared parameters."""
-        if volume not in self._chains:
-            self._chains[volume] = MappingProxyType(
-                carriers.builtin_chains(self.params("carriers"), volume))
-        return self._chains[volume]
-
-    @cached_property
-    def regions(self) -> tuple[RegionRecord, ...]:
-        """The given regions table, or the bundled one."""
-        return self._shared.regions if self._regions_path is None else load_regions(
-            self._regions_path)
+        once per volume: by the manifest for its own parameters."""
+        params = self.params("carriers")
+        built = self._chains if "carriers" in self._params else self.manifest._chains
+        if volume not in built:
+            built[volume] = MappingProxyType(carriers.builtin_chains(params, volume))
+        return built[volume]
 
     def scores(self) -> tuple[gtfp.RegionEfficiency, ...]:
-        """`gtfp_scores` of the regions: once per process for the bundled table."""
-        return self._shared.scores if self._regions_path is None else tuple(
-            gtfp.gtfp_scores(self.regions))
-
-    @property
-    def supply_levels(self) -> tuple[SupplyLevel, ...]:
-        return self._shared.supply_levels
-
-    @property
-    def demand_levels(self) -> tuple[DemandLevel, ...]:
-        return self._shared.demand_levels
+        """`gtfp_scores` of the given regions table, or the manifest's of the bundled one."""
+        return self.manifest._scores if self._regions_path is None else tuple(
+            gtfp.gtfp_scores(load_regions(self._regions_path)))

@@ -10,4 +10,4 @@ from nh3econ import data_io
 
 @pytest.fixture(autouse=True)
 def _cold_dataset():
-    data_io._verified.cache_clear()
+    data_io._shared.cache_clear()

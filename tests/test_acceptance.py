@@ -165,8 +165,8 @@ def test_criterion_4_scenario_anchors():
     supply = scenarios.SupplyAssumptions.from_mapping(scenario_params)
     demand = scenarios.DemandAssumptions.from_mapping(scenario_params)
     dataset = data_io.Dataset()
-    supply_levels = dataset.supply_levels
-    demand_levels = dataset.demand_levels
+    supply_levels = dataset.manifest.supply_levels
+    demand_levels = dataset.manifest.demand_levels
 
     power3 = scenarios.power_sector_demand_mt(demand, 0.03)
     _check(failures, abs(power3 - 73.0) <= 4.0, f"power@3% {power3:.2f} Mt")

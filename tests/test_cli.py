@@ -479,11 +479,11 @@ def test_runs_in_one_process_match_their_goldens_cold_and_warm(tmp_path, capsys)
               ["carrier", "delivery", "--params", truck]]
     own = []     # what each of those prints, each from no derived values
     for argv in others:
-        data_io._verified.cache_clear()
+        data_io._shared.cache_clear()
         own.append(_printed(argv, capsys))
     for text, name in zip(own, ("carrier_delivery", "gtfp", "carrier_delivery")):
         assert text != (GOLDEN / "stdout" / f"{name}.csv").read_text()
-    data_io._verified.cache_clear()
+    data_io._shared.cache_clear()
     goldens = [(tree, None) for tree in sorted(TREES)] + [
         (name, output_format) for name in sorted(COMMANDS) for output_format in ("csv", "json")]
     for warm in (False, True):
@@ -547,13 +547,16 @@ def test_malformed_ledger_exits_2_on_every_run(tmp_path, capsys):
                                            "column 'value': cannot parse 'x' as a finite number\n")
 
 
-def test_shared_values_cannot_be_changed_by_a_caller():
+def test_shared_values_cannot_be_changed_by_a_caller(tmp_path):
     dataset = data_io.Dataset()
+    manifest = dataset.manifest
+    assert data_io.Dataset().manifest is manifest     # one manifest per content
     assert data_io.Dataset().scores() is dataset.scores()     # shared between runs
-    for values in (dataset.regions, dataset.scores(), dataset.supply_levels,
-                   dataset.demand_levels, dataset.manifest.calibration,
-                   dataset.chains(100.0)["LH2"].stages):
+    for values in (dataset.scores(), manifest.supply_levels, manifest.demand_levels,
+                   manifest.calibration, dataset.chains(100.0)["LH2"].stages):
         assert type(values) is tuple
+    with pytest.raises(TypeError):
+        manifest.files["carriers.csv"] = b""
     chains = dataset.chains(100.0)
     assert data_io.Dataset().chains(100.0) is chains
     with pytest.raises(TypeError):
@@ -568,6 +571,9 @@ def test_shared_values_cannot_be_changed_by_a_caller():
     with pytest.raises(TypeError):
         params |= {"wacc": 0.5}
     assert params["wacc"] == 0.08 and len(params) == len(data_io.CARRIER_SCHEMA)
+    copy = _dataset({"carriers.csv": ("wacc,0.08,", "wacc,0.09,")})(tmp_path)
+    other = data_io.Dataset(copy).manifest     # a re-hashed copy gets its own
+    assert other != manifest and data_io.Dataset(copy).manifest is other
 
 
 def test_report_on_tampered_dataset_exits_2_without_output(tmp_path, capsys):
@@ -661,6 +667,17 @@ def test_empty_input_path_exits_2_as_the_current_directory(command, flag, tmp_pa
     assert cli.run(argv) == 2
     assert capsys.readouterr() == ("", "error: cannot read '': empty path\n")
     assert not out.exists()
+
+
+def test_empty_data_dir_exits_2_and_an_empty_environment_variable_is_unset(monkeypatch,
+                                                                           capsys):
+    # --data-dir "" names no directory, as an empty --params names no file;
+    # NH3ECON_DATA="" is the bundled dataset, as an unset variable is
+    assert cli.run(["--data-dir", "", "cofire"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot read '': empty path\n")
+    monkeypatch.setenv(data_io.ENV_DATA_DIR, "")
+    assert cli.run(["cofire"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "stdout" / "cofire_all.csv").read_text()
 
 
 def _file(name, content):

@@ -283,9 +283,9 @@ def test_overrides_replace_only_the_keys_a_namespace_declares():
 
 def test_levels_loaders():
     dataset = data_io.Dataset()
-    supply = dataset.supply_levels
+    supply = dataset.manifest.supply_levels
     assert [lvl.renewable_share for lvl in supply] == [0.15, 0.35, 0.65]
-    demand = dataset.demand_levels
+    demand = dataset.manifest.demand_levels
     assert len(demand) == 5
     assert demand[4].pr_mobility == 0.80
 

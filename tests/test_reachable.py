@@ -19,11 +19,22 @@ statement (if, for, while, with, try, except) counts as reached when a
 line of its header is, or a statement of its body: an interpreter may
 emit no event for `while True:` or `try:`. The standard library's trace
 hook is used because no coverage package is a dependency.
+
+A line event covers a whole statement, so it cannot tell which half of a
+conditional expression ran. From Python 3.11 on, the same run also turns
+on opcode events in each code object with an instruction inside a half of
+one, and maps each event to its source span through `co_positions()`;
+the second test fails on each half that no instruction of the run lies
+inside, unless `ALLOWED` names it, as `<then> if ...` or `... else
+<else>` with the half's text as `ast.unparse` writes it (numbered as
+statements are).
 """
 
 import ast
+import io
 import sys
 from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -55,10 +66,13 @@ ERRORS = [
      "cannot write output: [Errno 20] Not a directory: '{tmp}/file/out'"),
     (["gtfp", "--regions", lambda d: str(d / "missing.csv")],
      "dataset file not found: {tmp}/missing.csv"),
+    (["gtfp", "--regions", lambda d: "/" + str(d / "missing.csv")],
+     "dataset file not found: /{tmp}/missing.csv"),
     (["carrier", "delivery", "--params", str], "cannot read {tmp}: Is a directory"),
     (["carrier", "delivery", "--params", _file("params.csv", b"\xff")],
      "{tmp}/params.csv: not UTF-8 text: invalid start byte at byte 0"),
     (["carrier", "delivery", "--params", ""], "cannot read '': empty path"),
+    (["--data-dir", "", "cofire"], "cannot read '': empty path"),
     (["carrier", "delivery", "--params", _file("params.csv", "KEY,value,unit,provenance\n")],
      "{tmp}/params.csv: expected header key,value,unit,provenance, "
      "got KEY,value,unit,provenance"),
@@ -106,10 +120,12 @@ ERRORS = [
      "column 'supply_mt' is inf, not a finite number"),
 ]
 
-# Commands that write their output to a file, or a report under missing parents.
+# Commands that write their output to a file, or a report under missing
+# parents or into the directory a case runs in.
 WRITES = [
     ["carrier", "delivery", "--output", lambda d: str(d / "out.csv")],
     ["report", "--output", lambda d: str(d / "missing" / "out")],
+    ["report", "--output", "."],
 ]
 
 _LP = ("lp's general paths: phase 1, equality rows, negative right-hand sides, "
@@ -160,6 +176,10 @@ ALLOWED = {
         _EXIT_3,
         "except SolverError as exc:",
         'raise SolverError(f"region {record.name!r}: {exc}") from exc'),
+    "cli._number_texts": (
+        "a column that holds -0 beside another number: no command's table has one, and "
+        "test_render's property oracles draw such columns",
+        "... else text"),
     "cli._column_texts": (
         _RENDER,
         "return [_column_texts((cell,), strings, numbers)[0] for cell in column]"),
@@ -218,8 +238,15 @@ ALLOWED = {
 
 
 # name: (module.qualname, first line); header: the lines whose events reach
-# it; children: the statements of its bodies
-_Statement = namedtuple("_Statement", "name line header children")
+# it; children: the statements of its bodies; node: its syntax tree
+_Statement = namedtuple("_Statement", "name line header children node")
+
+# name: (module.qualname, "<then> if ..." or "... else <else>"); line: its
+# first line and column; span: (first line, last line, first column, end
+# column), as co_positions() gives an instruction's
+_Half = namedtuple("_Half", "name line span")
+
+_BODIES = ("body", "orelse", "finalbody", "handlers")
 
 
 def _statements(path: Path) -> list[_Statement]:
@@ -241,13 +268,14 @@ def _statements(path: Path) -> list[_Statement]:
                      in_function or function)
                 children = []     # a nested function's body runs when it is called
             else:
-                children = [s for field in ("body", "orelse", "finalbody", "handlers")
+                children = [s for field in _BODIES
                             for s in walk(getattr(node, field, ()), qualname, in_function)]
             if in_function:
                 # a compound statement's header ends where its body starts
                 end = node.body[0].lineno if hasattr(node, "body") else node.end_lineno + 1
                 name = (f"{path.stem}{qualname}", lines[node.lineno - 1].strip())
-                inside.append(_Statement(name, node.lineno, range(node.lineno, end), children))
+                inside.append(_Statement(name, node.lineno, range(node.lineno, end), children,
+                                         node))
         found.extend(inside)
         return inside
 
@@ -255,10 +283,28 @@ def _statements(path: Path) -> list[_Statement]:
     return found
 
 
-def _numbered(statements: list[_Statement]) -> dict[int, tuple[str, str]]:
-    """The name of each statement by its id: where statements of one
-    function share a first line, each name ends in " #k", k its place among
-    them in line order."""
+def _halves(path: Path) -> list[_Half]:
+    """Both halves of each conditional expression in a statement inside a
+    function of one module."""
+    halves = []
+    for s in _statements(path):
+        own = [item for field, value in ast.iter_fields(s.node) if field not in _BODIES
+               for item in (value if isinstance(value, list) else [value])
+               if isinstance(item, ast.AST)]     # what the statement's bodies do not hold
+        for node in (n for item in own for n in ast.walk(item)):
+            if isinstance(node, ast.IfExp):
+                for half, form in ((node.body, "{} if ..."), (node.orelse, "... else {}")):
+                    halves.append(_Half((s.name[0], form.format(ast.unparse(half))),
+                                        (half.lineno, half.col_offset),
+                                        (half.lineno, half.end_lineno,
+                                         half.col_offset, half.end_col_offset)))
+    return halves
+
+
+def _numbered(statements: list) -> dict[int, tuple[str, str]]:
+    """The name of each statement, or half, by its id: where statements of
+    one function share a first line, each name ends in " #k", k its place
+    among them in line order."""
     lines = {}
     for s in statements:
         lines.setdefault(s.name, []).append(s.line)
@@ -290,6 +336,7 @@ def _run_corpus(tmp_path, monkeypatch, capsys) -> None:
     def run(argv, case):
         directory = tmp_path / f"case{case}"
         directory.mkdir()
+        monkeypatch.chdir(directory)     # where a relative path names a file
         code = cli.run(cli_argv(argv, directory))
         out, err = capsys.readouterr()
         assert code in (0, 2, 3), (argv, code)
@@ -320,33 +367,121 @@ def _run_corpus(tmp_path, monkeypatch, capsys) -> None:
         assert run(argv, next(cases))[1:3] == (0, expected), argv
 
 
-def test_every_statement_runs_from_the_command_line_or_is_allowed(tmp_path, monkeypatch,
-                                                                  capsys):
-    files = {str(path) for path in PACKAGE.glob("*.py")}
-    events = set()
+def _inside(position, span) -> bool:
+    """Whether an instruction's position lies inside a span, each given as
+    (first line, last line, first column, end column)."""
+    line, end_line, column, end_column = position
+    return None not in position and (line, column) >= (span[0], span[2]) and (
+        end_line, end_column) <= (span[1], span[3])
 
-    def line(frame, event, arg):
+
+def _unreached_halves(positions: set[tuple[str, tuple]]) -> dict[tuple[str, str], str]:
+    """{(module.qualname, name): "file:line"} of each half of a conditional
+    expression of the package that no instruction of the run lies inside."""
+    unreached = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        ran = [position for name, position in positions if name == str(path)]
+        halves = _halves(path)
+        names = _numbered(halves)
+        for h in halves:
+            if not any(_inside(position, h.span) for position in ran):
+                unreached[names[id(h)]] = f"{path.name}:{h.line[0]}"
+    return unreached
+
+
+class _Captured:
+    """What the commands write to sys.stdout and sys.stderr, read as capsys reads it."""
+
+    def __init__(self):
+        self.out, self.err = io.StringIO(), io.StringIO()
+
+    def readouterr(self) -> tuple[str, str]:
+        texts = self.out.getvalue(), self.err.getvalue()
+        for stream in (self.out, self.err):
+            stream.seek(0)
+            stream.truncate()
+        return texts
+
+
+# co_positions(), an instruction's source span, is new in Python 3.11
+POSITIONS = sys.version_info >= (3, 11)
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """(line events, positions of the instructions that ran) of one run of
+    the corpus under the trace: opcode events only in the code objects with
+    an instruction inside a half of a conditional expression, and only
+    where the interpreter gives positions."""
+    spans = {str(path): [h.span for h in _halves(path)] for path in PACKAGE.glob("*.py")}
+    opcodes = {}     # code object -> whether it gets opcode events
+    lines, instructions = set(), set()
+
+    def trace(frame, event, arg):
         if event == "line":
-            events.add((frame.f_code.co_filename, frame.f_lineno))
-        return line
+            lines.add((frame.f_code.co_filename, frame.f_lineno))
+        elif event == "opcode":
+            instructions.add((frame.f_code, frame.f_lasti))
+        return trace
 
     def call(frame, event, arg):
-        return line if frame.f_code.co_filename in files else None
+        code = frame.f_code
+        if code.co_filename not in spans:
+            return None
+        if code not in opcodes:
+            opcodes[code] = POSITIONS and any(_inside(position, span)
+                                              for position in code.co_positions()
+                                              for span in spans[code.co_filename])
+        # CPython 3.13 turns a frame's opcode events on only when the flag is
+        # set on a frame that already has its trace function
+        frame.f_trace = trace
+        frame.f_trace_opcodes = opcodes[code]
+        return trace
 
+    captured = _Captured()
     previous = sys.gettrace()
+    # CPython 3.12 turns opcode events on in sys.settrace, and only once a
+    # frame has asked for them; on other versions this flag of the fixture's
+    # own, untraced frame changes nothing
+    sys._getframe().f_trace_opcodes = POSITIONS
     sys.settrace(call)
     try:
         cli._parser.cache_clear()     # so that build_parser runs under the trace
-        data_io._verified.cache_clear()     # and the dataset's values are derived under it
-        _run_corpus(tmp_path, monkeypatch, capsys)
+        data_io._shared.cache_clear()     # and the dataset's values are derived under it
+        with pytest.MonkeyPatch.context() as monkeypatch, redirect_stdout(captured.out), \
+                redirect_stderr(captured.err):
+            _run_corpus(tmp_path_factory.mktemp("corpus"), monkeypatch, captured)
     finally:
         sys.settrace(previous)
-    unreached = _unreached(events)
-    allowed = {(qualname, text) for qualname, (_, *texts) in ALLOWED.items() for text in texts}
+        sys._getframe().f_trace_opcodes = False
+    table = {code: list(code.co_positions()) for code, _ in instructions}
+    return lines, {(code.co_filename, table[code][lasti // 2]) for code, lasti in instructions}
+
+
+def _allowed(halves: bool) -> set[tuple[str, str]]:
+    """The statements, or else the halves, that `ALLOWED` names."""
+    return {(qualname, text) for qualname, (_, *texts) in ALLOWED.items() for text in texts
+            if (text.endswith(" if ...") or text.startswith("... else ")) == halves}
+
+
+def test_every_statement_runs_from_the_command_line_or_is_allowed(traced):
+    unreached = _unreached(traced[0])
+    allowed = _allowed(halves=False)
     assert sorted(f"{where} {key}" for key, where in unreached.items()
                   if key not in allowed) == [], "statements that no command reaches"
     assert sorted(allowed - set(unreached)) == [], (
         "allowed statements that a command reaches, or that are gone")
+
+
+@pytest.mark.skipif(not POSITIONS, reason="co_positions(), which maps an instruction to "
+                    "its sub-expression, is new in Python 3.11")
+def test_both_halves_of_every_conditional_expression_run_or_are_allowed(traced):
+    unreached = _unreached_halves(traced[1])
+    allowed = _allowed(halves=True)
+    assert sorted(f"{where} {key}" for key, where in unreached.items()
+                  if key not in allowed) == [], "halves that no command reaches"
+    assert sorted(allowed - set(unreached)) == [], (
+        "allowed halves that a command reaches, or that are gone")
 
 
 def test_statements_with_one_text_are_numbered_in_line_order():

@@ -121,7 +121,7 @@ def test_demand_linear_homogeneous(assumptions):
 
 def test_sector_ordering_every_level(assumptions):
     _, demand = assumptions
-    for level in data_io.Dataset().demand_levels:
+    for level in data_io.Dataset().manifest.demand_levels:
         breakdown = scenarios.demand_breakdown_mt(demand, level)
         assert (breakdown["power"] > breakdown["ammonia"]
                 > breakdown["shipping"] > breakdown["mobility"]), level.name
@@ -130,8 +130,8 @@ def test_sector_ordering_every_level(assumptions):
 def test_balance_report(assumptions):
     supply, demand = assumptions
     dataset = data_io.Dataset()
-    rows = scenarios.balance_report(supply, demand, dataset.supply_levels,
-                                    dataset.demand_levels)
+    rows = scenarios.balance_report(supply, demand, dataset.manifest.supply_levels,
+                                    dataset.manifest.demand_levels)
     assert len(rows) == 15
     by_pair = {(r.supply_level, r.demand_level): r for r in rows}
     first = by_pair[("Level 1", "Level 1")]
@@ -140,7 +140,7 @@ def test_balance_report(assumptions):
     assert stretch.coverage == pytest.approx(0.64, abs=0.06)
     assert not stretch.covered
     # totals are the sum of the four sector demands
-    breakdown = scenarios.demand_breakdown_mt(demand, dataset.demand_levels[4])
+    breakdown = scenarios.demand_breakdown_mt(demand, dataset.manifest.demand_levels[4])
     assert stretch.demand_mt == pytest.approx(sum(breakdown.values()), rel=1e-12)
 
 
