@@ -1,12 +1,13 @@
 """Every statement inside a function of the package runs from the command
 line, or is on the allow-list below with the reason it stays.
 
-The test runs one fixed corpus in-process under `sys.settrace`: every
-golden command of test_golden in CSV and JSON, the four golden report
-trees (each twice, the second run over the first's tree) and every
-`--help` text and usage error of `HELP`, then test_cli's `GUARDS` and
-`EDGES` and this module's `ERRORS` and `WRITES`. Each case must exit 0, or
-2 or 3 with one line on stderr. Then the test lists each statement inside a
+The module runs one fixed corpus in-process under `sys.settrace`, once
+for both of its traced tests: every golden command of test_golden in CSV
+and JSON, the four golden report trees (each twice, the second run over
+the first's tree) and every `--help` text and usage error of `HELP`, then
+test_cli's `GUARDS` and `EDGES` and this module's `ERRORS` and `WRITES`,
+each case in its own directory. Each case must exit 0, or 2 or 3 with one
+line on stderr. Then the first test lists each statement inside a
 function of `src/nh3econ` that no line event reached, and fails on any that
 `ALLOWED` does not name, and on any entry of `ALLOWED` that the corpus
 reaches or that no longer exists.
