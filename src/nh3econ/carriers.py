@@ -17,6 +17,13 @@ stage costs
 which equals levelized_cost([capex] + [running] * N,
 [0] + [delivered] * N, dr), the general schedule form kept as the oracle.
 
+Each breakdown is costed in one walk: `delivery_cost` (and `storage_cost`
+over the storage stages) sizes each stage on the medium mass that reaches
+it, tracks that mass to the end of the chain, and hands the sized stages
+to the one closed-form levelization. The earlier forms, a sizing pass of
+its own and a two-pass levelization, are kept in `tests/oracles.py`, and
+the walk matches them bit for bit.
+
 Capital bases follow the parameter table: per tonne of annual throughput
 for process plants, per vehicle for road transport (fleet sized to the
 annual tonnage and route time), per km for pipelines, and per cubic metre
@@ -188,20 +195,6 @@ def volume_bracket(volume_kt: float) -> tuple[float, bool]:
     return nearest, True
 
 
-def _param(params: Mapping[str, float], key: str) -> float:
-    return float(params[key])
-
-
-def _bracket_param(params: Mapping[str, float], stem: str, volume_kt: float) -> float:
-    bracket, _ = volume_bracket(volume_kt)
-    return _param(params, f"{stem}_{int(bracket)}kt")
-
-
-# A stage sized inside one evaluation, as a (spec, capex_usd,
-# energy_mwh_per_yr) tuple.
-_StageFlow = tuple[StageSpec, float, float]
-
-
 def _transport_fleet(spec: StageSpec, tonnage_per_yr: float, distance_km: float) -> float:
     """Vehicles needed for an annual tonnage over a one-way distance.
 
@@ -219,58 +212,7 @@ def _transport_fleet(spec: StageSpec, tonnage_per_yr: float, distance_km: float)
     return tonnage_per_yr / per_vehicle_t
 
 
-def _walk_delivery(chain: CarrierChain, q: CostQuery) -> tuple[list[_StageFlow], float]:
-    """Size each stage and track the medium mass; returns flows and the
-    hydrogen-equivalent tonnage leaving the chain."""
-    mass_t = q.annual_h2_kt * 1000.0   # current medium mass, t/yr
-    medium = "H2"
-    flows: list[_StageFlow] = []
-    for spec in chain.stages:
-        if spec.role == "conversion":
-            if chain.medium == "NH3":
-                out_mass = mass_t * spec.conversion_efficiency * NH3_T_PER_T_H2
-                basis_mass = out_mass
-                medium = "NH3"
-            else:   # liquefaction keeps the hydrogen mass
-                out_mass = mass_t * spec.conversion_efficiency
-                basis_mass = mass_t
-            capex = spec.capex_value * basis_mass
-            energy = spec.energy_use_mwh_per_t * basis_mass
-        elif spec.role == "transport":
-            basis_mass = mass_t
-            if spec.capex_basis == "per_km":
-                capex = spec.capex_value * q.distance_km
-                energy = spec.energy_use_mwh_per_t * basis_mass * q.distance_km / 100.0
-                survival = (1.0 - spec.loss_rate) ** (q.distance_km / 1000.0)
-            else:   # per_asset
-                fleet = _transport_fleet(spec, basis_mass, q.distance_km)
-                capex = spec.capex_value * fleet
-                energy = spec.energy_use_mwh_per_t * basis_mass
-                survival = (1.0 - spec.loss_rate) ** (q.distance_km / spec.daily_range_km)
-            out_mass = mass_t * survival
-        elif spec.role == "storage":
-            # working buffer sized in days of throughput
-            capacity_t = mass_t * spec.hold_days / 365.0
-            capex = spec.capex_value * capacity_t
-            energy = 0.0
-            out_mass = mass_t
-        else:   # reconversion
-            basis_mass = mass_t
-            capex = spec.capex_value * basis_mass
-            energy = spec.energy_use_mwh_per_t * basis_mass
-            if medium == "NH3":
-                out_mass = mass_t / NH3_T_PER_T_H2 * spec.conversion_efficiency
-                medium = "H2"
-            else:
-                out_mass = mass_t * spec.conversion_efficiency
-        flows.append((spec, capex, energy))
-        mass_t = out_mass
-
-    h2_equiv_t = mass_t / NH3_T_PER_T_H2 if medium == "NH3" else mass_t
-    return flows, h2_equiv_t
-
-
-def _levelize(flows: list[_StageFlow], delivered_kg_per_yr: float,
+def _levelize(flows: list[tuple[StageSpec, float, float]], delivered_kg_per_yr: float,
               delivered_fraction: float, q: CostQuery) -> CostBreakdown:
     """Apply the closed-form cost rule stage by stage.
 
@@ -298,9 +240,44 @@ def delivery_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
     in USD per kg of hydrogen (content) leaving the chain."""
     if chain.medium == "GH2_pipeline" and q.distance_km <= 0:
         raise InputError("pipeline delivery requires a positive distance")
-    flows, h2_out_t = _walk_delivery(chain, q)
-    return _levelize(flows, h2_out_t * 1000.0,
-                     h2_out_t / (q.annual_h2_kt * 1000.0), q)
+    h2_in_t = q.annual_h2_kt * 1000.0
+    mass_t = h2_in_t   # the medium mass reaching the stage, t/yr
+    medium = "H2"
+    flows = []   # (spec, capex_usd, energy_mwh_per_yr) per stage
+    for spec in chain.stages:
+        if spec.role == "conversion":
+            if chain.medium == "NH3":   # sized on the ammonia made
+                mass_t = basis_mass = mass_t * spec.conversion_efficiency * NH3_T_PER_T_H2
+                medium = "NH3"
+            else:   # liquefaction keeps the hydrogen mass
+                basis_mass = mass_t
+                mass_t = mass_t * spec.conversion_efficiency
+            capex = spec.capex_value * basis_mass
+            energy = spec.energy_use_mwh_per_t * basis_mass
+        elif spec.role == "transport":
+            if spec.capex_basis == "per_km":
+                capex = spec.capex_value * q.distance_km
+                energy = spec.energy_use_mwh_per_t * mass_t * q.distance_km / 100.0
+                mass_t = mass_t * (1.0 - spec.loss_rate) ** (q.distance_km / 1000.0)
+            else:   # per_asset
+                capex = spec.capex_value * _transport_fleet(spec, mass_t, q.distance_km)
+                energy = spec.energy_use_mwh_per_t * mass_t
+                mass_t = mass_t * (1.0 - spec.loss_rate) ** (q.distance_km / spec.daily_range_km)
+        elif spec.role == "storage":
+            # working buffer sized in days of throughput
+            capex = spec.capex_value * (mass_t * spec.hold_days / 365.0)
+            energy = 0.0
+        else:   # reconversion
+            capex = spec.capex_value * mass_t
+            energy = spec.energy_use_mwh_per_t * mass_t
+            if medium == "NH3":
+                mass_t = mass_t / NH3_T_PER_T_H2 * spec.conversion_efficiency
+                medium = "H2"
+            else:
+                mass_t = mass_t * spec.conversion_efficiency
+        flows.append((spec, capex, energy))
+    h2_out_t = mass_t / NH3_T_PER_T_H2 if medium == "NH3" else mass_t
+    return _levelize(flows, h2_out_t * 1000.0, h2_out_t / h2_in_t, q)
 
 
 def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
@@ -316,14 +293,11 @@ def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
         raise InputError("storage_days must be positive for storage costing")
 
     h2_in_t = q.annual_h2_kt * 1000.0 * q.stored_share
-    if chain.medium == "NH3":
-        synthesis = chain.stages[0]
-        stored_t = h2_in_t * synthesis.conversion_efficiency * NH3_T_PER_T_H2
+    if chain.medium == "NH3":   # the synthesis stage's yield is stored
+        mass_t = h2_in_t * chain.stages[0].conversion_efficiency * NH3_T_PER_T_H2
     else:
-        stored_t = h2_in_t
-
-    flows: list[_StageFlow] = []
-    mass_t = stored_t
+        mass_t = h2_in_t
+    flows = []
     for spec in chain.storage_stages:
         if spec.role == "storage":
             if spec.capex_basis == "per_m3":
@@ -342,12 +316,7 @@ def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
             capex = spec.capex_value * mass_t
             energy = spec.energy_use_mwh_per_t * mass_t
         flows.append((spec, capex, energy))
-    recovered_t = mass_t
-
-    if chain.medium == "NH3":
-        h2_out_t = recovered_t / NH3_T_PER_T_H2
-    else:
-        h2_out_t = recovered_t
+    h2_out_t = mass_t / NH3_T_PER_T_H2 if chain.medium == "NH3" else mass_t
     return _levelize(flows, h2_out_t * 1000.0, h2_out_t / h2_in_t, q)
 
 
@@ -367,84 +336,80 @@ def builtin_chains(params: Mapping[str, float],
     (`volume_bracket` says which, and whether it clamped). The volume is
     checked where it is priced, by `CostQuery`.
     """
-    opex = _param(params, "fixed_opex_rate")
+    opex = params["fixed_opex_rate"]
 
-    reformer_capex = _bracket_param(params, "reformer_capex", annual_h2_kt)
-    liquefier_capex = _bracket_param(params, "liquefier_capex", annual_h2_kt)
-    pipeline_capex_kusd = _bracket_param(params, "pipeline_capex_kusd_per_km",
-                                         annual_h2_kt)
+    bracket = f"_{int(volume_bracket(annual_h2_kt)[0])}kt"   # as "_100kt"
 
     plant = StageSpec(
         name="ammonia_plant", role="conversion", capex_basis="per_t_per_yr",
-        capex_value=_param(params, "nh3_plant_capex_usd_per_t"),
+        capex_value=params["nh3_plant_capex_usd_per_t"],
         fixed_opex_rate=opex,
-        energy_use_mwh_per_t=_param(params, "nh3_synthesis_energy_mwh_per_t"),
-        conversion_efficiency=_param(params, "nh3_synthesis_conversion"),
+        energy_use_mwh_per_t=params["nh3_synthesis_energy_mwh_per_t"],
+        conversion_efficiency=params["nh3_synthesis_conversion"],
     )
     nh3_truck = StageSpec(
         name="truck_transport", role="transport", capex_basis="per_asset",
-        capex_value=_param(params, "truck_capex_usd"),
-        fixed_opex_rate=_param(params, "truck_opex_rate"),
-        loss_rate=_param(params, "nh3_boiloff_per_day"),
-        payload_t=_param(params, "truck_payload_t"),
-        daily_range_km=_param(params, "truck_daily_range_km"),
+        capex_value=params["truck_capex_usd"],
+        fixed_opex_rate=params["truck_opex_rate"],
+        loss_rate=params["nh3_boiloff_per_day"],
+        payload_t=params["truck_payload_t"],
+        daily_range_km=params["truck_daily_range_km"],
     )
     buffer = StageSpec(
         name="terminal_buffer", role="storage", capex_basis="per_t_per_yr",
-        capex_value=_param(params, "nh3_vessel_capex_usd_per_t"),
+        capex_value=params["nh3_vessel_capex_usd_per_t"],
         fixed_opex_rate=opex,
-        hold_days=_param(params, "delivery_buffer_days"),
+        hold_days=params["delivery_buffer_days"],
     )
     cracker = StageSpec(
         name="ammonia_cracker", role="reconversion", capex_basis="per_t_per_yr",
-        capex_value=reformer_capex, fixed_opex_rate=opex,
-        energy_use_mwh_per_t=_param(params, "nh3_reform_energy_mwh_per_t"),
-        conversion_efficiency=_param(params, "nh3_reform_conversion"),
+        capex_value=params["reformer_capex" + bracket], fixed_opex_rate=opex,
+        energy_use_mwh_per_t=params["nh3_reform_energy_mwh_per_t"],
+        conversion_efficiency=params["nh3_reform_conversion"],
     )
     nh3_storage_stages = (
         StageSpec(
             name="ammonia_cooling", role="conversion", capex_basis="per_t_per_yr",
             capex_value=0.0, fixed_opex_rate=opex,
-            energy_use_mwh_per_t=_param(params, "nh3_cooling_energy_mwh_per_t"),
+            energy_use_mwh_per_t=params["nh3_cooling_energy_mwh_per_t"],
         ),
         StageSpec(
             name="ammonia_vessel", role="storage", capex_basis="per_t_per_yr",
-            capex_value=_param(params, "nh3_vessel_capex_usd_per_t"),
+            capex_value=params["nh3_vessel_capex_usd_per_t"],
             fixed_opex_rate=opex,
-            energy_use_mwh_per_t=_param(params, "nh3_storage_energy_kwh_per_t_day") / 1000.0,
-            loss_rate=_param(params, "nh3_boiloff_per_day"),
+            energy_use_mwh_per_t=params["nh3_storage_energy_kwh_per_t_day"] / 1000.0,
+            loss_rate=params["nh3_boiloff_per_day"],
         ),
     )
 
     liquefier = StageSpec(
         name="liquefier", role="conversion", capex_basis="per_t_per_yr",
-        capex_value=liquefier_capex, fixed_opex_rate=opex,
-        energy_use_mwh_per_t=_param(params, "lh2_liquefaction_energy_mwh_per_t"),
+        capex_value=params["liquefier_capex" + bracket], fixed_opex_rate=opex,
+        energy_use_mwh_per_t=params["lh2_liquefaction_energy_mwh_per_t"],
     )
-    lh2_density = _param(params, "lh2_density_t_per_m3")
+    lh2_density = params["lh2_density_t_per_m3"]
     lh2_truck = StageSpec(
         name="cryo_truck_transport", role="transport", capex_basis="per_asset",
-        capex_value=(_param(params, "truck_capex_usd")
-                     + _param(params, "cryo_tank_capex_usd_per_m3")
-                     * _param(params, "lh2_truck_tank_m3")),
-        fixed_opex_rate=_param(params, "truck_opex_rate"),
-        loss_rate=_param(params, "lh2_boiloff_per_day"),
-        payload_t=_param(params, "lh2_truck_tank_m3") * lh2_density,
-        daily_range_km=_param(params, "truck_daily_range_km"),
+        capex_value=(params["truck_capex_usd"]
+                     + params["cryo_tank_capex_usd_per_m3"] * params["lh2_truck_tank_m3"]),
+        fixed_opex_rate=params["truck_opex_rate"],
+        loss_rate=params["lh2_boiloff_per_day"],
+        payload_t=params["lh2_truck_tank_m3"] * lh2_density,
+        daily_range_km=params["truck_daily_range_km"],
     )
     vaporizer = StageSpec(
         name="vaporizer", role="reconversion", capex_basis="per_t_per_yr",
-        capex_value=_param(params, "vaporizer_capex_kusd_per_10kt") * 1000.0 / 10_000.0,
+        capex_value=params["vaporizer_capex_kusd_per_10kt"] * 1000.0 / 10_000.0,
         fixed_opex_rate=opex,
-        energy_use_mwh_per_t=_param(params, "lh2_regas_energy_kwh_per_t") / 1000.0,
+        energy_use_mwh_per_t=params["lh2_regas_energy_kwh_per_t"] / 1000.0,
     )
     lh2_storage_stages = (
         liquefier,
         StageSpec(
             name="cryo_tank", role="storage", capex_basis="per_m3",
-            capex_value=_param(params, "cryo_tank_capex_usd_per_m3"),
+            capex_value=params["cryo_tank_capex_usd_per_m3"],
             fixed_opex_rate=opex,
-            loss_rate=_param(params, "lh2_boiloff_per_day"),
+            loss_rate=params["lh2_boiloff_per_day"],
             density_t_per_m3=lh2_density,
         ),
         vaporizer,
@@ -452,9 +417,10 @@ def builtin_chains(params: Mapping[str, float],
 
     pipeline = StageSpec(
         name="pipeline_transport", role="transport", capex_basis="per_km",
-        capex_value=pipeline_capex_kusd * 1000.0, fixed_opex_rate=opex,
-        energy_use_mwh_per_t=_param(params, "pipeline_energy_mwh_per_t_100km"),
-        loss_rate=_param(params, "pipeline_leakage_per_1000km"),
+        capex_value=params["pipeline_capex_kusd_per_km" + bracket] * 1000.0,
+        fixed_opex_rate=opex,
+        energy_use_mwh_per_t=params["pipeline_energy_mwh_per_t_100km"],
+        loss_rate=params["pipeline_leakage_per_1000km"],
     )
 
     return {

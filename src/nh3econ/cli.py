@@ -45,7 +45,7 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite, nan
 
 from . import carriers, cofiring, data_io, scenarios
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, number_text
 
 DELIVERY_DISTANCES_KM = (500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
 STORAGE_DAYS = (30.0, 150.0, 365.0, 1000.0, 2000.0)
@@ -361,7 +361,7 @@ def _print_table(table, dataset: data_io.Dataset, args) -> None:
     for volume in getattr(args, "volume", ()):
         bracket, clamped = carriers.volume_bracket(volume)
         if clamped:
-            print(f"note: volume {volume:g} kt/yr is outside the tabulated "
+            print(f"note: volume {number_text(volume)} kt/yr is outside the tabulated "
                   f"brackets; capex uses the {bracket:g} kt/yr bracket", file=sys.stderr)
 
 

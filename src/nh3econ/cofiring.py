@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .errors import InputError
+from .errors import InputError, number_text
 from .units import TCE_GJ
 
 # Co-firing rates of the standard scenario ladder (base case plus five cases).
@@ -120,16 +120,16 @@ def _efficiency_loss(params: CofiringParams, rate: float, interpolate: bool) -> 
     if rate in params.efficiency_loss:
         return params.efficiency_loss[rate]
     if not interpolate:
-        known = ", ".join(f"{r:g}" for r in sorted(params.efficiency_loss))
+        known = ", ".join(map(number_text, sorted(params.efficiency_loss)))
         raise InputError(
-            f"no efficiency-loss entry for rate {rate:g}; known rates: 0, {known} "
+            f"no efficiency-loss entry for rate {number_text(rate)}; known rates: 0, {known} "
             f"(pass interpolate_loss=True for linear interpolation)"
         )
     points = sorted([(0.0, 0.0), *params.efficiency_loss.items()])
     for (r0, l0), (r1, l1) in zip(points, points[1:]):
         if rate <= r1:    # the first segment that holds the rate
             return l0 + (l1 - l0) * (rate - r0) / (r1 - r0)
-    raise InputError(f"rate {rate:g} is above the tabulated range")
+    raise InputError(f"rate {number_text(rate)} is above the tabulated range")
 
 
 def base_lcoe(params: CofiringParams) -> float:

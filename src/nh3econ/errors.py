@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and how a message prints a
+number.
 
 The CLI maps InputError to exit code 2 and SolverError to exit code 3.
 """
@@ -14,3 +15,10 @@ class InputError(Nh3EconError):
 
 class SolverError(Nh3EconError):
     """The LP solver failed to terminate normally."""
+
+
+def number_text(value: float) -> str:
+    """A number as a message prints it: as `:g` writes it where that reads
+    back as the same float, else as its repr, so that a message never
+    rounds the value it names into a tabulated one."""
+    return f"{value:g}" if float(f"{value:g}") == value else repr(value)

@@ -5,9 +5,10 @@ shares no code path with the simplex implementation it checks. The DEA
 oracle states the CCR model in its envelopment form, which `gtfp` scores
 through the equivalent ratio form. The carrier
 oracles are the earlier forms of `carriers.default_query` (one checked
-lookup per key) and `carriers._levelize` (a list of costs, then a second
-pass for the stage records), which the current code must match bit for
-bit. The last two recipes check bundled data and published anchors: the
+lookup per key), of `carriers.delivery_cost` (a walk that sizes every
+stage, then the levelization as a pass of its own) and of
+`carriers._levelize` (a list of costs, then a second pass for the stage
+records), which the current code must match bit for bit. The last two recipes check bundled data and published anchors: the
 Tibet 2019 CO2 gap fill, and the renewable-generation share that a given
 ammonia demand needs. The record helpers at the end let tests change a few
 fields of a record built from the bundled dataset, whose constructors take
@@ -22,6 +23,7 @@ import numpy as np
 from nh3econ import carriers, lp, scenarios
 from nh3econ.errors import InputError
 from nh3econ.gtfp import RegionRecord
+from nh3econ.units import NH3_T_PER_T_H2
 
 _BASIS_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -131,6 +133,68 @@ def query_per_key(params, annual_h2_kt: float, distance_km: float = 0.0,
         electricity_usd_per_mwh=_carrier_param(params, "electricity_usd_per_mwh"),
         stored_share=_carrier_param(params, "stored_share"),
     )
+
+
+def walk_delivery(chain: carriers.CarrierChain, q: carriers.CostQuery):
+    """`delivery_cost`'s walk as a pass of its own: size each stage and
+    track the medium mass; returns the (spec, capex, energy) flows and the
+    hydrogen-equivalent tonnage leaving the chain."""
+    mass_t = q.annual_h2_kt * 1000.0   # current medium mass, t/yr
+    medium = "H2"
+    flows = []
+    for spec in chain.stages:
+        if spec.role == "conversion":
+            if chain.medium == "NH3":
+                out_mass = mass_t * spec.conversion_efficiency * NH3_T_PER_T_H2
+                basis_mass = out_mass
+                medium = "NH3"
+            else:   # liquefaction keeps the hydrogen mass
+                out_mass = mass_t * spec.conversion_efficiency
+                basis_mass = mass_t
+            capex = spec.capex_value * basis_mass
+            energy = spec.energy_use_mwh_per_t * basis_mass
+        elif spec.role == "transport":
+            basis_mass = mass_t
+            if spec.capex_basis == "per_km":
+                capex = spec.capex_value * q.distance_km
+                energy = spec.energy_use_mwh_per_t * basis_mass * q.distance_km / 100.0
+                survival = (1.0 - spec.loss_rate) ** (q.distance_km / 1000.0)
+            else:   # per_asset
+                fleet = carriers._transport_fleet(spec, basis_mass, q.distance_km)
+                capex = spec.capex_value * fleet
+                energy = spec.energy_use_mwh_per_t * basis_mass
+                survival = (1.0 - spec.loss_rate) ** (q.distance_km / spec.daily_range_km)
+            out_mass = mass_t * survival
+        elif spec.role == "storage":
+            # working buffer sized in days of throughput
+            capacity_t = mass_t * spec.hold_days / 365.0
+            capex = spec.capex_value * capacity_t
+            energy = 0.0
+            out_mass = mass_t
+        else:   # reconversion
+            basis_mass = mass_t
+            capex = spec.capex_value * basis_mass
+            energy = spec.energy_use_mwh_per_t * basis_mass
+            if medium == "NH3":
+                out_mass = mass_t / NH3_T_PER_T_H2 * spec.conversion_efficiency
+                medium = "H2"
+            else:
+                out_mass = mass_t * spec.conversion_efficiency
+        flows.append((spec, capex, energy))
+        mass_t = out_mass
+
+    h2_equiv_t = mass_t / NH3_T_PER_T_H2 if medium == "NH3" else mass_t
+    return flows, h2_equiv_t
+
+
+def delivery_two_pass(chain: carriers.CarrierChain,
+                      q: carriers.CostQuery) -> carriers.CostBreakdown:
+    """`delivery_cost` as the walk, then `levelize_two_pass` over its flows."""
+    if chain.medium == "GH2_pipeline" and q.distance_km <= 0:
+        raise InputError("pipeline delivery requires a positive distance")
+    flows, h2_out_t = walk_delivery(chain, q)
+    return levelize_two_pass(flows, h2_out_t * 1000.0,
+                             h2_out_t / (q.annual_h2_kt * 1000.0), q)
 
 
 def levelize_two_pass(flows, delivered_kg_per_yr: float, delivered_fraction: float,

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from nh3econ import carriers, data_io
 from nh3econ.errors import InputError
-from oracles import constructor_defaults, levelize_two_pass, query_per_key, replaced
+from oracles import (constructor_defaults, delivery_two_pass, levelize_two_pass, query_per_key,
+                     replaced)
 
 DISTANCES = (500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
 VOLUMES = (10.0, 30.0, 50.0, 100.0)
@@ -166,15 +167,17 @@ def test_kernel_matches_two_pass_oracle_bit_for_bit(params, factors, lifetime, v
         drawn[key] = min(value, 1.0) if unit == "fraction" else value
     drawn["lifetime_years"] = float(lifetime)
     chains = carriers.builtin_chains(drawn, volume)
-    cases = [(carriers.delivery_cost, chains[name], volume, distance, 0.0)
+    # delivery's oracle is the walk and the two-pass levelization; storage's
+    # is storage_cost over the two-pass levelization
+    cases = [(carriers.delivery_cost, delivery_two_pass, chains[name], volume, distance, 0.0)
              for name in ("NH3_with_crack", "NH3_direct", "LH2", "pipeline")
              for distance in DISTANCES]
-    cases += [(carriers.storage_cost, chains[name], volume, 0.0, days)
+    cases += [(carriers.storage_cost, carriers.storage_cost, chains[name], volume, 0.0, days)
               for name in ("NH3_with_crack", "LH2") for days in STORAGE_DAYS]
-    for cost, chain, *sizing in cases:
+    for cost, oracle, chain, *sizing in cases:
         new = _outcome(cost, chain, carriers.default_query(drawn, *sizing))
         with mock.patch.object(carriers, "_levelize", levelize_two_pass):
-            old = _outcome(cost, chain, query_per_key(drawn, *sizing))
+            old = _outcome(oracle, chain, query_per_key(drawn, *sizing))
         assert new == old, (cost.__name__, chain.medium, sizing)
 
 

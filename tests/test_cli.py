@@ -260,6 +260,14 @@ def test_clamped_volume_is_noted_on_stderr(argv, capsys):
     assert captured.out.startswith("# hydrogen ")
 
 
+def test_volume_next_to_a_bracket_is_noted_as_given(capsys):
+    # :g writes 10.0000001 as 10, which is a tabulated bracket
+    assert cli.run(["carrier", "delivery", "--volume", "10.0000001", "--distance", "500"]) == 0
+    assert capsys.readouterr().err == (
+        "note: volume 10.0000001 kt/yr is outside the tabulated brackets; "
+        "capex uses the 10 kt/yr bracket\n")
+
+
 def test_fractional_lifetime_override_exits_2(tmp_path, capsys):
     params = tmp_path / "params.csv"
     params.write_text("key,value,unit,provenance\nlifetime_years,20.9,yr,x\n")
@@ -773,6 +781,82 @@ GUARDS = [
       "scenario", "supply"], "supply level 'Level 1': share must be in [0, 1]"),
     (["--data-dir", _dataset({"demand_levels.csv": ("Level 1,0.10", "Level 1,1.5")}),
       "scenario", "demand"], "demand level 'Level 1': pr_ammonia must be in [0, 1]"),
+    # a value next to a tabulated one is named as given, not as :g rounds it
+    (["cofire", "--rate", "0.030000001"],
+     "no efficiency-loss entry for rate 0.030000001; known rates: 0, 0.03, 0.05, 0.1, 0.15, "
+     "0.2 (pass interpolate_loss=True for linear interpolation)"),
+    (["cofire", "--rate", "0.2000000001", "--interpolate"],
+     "rate 0.2000000001 is above the tabulated range"),
+    (["carrier", "delivery", "--params", _params("wacc,1,fraction,x")],
+     "discount rate must be in (0, 1)"),
+]
+
+# `carrier delivery --volume 100 --distance 500` and `carrier storage
+# --volume 100 --days 30` over the bundled dataset
+_DELIVERY = (
+    "# hydrogen delivery cost breakdown by carrier; dataset cn-2019-v1\n"
+    "medium,volume_kt,distance_km,days,stage,usd_per_kg\n"
+    "NH3_with_crack,100,500,0,ammonia_plant,0.7621\n"
+    "NH3_with_crack,100,500,0,truck_transport,0.0491\n"
+    "NH3_with_crack,100,500,0,terminal_buffer,0.0348\n"
+    "NH3_with_crack,100,500,0,ammonia_cracker,0.6218\n"
+    "NH3_with_crack,100,500,0,total,1.4678\n"
+    "NH3_direct,100,500,0,ammonia_plant,0.724\n"
+    "NH3_direct,100,500,0,truck_transport,0.0466\n"
+    "NH3_direct,100,500,0,terminal_buffer,0.0331\n"
+    "NH3_direct,100,500,0,total,0.8037\n"
+    "LH2,100,500,0,liquefier,1.3922\n"
+    "LH2,100,500,0,cryo_truck_transport,0.1546\n"
+    "LH2,100,500,0,vaporizer,0.0003\n"
+    "LH2,100,500,0,total,1.5471\n"
+    "pipeline,100,500,0,pipeline_transport,0.6221\n"
+    "pipeline,100,500,0,total,0.6221\n")
+_STORAGE = (
+    "# hydrogen storage cost breakdown by carrier and duration; dataset cn-2019-v1\n"
+    "medium,volume_kt,distance_km,days,stage,usd_per_kg\n"
+    "NH3,100,0,30,ammonia_cooling,0.0603\n"
+    "NH3,100,0,30,ammonia_vessel,0.6037\n"
+    "NH3,100,0,30,total,0.664\n"
+    "LH2,100,0,30,liquefier,1.4769\n"
+    "LH2,100,0,30,cryo_tank,1.972\n"
+    "LH2,100,0,30,vaporizer,0.0003\n"
+    "LH2,100,0,30,total,3.4492\n")
+
+
+def _edited(text, changes):
+    """`text` with each "stage,value" of `changes` replaced by its new one."""
+    for old, new in changes.items():
+        assert text.count(old + "\n") == 1, old
+        text = text.replace(old + "\n", new + "\n")
+    return text
+
+
+# The accepted edge of each carrier bound: (override, delivery output,
+# storage output). A stored share or a synthesis conversion of 1 cancels
+# out of every USD/kg figure, and storage holds no truck and no buffer.
+_CARRIER_EDGES = [
+    ("stored_share,1,fraction,x", _DELIVERY, _STORAGE),
+    ("nh3_boiloff_per_day,0,fraction_per_day,x",
+     _edited(_DELIVERY, {"ammonia_plant,0.7621": "ammonia_plant,0.762",
+                         "total,1.4678": "total,1.4677",
+                         "ammonia_plant,0.724": "ammonia_plant,0.7239",
+                         "total,0.8037": "total,0.8036"}),
+     _STORAGE),
+    ("nh3_synthesis_conversion,1,fraction,x", _DELIVERY, _STORAGE),
+    ("truck_capex_usd,0,USD,x",
+     _edited(_DELIVERY, {"truck_transport,0.0491": "truck_transport,0",
+                         "total,1.4678": "total,1.4187",
+                         "truck_transport,0.0466": "truck_transport,0",
+                         "total,0.8037": "total,0.757",
+                         "cryo_truck_transport,0.1546": "cryo_truck_transport,0.0966",
+                         "total,1.5471": "total,1.4891"}),
+     _STORAGE),
+    ("delivery_buffer_days,0,days,x",
+     _edited(_DELIVERY, {"terminal_buffer,0.0348": "terminal_buffer,0",
+                         "total,1.4678": "total,1.4329",
+                         "terminal_buffer,0.0331": "terminal_buffer,0",
+                         "total,0.8037": "total,0.7706"}),
+     _STORAGE),
 ]
 
 # Inputs at an edge that a command runs through, with what it prints.
@@ -790,6 +874,10 @@ EDGES = [
      "rate,mixed_fuel_cost_usd_per_tce,fuel_cost_delta_pct,lcoe_usd_per_mwh,lcoe_delta_pct,"
      "emission_kg_per_mwh,emission_delta_kg_per_mwh\n"
      "0,153.4681,0,67.9645,0,838,0\n"),
+    *((["carrier", "delivery", "--volume", "100", "--distance", "500", "--params", _params(row)],
+       delivery) for row, delivery, _ in _CARRIER_EDGES),
+    *((["carrier", "storage", "--volume", "100", "--days", "30", "--params", _params(row)],
+       storage) for row, _, storage in _CARRIER_EDGES),
 ]
 
 

@@ -300,6 +300,21 @@ def test_clone_insensitivity():
         assert np.allclose(with_clone, base, atol=1e-9)
 
 
+def test_the_order_of_the_regions_changes_no_score_and_no_flag(regions):
+    # the bundled table and sets with each value uniform in 0.5-10, which
+    # are not near-tied: the frontier and the frame depend on the order
+    rng = np.random.default_rng(14)
+    sets = [regions, *(random_regions(rng) for _ in range(40)),
+            *(random_regions(rng, 30) for _ in range(3))]
+    for records in sets:
+        base = {row.name: row for row in gtfp.gtfp_scores(records)}
+        for _ in range(3):
+            shuffled = [records[j] for j in rng.permutation(len(records))]
+            for row in gtfp.gtfp_scores(shuffled):
+                assert math.isclose(row.gtfp, base[row.name].gtfp, rel_tol=1e-9), row.name
+                assert row.efficient == base[row.name].efficient, row.name
+
+
 def _full_program_score(records, i):
     """Region i's score from its program over every region: the oracle for
     the frontier shortcut and the frame."""
