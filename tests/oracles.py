@@ -189,9 +189,8 @@ def walk_delivery(chain: carriers.CarrierChain, q: carriers.CostQuery):
 
 def delivery_two_pass(chain: carriers.CarrierChain,
                       q: carriers.CostQuery) -> carriers.CostBreakdown:
-    """`delivery_cost` as the walk, then `levelize_two_pass` over its flows."""
-    if chain.medium == "GH2_pipeline" and q.distance_km <= 0:
-        raise InputError("pipeline delivery requires a positive distance")
+    """`delivery_cost` at a positive distance: the walk, then
+    `levelize_two_pass` over its flows."""
     flows, h2_out_t = walk_delivery(chain, q)
     return levelize_two_pass(flows, h2_out_t * 1000.0,
                              h2_out_t / (q.annual_h2_kt * 1000.0), q)
