@@ -320,6 +320,48 @@ def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
     return _levelize(flows, h2_out_t * 1000.0, h2_out_t / h2_in_t, q)
 
 
+def _bracket_key(stem: str, volume_kt: float) -> str:
+    """The key of a capex tabulated per volume bracket, as "reformer_capex_100kt"."""
+    return f"{stem}_{int(volume_kt)}kt"
+
+
+# Each key that `default_query` and `builtin_chains` read, with its unit:
+# every carrier parameter file is checked against it.
+CARRIER_SCHEMA: dict[str, str] = {
+    "wacc": "fraction",
+    "lifetime_years": "yr",
+    "fixed_opex_rate": "fraction_per_yr",
+    "electricity_usd_per_mwh": "USD_per_MWh",
+    "nh3_plant_capex_usd_per_t": "USD_per_t_yr",
+    "nh3_synthesis_energy_mwh_per_t": "MWh_per_t",
+    "nh3_synthesis_conversion": "fraction",
+    "nh3_reform_energy_mwh_per_t": "MWh_per_t",
+    "nh3_reform_conversion": "fraction",
+    "nh3_cooling_energy_mwh_per_t": "MWh_per_t",
+    "nh3_storage_energy_kwh_per_t_day": "kWh_per_t_day",
+    "nh3_vessel_capex_usd_per_t": "USD_per_t",
+    "nh3_boiloff_per_day": "fraction_per_day",
+    **{_bracket_key("reformer_capex", b): "USD_per_t_yr" for b in VOLUME_BRACKETS_KT},
+    "truck_capex_usd": "USD",
+    "truck_payload_t": "t",
+    "truck_daily_range_km": "km_per_day",
+    "truck_opex_rate": "fraction_per_yr",
+    "delivery_buffer_days": "days",
+    **{_bracket_key("liquefier_capex", b): "USD_per_t_yr" for b in VOLUME_BRACKETS_KT},
+    "lh2_liquefaction_energy_mwh_per_t": "MWh_per_t",
+    "lh2_regas_energy_kwh_per_t": "kWh_per_t",
+    "lh2_boiloff_per_day": "fraction_per_day",
+    "lh2_density_t_per_m3": "t_per_m3",
+    "lh2_truck_tank_m3": "m3",
+    "cryo_tank_capex_usd_per_m3": "USD_per_m3",
+    "vaporizer_capex_kusd_per_10kt": "kUSD_per_10kt_yr",
+    **{_bracket_key("pipeline_capex_kusd_per_km", b): "kUSD_per_km" for b in VOLUME_BRACKETS_KT},
+    "pipeline_energy_mwh_per_t_100km": "MWh_per_t_100km",
+    "pipeline_leakage_per_1000km": "fraction_per_1000km",
+    "stored_share": "fraction",
+}
+
+
 def default_query(params: Mapping[str, float], annual_h2_kt: float,
                   distance_km: float = 0.0, storage_days: float = 0.0) -> CostQuery:
     """CostQuery with financial context taken from the parameter set."""
@@ -337,8 +379,7 @@ def builtin_chains(params: Mapping[str, float],
     checked where it is priced, by `CostQuery`.
     """
     opex = params["fixed_opex_rate"]
-
-    bracket = f"_{int(volume_bracket(annual_h2_kt)[0])}kt"   # as "_100kt"
+    bracket = volume_bracket(annual_h2_kt)[0]
 
     plant = StageSpec(
         name="ammonia_plant", role="conversion", capex_basis="per_t_per_yr",
@@ -363,7 +404,7 @@ def builtin_chains(params: Mapping[str, float],
     )
     cracker = StageSpec(
         name="ammonia_cracker", role="reconversion", capex_basis="per_t_per_yr",
-        capex_value=params["reformer_capex" + bracket], fixed_opex_rate=opex,
+        capex_value=params[_bracket_key("reformer_capex", bracket)], fixed_opex_rate=opex,
         energy_use_mwh_per_t=params["nh3_reform_energy_mwh_per_t"],
         conversion_efficiency=params["nh3_reform_conversion"],
     )
@@ -384,7 +425,7 @@ def builtin_chains(params: Mapping[str, float],
 
     liquefier = StageSpec(
         name="liquefier", role="conversion", capex_basis="per_t_per_yr",
-        capex_value=params["liquefier_capex" + bracket], fixed_opex_rate=opex,
+        capex_value=params[_bracket_key("liquefier_capex", bracket)], fixed_opex_rate=opex,
         energy_use_mwh_per_t=params["lh2_liquefaction_energy_mwh_per_t"],
     )
     lh2_density = params["lh2_density_t_per_m3"]
@@ -417,7 +458,7 @@ def builtin_chains(params: Mapping[str, float],
 
     pipeline = StageSpec(
         name="pipeline_transport", role="transport", capex_basis="per_km",
-        capex_value=params["pipeline_capex_kusd_per_km" + bracket] * 1000.0,
+        capex_value=params[_bracket_key("pipeline_capex_kusd_per_km", bracket)] * 1000.0,
         fixed_opex_rate=opex,
         energy_use_mwh_per_t=params["pipeline_energy_mwh_per_t_100km"],
         loss_rate=params["pipeline_leakage_per_1000km"],

@@ -5,6 +5,12 @@ The blend is an energy-weighted mix, so fuel prices are compared per tce.
 Generation cost splits into a fuel part, which scales with the blended
 fuel price and the unit's (slightly degraded) fuel consumption, and a
 non-fuel part held constant at its share of the coal-only baseline.
+
+`evaluate` computes a whole row in one pass: it checks the rate once, then
+prices the blend, looks up the loss and computes the coal-only cost, the
+generation cost and the emission once each. The earlier helpers, one per
+quantity, each checking the rate, are kept in `tests/oracles.py`, and
+`evaluate` matches them bit for bit.
 """
 
 from __future__ import annotations
@@ -102,18 +108,6 @@ def ammonia_fuel_price_per_tce(params: CofiringParams) -> float:
     return params.ammonia_production_cost_usd_per_t * (1.0 + params.gross_margin) / tce_per_t
 
 
-def _check_rate(rate: float) -> None:
-    if not 0.0 <= rate <= 1.0:
-        raise InputError(f"co-firing rate must be in [0, 1], got {rate}")
-
-
-def mixed_fuel_cost(params: CofiringParams, rate: float) -> float:
-    """Energy-weighted blend price in USD/tce, linear in the rate."""
-    _check_rate(rate)
-    fe_am = ammonia_fuel_price_per_tce(params)
-    return fe_am * rate + params.coal_price_usd_per_tce * (1.0 - rate)
-
-
 def _efficiency_loss(params: CofiringParams, rate: float, interpolate: bool) -> float:
     if rate == 0.0:
         return 0.0
@@ -123,7 +117,7 @@ def _efficiency_loss(params: CofiringParams, rate: float, interpolate: bool) -> 
         known = ", ".join(map(number_text, sorted(params.efficiency_loss)))
         raise InputError(
             f"no efficiency-loss entry for rate {number_text(rate)}; known rates: 0, {known} "
-            f"(pass interpolate_loss=True for linear interpolation)"
+            f"(pass --interpolate, or interpolate_loss=True, for linear interpolation)"
         )
     points = sorted([(0.0, 0.0), *params.efficiency_loss.items()])
     for (r0, l0), (r1, l1) in zip(points, points[1:]):
@@ -138,41 +132,29 @@ def base_lcoe(params: CofiringParams) -> float:
             / params.fuel_cost_share)
 
 
-def cofired_lcoe(params: CofiringParams, rate: float,
-                 interpolate_loss: bool = False) -> float:
-    """Generation cost at a given rate, USD/MWh.
-
-    Fuel consumption rises with the blend's efficiency loss; the non-fuel
-    part stays at its baseline share. The loss applies to fuel use only,
-    not to the emission balance.
-    """
-    _check_rate(rate)
-    loss = _efficiency_loss(params, rate, interpolate_loss)
-    fc_m = params.coal_consumption_tce_per_mwh / (1.0 - loss)
-    fe_m = mixed_fuel_cost(params, rate)
-    return fc_m * fe_m + (1.0 - params.fuel_cost_share) * base_lcoe(params)
-
-
-def emission_intensity(params: CofiringParams, rate: float) -> float:
-    """Stack CO2 per MWh: the ammonia share burns carbon-free."""
-    _check_rate(rate)
-    return params.base_emission_kg_per_mwh * (1.0 - rate)
-
-
 def evaluate(params: CofiringParams, rate: float,
              interpolate_loss: bool = False) -> CofiringResult:
-    """All co-firing metrics at one rate, with deltas against rate 0."""
-    fe_m = mixed_fuel_cost(params, rate)
-    lcoe_m = cofired_lcoe(params, rate, interpolate_loss)
-    emission = emission_intensity(params, rate)
-    fe_base = params.coal_price_usd_per_tce
+    """All co-firing metrics at one rate, with deltas against rate 0.
+
+    The blend price is linear in the rate. Fuel consumption rises with the
+    blend's efficiency loss, and the non-fuel part of the generation cost
+    stays at its baseline share. The loss applies to fuel use only: the
+    stack emission falls with the ammonia share, which burns carbon-free.
+    """
+    if not 0.0 <= rate <= 1.0:
+        raise InputError(f"co-firing rate must be in [0, 1], got {rate}")
+    fe_m = ammonia_fuel_price_per_tce(params) * rate + params.coal_price_usd_per_tce * (1.0 - rate)
+    loss = _efficiency_loss(params, rate, interpolate_loss)
     lcoe_base = base_lcoe(params)
+    lcoe_m = (params.coal_consumption_tce_per_mwh / (1.0 - loss) * fe_m
+              + (1.0 - params.fuel_cost_share) * lcoe_base)
+    emission = params.base_emission_kg_per_mwh * (1.0 - rate)
     return CofiringResult(
         rate=rate,
         mixed_fuel_cost_usd_per_tce=fe_m,
         lcoe_usd_per_mwh=lcoe_m,
         emission_kg_per_mwh=emission,
-        fuel_cost_delta=fe_m / fe_base - 1.0,
+        fuel_cost_delta=fe_m / params.coal_price_usd_per_tce - 1.0,
         lcoe_delta=lcoe_m / lcoe_base - 1.0,
         emission_delta_kg_per_mwh=emission - params.base_emission_kg_per_mwh,
     )

@@ -7,8 +7,9 @@ auditable; back-solved constants are additionally listed in the
 calibration ledger together with the recipe that produced them.
 
 `SCHEMAS` maps each parameter namespace to the keys its analysis reads
-and their units: `CARRIER_SCHEMA`, and the `UNITS` that the co-firing and
-scenario classes declare. Other keys in a file (all of gapfill.csv) are
+and their units, as each analysis declares them beside the code that
+reads them: `carriers.CARRIER_SCHEMA`, and the `UNITS` of the co-firing
+and scenario classes. Other keys in a file (all of gapfill.csv) are
 reference values that no analysis reads, and an override of one is an error.
 
 One reader parses every file: it keeps the raw cell text, the comment
@@ -43,7 +44,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from . import carriers, gtfp
-from .carriers import VOLUME_BRACKETS_KT
+from .carriers import CARRIER_SCHEMA
 from .cofiring import CofiringParams
 from .errors import InputError
 from .gtfp import RegionRecord
@@ -59,40 +60,6 @@ MANIFEST_COLUMNS = ("file", "sha256")
 CALIBRATION_COLUMNS = ("constant", "value", "unit", "oracle")
 SUPPLY_COLUMNS = ("level", "renewable_share")
 DEMAND_COLUMNS = ("level", "pr_ammonia", "pr_power", "pr_shipping", "pr_mobility")
-
-CARRIER_SCHEMA: dict[str, str] = {
-    "wacc": "fraction",
-    "lifetime_years": "yr",
-    "fixed_opex_rate": "fraction_per_yr",
-    "electricity_usd_per_mwh": "USD_per_MWh",
-    "nh3_plant_capex_usd_per_t": "USD_per_t_yr",
-    "nh3_synthesis_energy_mwh_per_t": "MWh_per_t",
-    "nh3_synthesis_conversion": "fraction",
-    "nh3_reform_energy_mwh_per_t": "MWh_per_t",
-    "nh3_reform_conversion": "fraction",
-    "nh3_cooling_energy_mwh_per_t": "MWh_per_t",
-    "nh3_storage_energy_kwh_per_t_day": "kWh_per_t_day",
-    "nh3_vessel_capex_usd_per_t": "USD_per_t",
-    "nh3_boiloff_per_day": "fraction_per_day",
-    **{f"reformer_capex_{int(b)}kt": "USD_per_t_yr" for b in VOLUME_BRACKETS_KT},
-    "truck_capex_usd": "USD",
-    "truck_payload_t": "t",
-    "truck_daily_range_km": "km_per_day",
-    "truck_opex_rate": "fraction_per_yr",
-    "delivery_buffer_days": "days",
-    **{f"liquefier_capex_{int(b)}kt": "USD_per_t_yr" for b in VOLUME_BRACKETS_KT},
-    "lh2_liquefaction_energy_mwh_per_t": "MWh_per_t",
-    "lh2_regas_energy_kwh_per_t": "kWh_per_t",
-    "lh2_boiloff_per_day": "fraction_per_day",
-    "lh2_density_t_per_m3": "t_per_m3",
-    "lh2_truck_tank_m3": "m3",
-    "cryo_tank_capex_usd_per_m3": "USD_per_m3",
-    "vaporizer_capex_kusd_per_10kt": "kUSD_per_10kt_yr",
-    **{f"pipeline_capex_kusd_per_km_{int(b)}kt": "kUSD_per_km" for b in VOLUME_BRACKETS_KT},
-    "pipeline_energy_mwh_per_t_100km": "MWh_per_t_100km",
-    "pipeline_leakage_per_1000km": "fraction_per_1000km",
-    "stored_share": "fraction",
-}
 
 SCHEMAS: dict[str, dict[str, str]] = {
     "carriers": CARRIER_SCHEMA,

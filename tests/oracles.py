@@ -3,12 +3,14 @@
 The LP oracle enumerates every basic solution of the slack form, so it
 shares no code path with the simplex implementation it checks. The DEA
 oracle states the CCR model in its envelopment form, which `gtfp` scores
-through the equivalent ratio form. The carrier
-oracles are the earlier forms of `carriers.default_query` (one checked
-lookup per key), of `carriers.delivery_cost` (a walk that sizes every
-stage, then the levelization as a pass of its own) and of
-`carriers._levelize` (a list of costs, then a second pass for the stage
-records), which the current code must match bit for bit. The last two recipes check bundled data and published anchors: the
+through the equivalent ratio form. The carrier oracles are the earlier
+forms of `carriers.default_query` (one checked lookup per key), of
+`carriers.delivery_cost` (a walk that sizes every stage, then the
+levelization as a pass of its own) and of `carriers._levelize` (a list of
+costs, then a second pass for the stage records). The co-firing oracles
+are the earlier helpers of `cofiring.evaluate`, one per quantity, each
+checking the rate. The current code must match each of these bit for
+bit. The last two recipes check bundled data and published anchors: the
 Tibet 2019 CO2 gap fill, and the renewable-generation share that a given
 ammonia demand needs. The record helpers at the end let tests change a few
 fields of a record built from the bundled dataset, whose constructors take
@@ -20,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from nh3econ import carriers, lp, scenarios
+from nh3econ import carriers, cofiring, lp, scenarios
 from nh3econ.errors import InputError
 from nh3econ.gtfp import RegionRecord
 from nh3econ.units import NH3_T_PER_T_H2
@@ -208,6 +210,54 @@ def levelize_two_pass(flows, delivered_kg_per_yr: float, delivered_fraction: flo
     stages = tuple([carriers.StageCost(spec.name, spec.role, cost)
                     for (spec, _, _), cost in zip(flows, costs)])
     return carriers.CostBreakdown(stages, sum(costs), delivered_fraction)
+
+
+def _check_rate(rate: float) -> None:
+    if not 0.0 <= rate <= 1.0:
+        raise InputError(f"co-firing rate must be in [0, 1], got {rate}")
+
+
+def mixed_fuel_cost(params: cofiring.CofiringParams, rate: float) -> float:
+    """Energy-weighted blend price in USD/tce, linear in the rate."""
+    _check_rate(rate)
+    fe_am = cofiring.ammonia_fuel_price_per_tce(params)
+    return fe_am * rate + params.coal_price_usd_per_tce * (1.0 - rate)
+
+
+def cofired_lcoe(params: cofiring.CofiringParams, rate: float,
+                 interpolate_loss: bool = False) -> float:
+    """Generation cost at a given rate, USD/MWh: the fuel part at the
+    blend price and the lossy consumption, plus the non-fuel part."""
+    _check_rate(rate)
+    loss = cofiring._efficiency_loss(params, rate, interpolate_loss)
+    fc_m = params.coal_consumption_tce_per_mwh / (1.0 - loss)
+    fe_m = mixed_fuel_cost(params, rate)
+    return fc_m * fe_m + (1.0 - params.fuel_cost_share) * cofiring.base_lcoe(params)
+
+
+def emission_intensity(params: cofiring.CofiringParams, rate: float) -> float:
+    """Stack CO2 per MWh: the ammonia share burns carbon-free."""
+    _check_rate(rate)
+    return params.base_emission_kg_per_mwh * (1.0 - rate)
+
+
+def evaluate_by_parts(params: cofiring.CofiringParams, rate: float,
+                      interpolate_loss: bool = False) -> cofiring.CofiringResult:
+    """`cofiring.evaluate` built from one helper per quantity."""
+    fe_m = mixed_fuel_cost(params, rate)
+    lcoe_m = cofired_lcoe(params, rate, interpolate_loss)
+    emission = emission_intensity(params, rate)
+    fe_base = params.coal_price_usd_per_tce
+    lcoe_base = cofiring.base_lcoe(params)
+    return cofiring.CofiringResult(
+        rate=rate,
+        mixed_fuel_cost_usd_per_tce=fe_m,
+        lcoe_usd_per_mwh=lcoe_m,
+        emission_kg_per_mwh=emission,
+        fuel_cost_delta=fe_m / fe_base - 1.0,
+        lcoe_delta=lcoe_m / lcoe_base - 1.0,
+        emission_delta_kg_per_mwh=emission - params.base_emission_kg_per_mwh,
+    )
 
 
 def series_cagr(start_value: float, end_value: float, years: int) -> float:

@@ -779,7 +779,7 @@ GUARDS = [
     # a value next to a tabulated one is named as given, not as :g rounds it
     (["cofire", "--rate", "0.030000001"],
      "no efficiency-loss entry for rate 0.030000001; known rates: 0, 0.03, 0.05, 0.1, 0.15, "
-     "0.2 (pass interpolate_loss=True for linear interpolation)"),
+     "0.2 (pass --interpolate, or interpolate_loss=True, for linear interpolation)"),
     (["cofire", "--rate", "0.2000000001", "--interpolate"],
      "rate 0.2000000001 is above the tabulated range"),
     (["carrier", "delivery", "--params", _params("wacc,1,fraction,x")],

@@ -5,10 +5,11 @@ blend, fuel-share decomposition) rather than from the implementation.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nh3econ import cofiring, data_io
 from nh3econ.errors import InputError
-from oracles import constructor_defaults, replaced
+from oracles import constructor_defaults, evaluate_by_parts, replaced
 
 TCE_GJ = 29.3076
 
@@ -16,6 +17,25 @@ TCE_GJ = 29.3076
 @pytest.fixture(scope="module")
 def params():
     return cofiring.CofiringParams.from_mapping(data_io.load_bundled_params("cofiring"))
+
+
+def _fuel_cost(params, rate, interpolate_loss=False):
+    return cofiring.evaluate(params, rate, interpolate_loss).mixed_fuel_cost_usd_per_tce
+
+
+def _lcoe(params, rate, interpolate_loss=False):
+    return cofiring.evaluate(params, rate, interpolate_loss).lcoe_usd_per_mwh
+
+
+def _emission(params, rate, interpolate_loss=False):
+    return cofiring.evaluate(params, rate, interpolate_loss).emission_kg_per_mwh
+
+
+def _at_any_rate(params):
+    """`params` with a loss tabulated up to a rate of 1, so that `evaluate`
+    interpolates the loss at any rate. Neither the blend price nor the
+    emission depends on the loss."""
+    return replaced(params, efficiency_loss={**params.efficiency_loss, 1.0: 0.5})
 
 
 def test_ammonia_fuel_price(params):
@@ -41,26 +61,26 @@ def test_price_per_tce_identity_for_tce_equivalent_fuel(params):
 
 
 def test_mixed_fuel_cost_base_case(params):
-    assert cofiring.mixed_fuel_cost(params, 0.0) == params.coal_price_usd_per_tce
+    assert _fuel_cost(params, 0.0) == params.coal_price_usd_per_tce
 
 
 def test_mixed_fuel_cost_anchors(params):
     fe_am = cofiring.ammonia_fuel_price_per_tce(params)
     fe_c = params.coal_price_usd_per_tce
     # relative increase is exactly rate * (price ratio - 1)
-    delta3 = cofiring.mixed_fuel_cost(params, 0.03) / fe_c - 1.0
+    delta3 = _fuel_cost(params, 0.03) / fe_c - 1.0
     assert delta3 == pytest.approx(0.03 * (fe_am / fe_c - 1.0), rel=1e-10)
     assert delta3 == pytest.approx(0.235, abs=0.235 * 0.01)
-    fe5 = cofiring.mixed_fuel_cost(params, 0.05)
+    fe5 = _fuel_cost(params, 0.05)
     assert fe5 == pytest.approx(0.05 * fe_am + 0.95 * fe_c, rel=1e-12)
     assert fe5 == pytest.approx(213.5, rel=0.01)
 
 
 def test_mixed_fuel_cost_rejects_bad_rate(params):
     with pytest.raises(InputError):
-        cofiring.mixed_fuel_cost(params, 1.5)
+        cofiring.evaluate(params, 1.5)
     with pytest.raises(InputError):
-        cofiring.mixed_fuel_cost(params, -0.01)
+        cofiring.evaluate(params, -0.01)
 
 
 def test_fuel_cost_is_affine(params):
@@ -69,56 +89,58 @@ def test_fuel_cost_is_affine(params):
     slope = fe_am - fe_c
     for rate in (0.01, 0.1, 0.6):
         expected = fe_c + slope * rate
-        assert cofiring.mixed_fuel_cost(params, rate) == pytest.approx(expected, rel=1e-12)
+        fe = _fuel_cost(_at_any_rate(params), rate, interpolate_loss=True)
+        assert fe == pytest.approx(expected, rel=1e-12)
 
 
 def test_base_lcoe_decomposition(params):
     # base generation cost recovered from its fuel share
     expected = 0.31 * params.coal_price_usd_per_tce / 0.70
     assert cofiring.base_lcoe(params) == pytest.approx(expected, rel=1e-12)
-    assert cofiring.cofired_lcoe(params, 0.0) == pytest.approx(expected, rel=1e-12)
+    assert _lcoe(params, 0.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cofired_lcoe_anchors(params):
     base = cofiring.base_lcoe(params)
     fe_c = params.coal_price_usd_per_tce
     # closed form: ratio = share * (blend ratio / (1 - loss)) + (1 - share)
-    blend3 = cofiring.mixed_fuel_cost(params, 0.03) / fe_c
+    blend3 = _fuel_cost(params, 0.03) / fe_c
     expected3 = base * (0.7 * blend3 / 0.99 + 0.3)
-    assert cofiring.cofired_lcoe(params, 0.03) == pytest.approx(expected3, rel=1e-12)
+    assert _lcoe(params, 0.03) == pytest.approx(expected3, rel=1e-12)
 
-    lcoe20 = cofiring.cofired_lcoe(params, 0.20)
-    blend20 = cofiring.mixed_fuel_cost(params, 0.20) / fe_c
+    lcoe20 = _lcoe(params, 0.20)
+    blend20 = _fuel_cost(params, 0.20) / fe_c
     assert lcoe20 == pytest.approx(base * (0.7 * blend20 / 0.94 + 0.3), rel=1e-12)
     assert lcoe20 == pytest.approx(150.3, rel=0.01)
 
 
 def test_lcoe_requires_tabulated_loss(params):
     with pytest.raises(InputError) as excinfo:
-        cofiring.cofired_lcoe(params, 0.07)
+        cofiring.evaluate(params, 0.07)
     assert "0.07" in str(excinfo.value)
-    interpolated = cofiring.cofired_lcoe(params, 0.07, interpolate_loss=True)
-    low = cofiring.cofired_lcoe(params, 0.05)
-    high = cofiring.cofired_lcoe(params, 0.10)
+    interpolated = _lcoe(params, 0.07, interpolate_loss=True)
+    low = _lcoe(params, 0.05)
+    high = _lcoe(params, 0.10)
     assert low < interpolated < high
 
 
 def test_lcoe_monotone_in_rate(params):
-    values = [cofiring.cofired_lcoe(params, r) for r in cofiring.STANDARD_RATES]
+    values = [_lcoe(params, r) for r in cofiring.STANDARD_RATES]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_emission_intensity(params):
-    assert cofiring.emission_intensity(params, 0.0) == pytest.approx(838.0)
+    assert _emission(params, 0.0) == pytest.approx(838.0)
     assert 838.0 * 0.03 == pytest.approx(25.14, abs=1e-9)
-    assert cofiring.emission_intensity(params, 0.03) == pytest.approx(838.0 * 0.97, rel=1e-12)
-    assert cofiring.emission_intensity(params, 0.05) == pytest.approx(838.0 - 41.9, rel=1e-12)
+    assert _emission(params, 0.03) == pytest.approx(838.0 * 0.97, rel=1e-12)
+    assert _emission(params, 0.05) == pytest.approx(838.0 - 41.9, rel=1e-12)
 
 
 def test_emission_is_affine_decreasing(params):
     for rate in (0.1, 0.25, 0.8):
         expected = 838.0 * (1.0 - rate)
-        assert cofiring.emission_intensity(params, rate) == pytest.approx(expected, rel=1e-12)
+        emission = _emission(_at_any_rate(params), rate, interpolate_loss=True)
+        assert emission == pytest.approx(expected, rel=1e-12)
 
 
 def test_price_ratio_cross_check(params):
@@ -126,8 +148,8 @@ def test_price_ratio_cross_check(params):
     fe_am = cofiring.ammonia_fuel_price_per_tce(params)
     ratio = fe_am / params.coal_price_usd_per_tce
     assert ratio == pytest.approx(8.84, abs=0.02)
-    delta3 = cofiring.mixed_fuel_cost(params, 0.03) / params.coal_price_usd_per_tce - 1.0
-    delta5 = cofiring.mixed_fuel_cost(params, 0.05) / params.coal_price_usd_per_tce - 1.0
+    delta3 = _fuel_cost(params, 0.03) / params.coal_price_usd_per_tce - 1.0
+    delta5 = _fuel_cost(params, 0.05) / params.coal_price_usd_per_tce - 1.0
     assert delta3 / 0.03 == pytest.approx(delta5 / 0.05, rel=1e-10)
 
 
@@ -172,3 +194,43 @@ def test_params_keep_field_order_and_defaults():
                 150.0, 800.0, 0.1, 18.0, 0.3, 800.0, 0.6, {0.03: 0.02})
     # every value comes from cofiring.csv: the constructor keeps no copy
     assert constructor_defaults(cofiring.CofiringParams) == {}
+
+
+@st.composite
+def scaled_params(draw):
+    """The bundled co-firing parameters, each scaled by 0.5-1.5, with every
+    fraction kept below 1."""
+    bundled = data_io.load_bundled_params("cofiring")
+    scaled = {}
+    for key, unit in cofiring.CofiringParams.UNITS.items():
+        top = min(1.5, 0.99 / bundled[key]) if unit == "fraction" else 1.5
+        scaled[key] = bundled[key] * draw(st.floats(0.5, top))
+    return cofiring.CofiringParams.from_mapping(scaled)
+
+
+RATES = st.one_of(
+    st.sampled_from(cofiring.STANDARD_RATES),
+    st.floats(0.0, 0.25),
+    st.floats(max_value=0.0, exclude_max=True),
+    st.floats(min_value=1.0, exclude_min=True),
+    st.just(float("nan")),
+)
+
+
+def _outcome(function, params, rate, interpolate_loss):
+    """Every field of the result as float.hex writes it, or the error text."""
+    try:
+        result = function(params, rate, interpolate_loss)
+    except InputError as exc:
+        return str(exc)
+    return {name: getattr(result, name).hex() for name in cofiring.CofiringResult.__slots__}
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_params(), RATES, st.booleans())
+def test_evaluate_matches_one_helper_per_quantity_bit_for_bit(params, rate, interpolate_loss):
+    # the earlier form checks the rate in each helper and prices the blend
+    # and the coal-only cost twice; one pass must give the same bits, or
+    # fail on the same check with the same message
+    assert (_outcome(cofiring.evaluate, params, rate, interpolate_loss)
+            == _outcome(evaluate_by_parts, params, rate, interpolate_loss))

@@ -327,3 +327,54 @@ def test_verified_bytes_keep_the_utf8_error(tmp_path):
     with pytest.raises(InputError) as from_bytes:
         data_io.load_params(path, "carriers", data=path.read_bytes())
     assert str(from_file.value) == str(from_bytes.value) == message
+
+
+# The keys of SCHEMAS on which no byte of a report depends, each with the
+# reason. Like test_reachable's ALLOWED, the list only shrinks: an entry
+# whose key moves a byte fails.
+INERT_KEYS = {
+    "nh3_synthesis_conversion": (
+        "cancels: every stage of an ammonia chain costs in proportion to the ammonia "
+        "mass that synthesis sets, and the delivered hydrogen is proportional to that "
+        "mass too, so the factor drops out of USD/kg (1.1 times it exceeds 1 and exits 2)"),
+    "stored_share": "cancels: the storage cost is linear in the stored mass",
+    "lh2_regas_energy_kwh_per_t": (
+        "below the print precision: 0.06 kWh/t at 56 USD/MWh is about 3e-6 USD per "
+        "tonne, under the four printed decimals"),
+}
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_every_declared_parameter_moves_a_report_byte_or_is_listed(tmp_path):
+    # each key, overridden alone at 0.9 and 1.1 times its bundled value
+    # (whole years for a year key), must change some byte of the report
+    # tree in CSV or JSON; a run that exits 2 moves nothing
+    defaults = {}
+    for fmt in ("csv", "json"):
+        assert cli.run(["report", "--output", str(tmp_path / fmt), "--format", fmt]) == 0
+        defaults[fmt] = _tree(tmp_path / fmt)
+    bundled = {}
+    for namespace, schema in data_io.SCHEMAS.items():
+        params = data_io.load_bundled_params(namespace)
+        for key, unit in schema.items():
+            bundled.setdefault(key, (params[key], unit))
+    moved = set()
+    for case, (key, (value, unit)) in enumerate(bundled.items()):
+        for factor in (0.9, 1.1):
+            scaled = float(round(value * factor)) if unit == "yr" else value * factor
+            path = tmp_path / f"{case}-{factor}.csv"
+            path.write_text(f"key,value,unit,provenance\n{key},{scaled!r},{unit},x\n")
+            for fmt, default in defaults.items():
+                out = tmp_path / f"{case}-{factor}-{fmt}"
+                code = cli.run(["report", "--output", str(out), "--params", str(path),
+                                "--format", fmt])
+                assert code in (0, 2), (key, factor)
+                if code == 0 and _tree(out) != default:
+                    moved.add(key)
+    assert sorted(set(bundled) - moved - set(INERT_KEYS)) == [], "keys that move no byte"
+    assert sorted(set(INERT_KEYS) - (set(bundled) - moved)) == [], (
+        "listed keys that move a byte, or that no schema declares")

@@ -115,7 +115,7 @@ ERRORS = [
      "supply coverage needs a positive demand"),
     (["cofire", "--rate", "0.07"],
      "no efficiency-loss entry for rate 0.07; known rates: 0, 0.03, 0.05, 0.1, 0.15, 0.2 "
-     "(pass interpolate_loss=True for linear interpolation)"),
+     "(pass --interpolate, or interpolate_loss=True, for linear interpolation)"),
     (["scenario", "supply", "--params", _params("wind_gw,1e308,GW,x")],
      "green ammonia supply capacity by scenario level; dataset cn-2019-v1: "
      "column 'supply_mt' is inf, not a finite number"),
