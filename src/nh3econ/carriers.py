@@ -178,13 +178,11 @@ class StageCost:
 class CostBreakdown:
     """Levelized cost split by stage; stage costs sum to the total."""
 
-    __slots__ = ("stages", "total_usd_per_kg", "delivered_fraction")
+    __slots__ = ("stages", "total_usd_per_kg")
 
-    def __init__(self, stages: tuple[StageCost, ...], total_usd_per_kg: float,
-                 delivered_fraction: float):
+    def __init__(self, stages: tuple[StageCost, ...], total_usd_per_kg: float):
         self.stages = stages
         self.total_usd_per_kg = total_usd_per_kg
-        self.delivered_fraction = delivered_fraction
 
 
 def volume_bracket(volume_kt: float) -> tuple[float, bool]:
@@ -213,7 +211,7 @@ def _transport_fleet(spec: StageSpec, tonnage_per_yr: float, distance_km: float)
 
 
 def _levelize(flows: list[tuple[StageSpec, float, float]], delivered_kg_per_yr: float,
-              delivered_fraction: float, q: CostQuery) -> CostBreakdown:
+              q: CostQuery) -> CostBreakdown:
     """Apply the closed-form cost rule stage by stage.
 
     Capital is spent in year 0; opex and energy run flat over the lifetime,
@@ -232,7 +230,7 @@ def _levelize(flows: list[tuple[StageSpec, float, float]], delivered_kg_per_yr: 
                 / delivered_kg_per_yr)
         costs.append(cost)
         stages.append(StageCost(spec.name, spec.role, cost))
-    return CostBreakdown(tuple(stages), sum(costs), delivered_fraction)
+    return CostBreakdown(tuple(stages), sum(costs))
 
 
 def delivery_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
@@ -240,8 +238,7 @@ def delivery_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
     in USD per kg of hydrogen (content) leaving the chain."""
     if chain.medium == "GH2_pipeline" and q.distance_km <= 0:
         raise InputError("pipeline delivery requires a positive distance")
-    h2_in_t = q.annual_h2_kt * 1000.0
-    mass_t = h2_in_t   # the medium mass reaching the stage, t/yr
+    mass_t = q.annual_h2_kt * 1000.0   # the medium mass reaching the stage, t/yr
     medium = "H2"
     flows = []   # (spec, capex_usd, energy_mwh_per_yr) per stage
     for spec in chain.stages:
@@ -277,7 +274,7 @@ def delivery_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
                 mass_t = mass_t * spec.conversion_efficiency
         flows.append((spec, capex, energy))
     h2_out_t = mass_t / NH3_T_PER_T_H2 if medium == "NH3" else mass_t
-    return _levelize(flows, h2_out_t * 1000.0, h2_out_t / h2_in_t, q)
+    return _levelize(flows, h2_out_t * 1000.0, q)
 
 
 def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
@@ -292,11 +289,9 @@ def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
     if q.storage_days <= 0:
         raise InputError("storage_days must be positive for storage costing")
 
-    h2_in_t = q.annual_h2_kt * 1000.0 * q.stored_share
+    mass_t = q.annual_h2_kt * 1000.0 * q.stored_share
     if chain.medium == "NH3":   # the synthesis stage's yield is stored
-        mass_t = h2_in_t * chain.stages[0].conversion_efficiency * NH3_T_PER_T_H2
-    else:
-        mass_t = h2_in_t
+        mass_t = mass_t * chain.stages[0].conversion_efficiency * NH3_T_PER_T_H2
     flows = []
     for spec in chain.storage_stages:
         if spec.role == "storage":
@@ -317,7 +312,7 @@ def storage_cost(chain: CarrierChain, q: CostQuery) -> CostBreakdown:
             energy = spec.energy_use_mwh_per_t * mass_t
         flows.append((spec, capex, energy))
     h2_out_t = mass_t / NH3_T_PER_T_H2 if chain.medium == "NH3" else mass_t
-    return _levelize(flows, h2_out_t * 1000.0, h2_out_t / h2_in_t, q)
+    return _levelize(flows, h2_out_t * 1000.0, q)
 
 
 def _bracket_key(stem: str, volume_kt: float) -> str:

@@ -105,6 +105,8 @@ class CofiringResult:
 def ammonia_fuel_price_per_tce(params: CofiringParams) -> float:
     """Green ammonia price per tce: (production cost + margin) / energy density."""
     tce_per_t = params.lhv_nh3_gj_per_t / TCE_GJ
+    if not tce_per_t > 0:   # a positive heating value so small that this underflows
+        raise InputError("lhv_nh3_gj_per_t in tce per tonne of ammonia underflows to 0")
     return params.ammonia_production_cost_usd_per_t * (1.0 + params.gross_margin) / tce_per_t
 
 
@@ -128,8 +130,12 @@ def _efficiency_loss(params: CofiringParams, rate: float, interpolate: bool) -> 
 
 def base_lcoe(params: CofiringParams) -> float:
     """Coal-only generation cost implied by the fuel-cost share."""
-    return (params.coal_consumption_tce_per_mwh * params.coal_price_usd_per_tce
+    lcoe = (params.coal_consumption_tce_per_mwh * params.coal_price_usd_per_tce
             / params.fuel_cost_share)
+    if not lcoe > 0:   # positive factors so small that their product underflows
+        raise InputError("coal_consumption_tce_per_mwh * coal_price_usd_per_tce / "
+                         "fuel_cost_share, the coal-only generation cost, underflows to 0")
+    return lcoe
 
 
 def evaluate(params: CofiringParams, rate: float,

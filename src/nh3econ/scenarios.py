@@ -8,6 +8,11 @@ energy-equivalent basis, and fuel-cell mobility served through hydrogen
 refilling stations with ammonia as the carrier. Energy conversions use
 the named constants of `units`. Each assumptions class declares in `UNITS`
 the keys that its `from_mapping` reads, in constructor order, with units.
+
+`demand_breakdown_mt` computes the four sectors in one pass: `DemandLevel`
+has already held each rate in [0, 1], so nothing checks it again. The
+earlier helpers, one per sector, each checking its rate, are kept in
+`tests/oracles.py`, and the breakdown matches them bit for bit.
 """
 
 from __future__ import annotations
@@ -138,11 +143,6 @@ class DemandLevel:
         self.pr_mobility = pr_mobility
 
 
-def _check_share(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise InputError(f"{name} must be in [0, 1], got {value}")
-
-
 def renewable_generation_twh(s: SupplyAssumptions) -> float:
     """Annual wind plus solar generation: capacity times use hours."""
     return (s.wind_gw * s.wind_hours + s.solar_gw * s.solar_hours) / 1e3
@@ -150,50 +150,31 @@ def renewable_generation_twh(s: SupplyAssumptions) -> float:
 
 def supply_capacity_mt(s: SupplyAssumptions, renewable_share: float) -> float:
     """Ammonia output if a share of renewable generation feeds electrolysis."""
-    _check_share(renewable_share, "renewable_share")
+    if not 0.0 <= renewable_share <= 1.0:
+        raise InputError(f"renewable_share must be in [0, 1], got {renewable_share}")
     generation_mwh = renewable_generation_twh(s) * 1e6
     return generation_mwh * renewable_share / s.electricity_mwh_per_t_nh3 / 1e6
 
 
-def power_sector_demand_mt(d: DemandAssumptions, cofire_rate: float) -> float:
-    """Ammonia for co-firing a share of coal-power fuel, energy-equivalent."""
-    _check_share(cofire_rate, "cofire_rate")
-    coal_generation_mwh = d.thermal_gw * 1e3 * d.coal_share * d.coal_hours
-    fuel_energy_gj = coal_generation_mwh * d.coal_consumption_tce_per_mwh * TCE_GJ
-    return cofire_rate * fuel_energy_gj / NH3_LHV_GJ_PER_T / 1e6
-
-
-def shipping_demand_mt(d: DemandAssumptions, pr: float) -> float:
-    """Ammonia replacing a share of shipping heating oil, energy-equivalent."""
-    _check_share(pr, "pr")
-    oil_energy_gj = d.shipping_fuel_mt * 1e6 * HEATING_OIL_LHV_GJ_PER_T
-    return pr * oil_energy_gj / NH3_LHV_GJ_PER_T / 1e6
-
-
-def mobility_demand_mt(d: DemandAssumptions, ur_hrs: float) -> float:
-    """Ammonia carrying the hydrogen dispensed by refilling stations.
-
-    The sector's penetration ur_hrs is the product of the station
-    utilization rate and the share of station hydrogen arriving as ammonia.
-    """
-    _check_share(ur_hrs, "ur_hrs")
-    h2_t_per_year = d.hrs_count * d.hrs_capacity_kg_per_day * 365.0 / 1e3
-    return ur_hrs * h2_t_per_year * NH3_T_PER_T_H2 / 1e6
-
-
-def ammonia_sector_demand_mt(d: DemandAssumptions, pr: float) -> float:
-    """Green substitution of conventional ammonia output."""
-    _check_share(pr, "pr")
-    return pr * d.conventional_ammonia_mt
-
-
 def demand_breakdown_mt(d: DemandAssumptions, level: DemandLevel) -> dict[str, float]:
-    """Per-sector demand at one level, keyed by sector name."""
+    """Per-sector demand at one level, in Mt, keyed by sector in `SECTORS` order.
+
+    Each sector is its rate, which `DemandLevel` holds in [0, 1], times a
+    baseline: power co-fires the fuel energy of the coal fleet and shipping
+    replaces heating oil, each energy-equivalent; ammonia substitutes
+    conventional output; and mobility carries as ammonia the hydrogen that
+    refilling stations dispense, its rate being the station utilization
+    times the share of station hydrogen arriving as ammonia.
+    """
+    coal_fuel_gj = (d.thermal_gw * 1e3 * d.coal_share * d.coal_hours
+                    * d.coal_consumption_tce_per_mwh * TCE_GJ)
+    oil_energy_gj = d.shipping_fuel_mt * 1e6 * HEATING_OIL_LHV_GJ_PER_T
+    h2_t_per_year = d.hrs_count * d.hrs_capacity_kg_per_day * 365.0 / 1e3
     return {
-        "power": power_sector_demand_mt(d, level.pr_power),
-        "ammonia": ammonia_sector_demand_mt(d, level.pr_ammonia),
-        "shipping": shipping_demand_mt(d, level.pr_shipping),
-        "mobility": mobility_demand_mt(d, level.pr_mobility),
+        "power": level.pr_power * coal_fuel_gj / NH3_LHV_GJ_PER_T / 1e6,
+        "ammonia": level.pr_ammonia * d.conventional_ammonia_mt,
+        "shipping": level.pr_shipping * oil_energy_gj / NH3_LHV_GJ_PER_T / 1e6,
+        "mobility": level.pr_mobility * h2_t_per_year * NH3_T_PER_T_H2 / 1e6,
     }
 
 

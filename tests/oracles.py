@@ -5,16 +5,20 @@ shares no code path with the simplex implementation it checks. The DEA
 oracle states the CCR model in its envelopment form, which `gtfp` scores
 through the equivalent ratio form. The carrier oracles are the earlier
 forms of `carriers.default_query` (one checked lookup per key), of
-`carriers.delivery_cost` (a walk that sizes every stage, then the
-levelization as a pass of its own) and of `carriers._levelize` (a list of
-costs, then a second pass for the stage records). The co-firing oracles
-are the earlier helpers of `cofiring.evaluate`, one per quantity, each
-checking the rate. The current code must match each of these bit for
-bit. The last two recipes check bundled data and published anchors: the
-Tibet 2019 CO2 gap fill, and the renewable-generation share that a given
-ammonia demand needs. The record helpers at the end let tests change a few
-fields of a record built from the bundled dataset, whose constructors take
-every dataset value as a required argument.
+`carriers.delivery_cost` and `carriers.storage_cost` (a walk that sizes
+every stage, then the levelization as a pass of its own) and of
+`carriers._levelize` (a list of costs, then a second pass for the stage
+records); the walks also give the hydrogen leaving a chain, which the
+mass-balance tests check. The co-firing oracles are the earlier helpers
+of `cofiring.evaluate`, one per quantity, each checking the rate, and the
+scenario oracles the earlier helpers of `scenarios.demand_breakdown_mt`,
+one per sector, each checking its rate; `sector_demand_mt` reads one
+sector of the breakdown. The current code must match each of these bit
+for bit. The last two recipes check bundled data and published anchors:
+the Tibet 2019 CO2 gap fill, and the renewable-generation share that a
+given ammonia demand needs. The record helpers at the end let tests
+change a few fields of a record built from the bundled dataset, whose
+constructors take every dataset value as a required argument.
 """
 
 import inspect
@@ -25,7 +29,8 @@ import numpy as np
 from nh3econ import carriers, cofiring, lp, scenarios
 from nh3econ.errors import InputError
 from nh3econ.gtfp import RegionRecord
-from nh3econ.units import NH3_T_PER_T_H2
+from nh3econ.units import (HEATING_OIL_LHV_GJ_PER_T, NH3_LHV_GJ_PER_T, NH3_T_PER_T_H2,
+                           TCE_GJ)
 
 _BASIS_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -194,11 +199,47 @@ def delivery_two_pass(chain: carriers.CarrierChain,
     """`delivery_cost` at a positive distance: the walk, then
     `levelize_two_pass` over its flows."""
     flows, h2_out_t = walk_delivery(chain, q)
-    return levelize_two_pass(flows, h2_out_t * 1000.0,
-                             h2_out_t / (q.annual_h2_kt * 1000.0), q)
+    return levelize_two_pass(flows, h2_out_t * 1000.0, q)
 
 
-def levelize_two_pass(flows, delivered_kg_per_yr: float, delivered_fraction: float,
+def walk_storage(chain: carriers.CarrierChain, q: carriers.CostQuery):
+    """`storage_cost`'s walk as a pass of its own: size each storage stage
+    on the stored inventory; returns the (spec, capex, energy) flows and the
+    hydrogen-equivalent tonnage recovered from storage."""
+    stored_h2_t = q.annual_h2_kt * 1000.0 * q.stored_share
+    if chain.medium == "NH3":
+        mass_t = stored_h2_t * chain.stages[0].conversion_efficiency * NH3_T_PER_T_H2
+    else:
+        mass_t = stored_h2_t
+    flows = []
+    for spec in chain.storage_stages:
+        energy = spec.energy_use_mwh_per_t * mass_t
+        if spec.role != "storage":
+            capex = spec.capex_value * mass_t
+        else:
+            if spec.capex_basis == "per_m3":
+                capex = spec.capex_value * mass_t / spec.density_t_per_m3
+            else:
+                capex = spec.capex_value * mass_t
+            if spec.energy_use_mwh_per_t > 0:   # re-condensed boil-off
+                energy = spec.energy_use_mwh_per_t * (mass_t * spec.loss_rate * q.storage_days)
+            else:   # vented boil-off
+                energy = 0.0
+                mass_t = mass_t * (1.0 - spec.loss_rate) ** q.storage_days
+        flows.append((spec, capex, energy))
+    h2_equiv_t = mass_t / NH3_T_PER_T_H2 if chain.medium == "NH3" else mass_t
+    return flows, h2_equiv_t
+
+
+def storage_two_pass(chain: carriers.CarrierChain,
+                     q: carriers.CostQuery) -> carriers.CostBreakdown:
+    """`storage_cost` at a positive duration: the walk, then
+    `levelize_two_pass` over its flows."""
+    flows, h2_out_t = walk_storage(chain, q)
+    return levelize_two_pass(flows, h2_out_t * 1000.0, q)
+
+
+def levelize_two_pass(flows, delivered_kg_per_yr: float,
                       q: carriers.CostQuery) -> carriers.CostBreakdown:
     """`_levelize` computing the list of stage costs first, then the records."""
     if not delivered_kg_per_yr > 0:
@@ -209,7 +250,7 @@ def levelize_two_pass(flows, delivered_kg_per_yr: float, delivered_fraction: flo
              / delivered_kg_per_yr for spec, capex, energy in flows]
     stages = tuple([carriers.StageCost(spec.name, spec.role, cost)
                     for (spec, _, _), cost in zip(flows, costs)])
-    return carriers.CostBreakdown(stages, sum(costs), delivered_fraction)
+    return carriers.CostBreakdown(stages, sum(costs))
 
 
 def _check_rate(rate: float) -> None:
@@ -258,6 +299,62 @@ def evaluate_by_parts(params: cofiring.CofiringParams, rate: float,
         lcoe_delta=lcoe_m / lcoe_base - 1.0,
         emission_delta_kg_per_mwh=emission - params.base_emission_kg_per_mwh,
     )
+
+
+def _check_share(value: float, name: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise InputError(f"{name} must be in [0, 1], got {value}")
+
+
+def power_sector_demand_mt(d: scenarios.DemandAssumptions, cofire_rate: float) -> float:
+    """Ammonia for co-firing a share of coal-power fuel, energy-equivalent."""
+    _check_share(cofire_rate, "cofire_rate")
+    coal_generation_mwh = d.thermal_gw * 1e3 * d.coal_share * d.coal_hours
+    fuel_energy_gj = coal_generation_mwh * d.coal_consumption_tce_per_mwh * TCE_GJ
+    return cofire_rate * fuel_energy_gj / NH3_LHV_GJ_PER_T / 1e6
+
+
+def shipping_demand_mt(d: scenarios.DemandAssumptions, pr: float) -> float:
+    """Ammonia replacing a share of shipping heating oil, energy-equivalent."""
+    _check_share(pr, "pr")
+    oil_energy_gj = d.shipping_fuel_mt * 1e6 * HEATING_OIL_LHV_GJ_PER_T
+    return pr * oil_energy_gj / NH3_LHV_GJ_PER_T / 1e6
+
+
+def mobility_demand_mt(d: scenarios.DemandAssumptions, ur_hrs: float) -> float:
+    """Ammonia carrying the hydrogen dispensed by refilling stations.
+
+    The sector's penetration ur_hrs is the product of the station
+    utilization rate and the share of station hydrogen arriving as ammonia.
+    """
+    _check_share(ur_hrs, "ur_hrs")
+    h2_t_per_year = d.hrs_count * d.hrs_capacity_kg_per_day * 365.0 / 1e3
+    return ur_hrs * h2_t_per_year * NH3_T_PER_T_H2 / 1e6
+
+
+def ammonia_sector_demand_mt(d: scenarios.DemandAssumptions, pr: float) -> float:
+    """Green substitution of conventional ammonia output."""
+    _check_share(pr, "pr")
+    return pr * d.conventional_ammonia_mt
+
+
+def demand_by_parts(d: scenarios.DemandAssumptions,
+                    level: scenarios.DemandLevel) -> dict[str, float]:
+    """`scenarios.demand_breakdown_mt` built from one helper per sector."""
+    return {
+        "power": power_sector_demand_mt(d, level.pr_power),
+        "ammonia": ammonia_sector_demand_mt(d, level.pr_ammonia),
+        "shipping": shipping_demand_mt(d, level.pr_shipping),
+        "mobility": mobility_demand_mt(d, level.pr_mobility),
+    }
+
+
+def sector_demand_mt(d: scenarios.DemandAssumptions, sector: str, rate: float) -> float:
+    """One sector of `scenarios.demand_breakdown_mt`, at a level that sets
+    that sector's rate and leaves the other sectors at 0."""
+    level = scenarios.DemandLevel(
+        sector, **{f"pr_{name}": rate if name == sector else 0.0 for name in scenarios.SECTORS})
+    return scenarios.demand_breakdown_mt(d, level)[sector]
 
 
 def series_cagr(start_value: float, end_value: float, years: int) -> float:

@@ -717,6 +717,9 @@ def _dataset(changes):
 
 REGIONS_HEADER = "region,energy_mtce,labour_m,capital_busd,co2_mt,gdp_busd\n"
 
+_BASE_LCOE_UNDERFLOWS = ("coal_consumption_tce_per_mwh * coal_price_usd_per_tce / "
+                         "fuel_cost_share, the coal-only generation cost, underflows to 0")
+
 # Inputs that only the command line gives each guard behind it, with the one
 # line the guard prints; cli_argv writes the files that an argument names.
 GUARDS = [
@@ -784,6 +787,16 @@ GUARDS = [
      "rate 0.2000000001 is above the tabulated range"),
     (["carrier", "delivery", "--params", _params("wacc,1,fraction,x")],
      "discount rate must be in (0, 1)"),
+    # positive inputs whose quotient or product underflows to 0
+    (["carrier", "storage", "--volume", "1e-300",
+      "--params", _params("stored_share,1e-30,fraction,x")], "chain delivers no hydrogen"),
+    (["cofire", "--params", _params("lhv_nh3_gj_per_t,5e-324,GJ_per_t,x")],
+     "lhv_nh3_gj_per_t in tce per tonne of ammonia underflows to 0"),
+    (["cofire", "--params", _params("coal_price_usd_per_tce,5e-324,USD_per_tce,x")],
+     _BASE_LCOE_UNDERFLOWS),
+    (["cofire", "--params", _params("coal_price_usd_per_tce,1e-200,USD_per_tce,x",
+                                    "coal_consumption_tce_per_mwh,1e-200,tce_per_MWh,x")],
+     _BASE_LCOE_UNDERFLOWS),
 ]
 
 # `carrier delivery --volume 100 --distance 500` and `carrier storage
@@ -887,6 +900,34 @@ def test_guard_behind_the_command_line_exits_2_with_one_line(argv, message, tmp_
     # guards that other tests reach only by calling the function directly
     assert cli.run(cli_argv(argv, tmp_path)) == 2
     assert capsys.readouterr() == ("", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+# The commands that print one table each, and the values each declared key
+# is overridden to alone: the smallest subnormal, a tiny and a huge normal,
+# zero and a tiny negative. A year key takes a whole number, so 0 alone.
+TABLE_COMMANDS = [["gtfp"], ["carrier", "delivery"], ["carrier", "storage"], ["cofire"],
+                  ["cofire", "--rate", "0.07", "--interpolate"], ["scenario", "supply"],
+                  ["scenario", "demand"], ["scenario", "balance"]]
+EXTREMES = ("5e-324", "1e-300", "1e308", "0", "-1e-300")
+
+
+def test_every_key_at_its_extremes_exits_0_or_2_with_one_line(tmp_path, capsys):
+    units = {key: unit for schema in data_io.SCHEMAS.values() for key, unit in schema.items()}
+    broken = []
+    for case, (key, unit) in enumerate(units.items()):
+        for value in ("0",) if unit == "yr" else EXTREMES:
+            path = tmp_path / f"{case}-{value}.csv"
+            path.write_text(f"key,value,unit,provenance\n{key},{value},{unit},x\n")
+            for command in TABLE_COMMANDS:
+                data_io._shared.cache_clear()
+                try:
+                    code = cli.run([*command, "--params", str(path)])
+                except Exception as exc:   # a traceback breaks the exit-code contract
+                    code = repr(exc)
+                err = capsys.readouterr().err
+                if not (code == 0 or (code == 2 and err.count("\n") == 1)):
+                    broken.append((key, value, " ".join(command), code))
+    assert broken == []
 
 
 @pytest.mark.parametrize("argv, expected", EDGES)

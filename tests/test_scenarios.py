@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nh3econ import data_io, scenarios
 from nh3econ.errors import InputError
-from oracles import constructor_defaults, replaced, required_renewable_share
+from oracles import (constructor_defaults, demand_by_parts, replaced, required_renewable_share,
+                     sector_demand_mt)
 
 TCE_GJ = 29.3076
 TOE_GJ = 41.868
@@ -54,41 +57,41 @@ def test_supply_capacity(assumptions):
 
 def test_power_sector_demand(assumptions):
     _, demand = assumptions
-    assert scenarios.power_sector_demand_mt(demand, 0.0) == 0.0
-    at3 = scenarios.power_sector_demand_mt(demand, 0.03)
+    assert sector_demand_mt(demand, "power", 0.0) == 0.0
+    at3 = sector_demand_mt(demand, "power", 0.03)
     oracle = 0.03 * (1450e3 * 0.87 * 4000) * 0.31 * TCE_GJ / 18.6 / 1e6
     assert at3 == pytest.approx(oracle, rel=1e-12)
     assert at3 == pytest.approx(73.0, abs=4.0)
     # linearity between the tabulated rates
-    at5 = scenarios.power_sector_demand_mt(demand, 0.05)
+    at5 = sector_demand_mt(demand, "power", 0.05)
     assert at5 == pytest.approx(at3 * 5.0 / 3.0, rel=1e-12)
 
 
 def test_shipping_demand(assumptions):
     _, demand = assumptions
-    at15 = scenarios.shipping_demand_mt(demand, 0.15)
+    at15 = sector_demand_mt(demand, "shipping", 0.15)
     oracle = 0.15 * 20e6 * TOE_GJ / 18.6 / 1e6
     assert at15 == pytest.approx(oracle, rel=1e-12)
     assert at15 == pytest.approx(6.7, abs=0.3)
-    assert scenarios.shipping_demand_mt(demand, 0.0) == 0.0
-    assert scenarios.shipping_demand_mt(demand, 0.03) == pytest.approx(at15 / 5.0, rel=1e-12)
+    assert sector_demand_mt(demand, "shipping", 0.0) == 0.0
+    assert sector_demand_mt(demand, "shipping", 0.03) == pytest.approx(at15 / 5.0, rel=1e-12)
 
 
 def test_mobility_demand(assumptions):
     _, demand = assumptions
-    at80 = scenarios.mobility_demand_mt(demand, 0.8)
+    at80 = sector_demand_mt(demand, "mobility", 0.8)
     oracle = 0.8 * (1000 * 1000 * 365 / 1e3) * (17.0 / 3.0) / 1e6
     assert at80 == pytest.approx(oracle, rel=1e-12)
     assert at80 == pytest.approx(1.6, abs=0.2)
-    assert scenarios.mobility_demand_mt(demand, 0.0) == 0.0
-    assert scenarios.mobility_demand_mt(demand, 0.1) == pytest.approx(at80 / 8.0, rel=1e-12)
+    assert sector_demand_mt(demand, "mobility", 0.0) == 0.0
+    assert sector_demand_mt(demand, "mobility", 0.1) == pytest.approx(at80 / 8.0, rel=1e-12)
 
 
 def test_ammonia_sector_demand(assumptions):
     _, demand = assumptions
-    assert scenarios.ammonia_sector_demand_mt(demand, 0.5) == pytest.approx(26.0, rel=1e-12)
-    assert scenarios.ammonia_sector_demand_mt(demand, 0.0) == 0.0
-    assert scenarios.ammonia_sector_demand_mt(demand, 0.1) == pytest.approx(5.2, rel=1e-12)
+    assert sector_demand_mt(demand, "ammonia", 0.5) == pytest.approx(26.0, rel=1e-12)
+    assert sector_demand_mt(demand, "ammonia", 0.0) == 0.0
+    assert sector_demand_mt(demand, "ammonia", 0.1) == pytest.approx(5.2, rel=1e-12)
 
 
 def test_required_share_round_trip(assumptions):
@@ -106,17 +109,37 @@ def test_required_share_round_trip(assumptions):
 
 def test_power_anchor_share(assumptions):
     supply, demand = assumptions
-    at3 = scenarios.power_sector_demand_mt(demand, 0.03)
+    at3 = sector_demand_mt(demand, "power", 0.03)
     share = required_renewable_share(supply, at3)
     assert share == pytest.approx(0.28, abs=0.03)
 
 
 def test_demand_linear_homogeneous(assumptions):
     _, demand = assumptions
-    for fn in (scenarios.shipping_demand_mt, scenarios.ammonia_sector_demand_mt,
-               scenarios.power_sector_demand_mt, scenarios.mobility_demand_mt):
-        assert fn(demand, 0.0) == 0.0
-        assert fn(demand, 0.4) == pytest.approx(2.0 * fn(demand, 0.2), rel=1e-12)
+    for sector in ("shipping", "ammonia", "power", "mobility"):
+        assert sector_demand_mt(demand, sector, 0.0) == 0.0
+        assert sector_demand_mt(demand, sector, 0.4) == pytest.approx(
+            2.0 * sector_demand_mt(demand, sector, 0.2), rel=1e-12)
+
+
+_RATE = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors=st.fixed_dictionaries(
+           {key: st.floats(0.5, 1.5) for key in scenarios.DemandAssumptions.UNITS}),
+       rates=st.tuples(_RATE, _RATE, _RATE, _RATE))
+def test_breakdown_matches_the_per_sector_oracles_bit_for_bit(assumptions, factors, rates):
+    _, bundled = assumptions
+    scaled = {key: getattr(bundled, key) * factor for key, factor in factors.items()}
+    scaled["coal_share"] = min(scaled["coal_share"], 1.0)
+    demand = scenarios.DemandAssumptions(**scaled)
+    level = scenarios.DemandLevel("drawn", *rates)
+    new = scenarios.demand_breakdown_mt(demand, level)
+    old = demand_by_parts(demand, level)
+    assert [(sector, value.hex()) for sector, value in new.items()] == [
+        (sector, value.hex()) for sector, value in old.items()]
+    assert sum(new.values()).hex() == sum(old.values()).hex()
 
 
 def test_sector_ordering_every_level(assumptions):
@@ -145,11 +168,9 @@ def test_balance_report(assumptions):
 
 
 def test_share_validation(assumptions):
-    supply, demand = assumptions
+    supply, _ = assumptions
     with pytest.raises(InputError):
         scenarios.supply_capacity_mt(supply, 1.2)
-    with pytest.raises(InputError):
-        scenarios.power_sector_demand_mt(demand, -0.1)
     with pytest.raises(InputError):
         scenarios.DemandLevel("bad", 0.1, 0.1, 0.1, 1.4)
     with pytest.raises(InputError):
