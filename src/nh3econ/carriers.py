@@ -91,6 +91,9 @@ class StageSpec:
                  hold_days: float = 0.0, density_t_per_m3: float = 0.0):
         if capex_value < 0:
             raise InputError(f"stage {name!r}: capex must be nonnegative")
+        if not (fixed_opex_rate >= 0 and energy_use_mwh_per_t >= 0):
+            raise InputError(f"stage {name!r}: fixed opex rate and energy use must be "
+                             f"nonnegative, got {fixed_opex_rate} and {energy_use_mwh_per_t}")
         if not 0.0 <= loss_rate < 1.0:
             raise InputError(f"stage {name!r}: loss rate must be in [0, 1)")
         if not 0.0 < conversion_efficiency <= 1.0:
@@ -157,6 +160,8 @@ class CostQuery:
             raise InputError("discount rate must be in (0, 1)")
         if not 0.0 < stored_share <= 1.0:
             raise InputError("stored share must be in (0, 1]")
+        if not electricity_usd_per_mwh >= 0:
+            raise InputError("electricity price must be nonnegative")
         self.annual_h2_kt = annual_h2_kt
         self.distance_km = distance_km
         self.storage_days = storage_days

@@ -1,8 +1,17 @@
 """Command-line front end: run each analysis and emit plot-ready tables.
 
 `COMMANDS` is the one place a command is declared: its path, help, own
-arguments and table function, from (dataset, args) to a `Table`.
-`build_parser` and `run` read it, and so does `report`, through `REPORT`.
+arguments, table function, from (dataset, args) to a `Table`, and the one
+input that table reads. `build_parser` and `run` read it, and so does
+`report`, through `REPORT`.
+
+`report` takes the text of a table whose input is the dataset manifest's
+own (`Dataset.owns`: the bundled regions, or a parameter namespace that no
+override touches) from the texts the manifest keeps, once it keeps one;
+it computes every other table, then renders each, and the manifest keeps
+the new texts of its own inputs. So a second report over the same
+verified content computes and renders no table, and one with a
+`--params` file only those of the namespaces the file touches.
 
 Every subcommand computes and renders every table before its first write, so
 a failing run leaves no partial output. Output is deterministic: fixed row
@@ -284,36 +293,37 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 # Each command, declared once: its path, its help (None: no help line), its
-# table function (None: a group of commands) and its own arguments, each a
-# flag with its add_argument options; a list of them is a group of flags
-# that exclude each other.
+# table function (None: a group of commands), the one input its table reads
+# ("regions" or a parameter namespace; see Dataset.owns) and its own
+# arguments, each a flag with its add_argument options; a list of them is a
+# group of flags that exclude each other.
 COMMANDS = {
-    "gtfp": ("regional efficiency scores and intensities", _gtfp_table,
+    "gtfp": ("regional efficiency scores and intensities", _gtfp_table, "regions",
              ("--regions", dict(help="regions table (CSV)"))),
     "carrier": ("hydrogen carrier chain costs", None),
     "carrier delivery": (
-        "delivery cost sweeps", _delivery_table,
+        "delivery cost sweeps", _delivery_table, "carriers",
         ("--volume", dict(type=_float_list, default=carriers.VOLUME_BRACKETS_KT,
                           help="kt H2 per year, comma list")),
         ("--distance", dict(type=_float_list, default=DELIVERY_DISTANCES_KM,
                             help="km, comma list"))),
     "carrier storage": (
-        "storage cost sweeps", _storage_table,
+        "storage cost sweeps", _storage_table, "carriers",
         ("--volume", dict(type=_float_list, default=(100.0,), help="kt H2 per year, comma list")),
         ("--days", dict(type=_float_list, default=STORAGE_DAYS,
                         help="storage duration in days, comma list"))),
     "cofire": (
-        "co-firing cost and emission ladder", _cofire_table,
+        "co-firing cost and emission ladder", _cofire_table, "cofiring",
         [("--rate", dict(type=float, help="single co-firing rate, e.g. 0.03")),
          ("--all", dict(action="store_true",
                         help="evaluate the whole standard ladder (the default)"))],
         ("--interpolate", dict(action="store_true", help="linearly interpolate efficiency "
                                                           "loss between tabulated rates"))),
     "scenario": ("2030 supply/demand scenarios", None),
-    "scenario supply": (None, _supply_table,
+    "scenario supply": (None, _supply_table, "scenarios",
                         ("--share", dict(type=float, help="custom renewable-generation share"))),
-    "scenario demand": (None, _demand_table),
-    "scenario balance": (None, _balance_table),
+    "scenario demand": (None, _demand_table, "scenarios"),
+    "scenario balance": (None, _balance_table, "scenarios"),
 }
 
 # Every table command takes these before its own arguments.
@@ -366,10 +376,18 @@ def _print_table(table, dataset: data_io.Dataset, args) -> None:
 
 
 def _report(dataset: data_io.Dataset, args) -> None:
-    tables = {f"{name}.{args.format}": COMMANDS[path][1](dataset, argparse.Namespace(**fixed))
-              for name, path, fixed in REPORT}
-    # every table is rendered before anything is checked, created or written
-    texts = {name: table.render(args.format) for name, table in tables.items()}
+    # A table whose input is the manifest's own takes the text the manifest
+    # keeps for it, once there is one. Every other table is computed, then
+    # each is rendered, before anything is checked, created or written.
+    fmt = args.format
+    kept = dataset.manifest.report_texts
+    own = {name for name, path, _ in REPORT if dataset.owns(COMMANDS[path][2])}
+    tables = {name: COMMANDS[path][1](dataset, argparse.Namespace(**fixed))
+              for name, path, fixed in REPORT if name not in own or (name, fmt) not in kept}
+    texts = {name: tables[name].render(fmt) if name in tables else kept[name, fmt]
+             for name, _, _ in REPORT}
+    kept.update(((name, fmt), texts[name]) for name in own)
+    texts = {f"{name}.{fmt}": text for name, text in texts.items()}
     output_dir = data_io.path_text(args.output)
     base = "" if output_dir == "." else output_dir    # as pathlib joins onto "."
     missing = []    # output_dir and its missing parents, deepest first
@@ -430,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         if table is None:
             groups[path] = command.add_subparsers(dest=f"{name}_command", required=True)
         else:
-            _add_arguments(command, _COMMON + tuple(arguments))
+            _add_arguments(command, _COMMON + tuple(arguments[1:]))
             command.set_defaults(emit=functools.partial(_print_table, table))
     report = groups[""].add_parser("report", help="write every analysis table to a directory")
     _add_arguments(report, (_COMMON[0], ("--output", dict(required=True, help="output directory")),

@@ -27,12 +27,14 @@ handed out last, if there is one, so runs over the same verified content of
 a directory share one manifest, and with it what the manifest derives from
 its bytes, each value on first use: the calibration ledger, each
 namespace's base parameters, the bundled regions' scores, the scenario
-levels and the carrier chains over the base parameters. Only the most
-recent content's manifest is kept. A value whose computation fails is not
-kept, so the same bad bytes fail the same way on every run. Every shared
-value is immutable or a read-only view. The `--params` and `--regions`
-files are read and parsed on every run, and so is whatever depends on
-them, which a run's `Dataset` keeps for that run only.
+levels, the carrier chains over the base parameters and the text of each
+`report` table whose input is the manifest's own (`Dataset.owns`), per
+report entry and format, so at most 16. Only the most recent content's
+manifest is kept. A value whose computation fails is not kept, so the same
+bad bytes fail the same way on every run. Every shared value is immutable
+or a read-only view. The `--params` and `--regions` files are read and
+parsed on every run, and so is whatever depends on them, which a run's
+`Dataset` keeps for that run only.
 """
 
 from __future__ import annotations
@@ -312,6 +314,7 @@ class DatasetManifest:
         self.files = MappingProxyType(files)
         self._params: dict[str, ParameterSet] = {}
         self._chains: dict[float, MappingProxyType] = {}
+        self.report_texts: dict[tuple[str, str], str] = {}    # (report entry, format) -> text
 
     def __eq__(self, other) -> bool:
         return ((self.directory, self.version, self.files)
@@ -419,12 +422,20 @@ class Dataset:
         self._params: dict[str, ParameterSet] = {}    # the namespaces the overrides touch
         self._chains: dict[float, MappingProxyType] = {}    # over overridden carriers
 
+    def owns(self, source: str) -> bool:
+        """Whether an input, "regions" or a namespace of `SCHEMAS`, is the
+        manifest's own: the bundled regions table, or a namespace whose
+        declared keys the overrides leave alone."""
+        if source == "regions":
+            return self._regions_path is None
+        return self.overrides is None or self.overrides.keys().isdisjoint(SCHEMAS[source])
+
     def params(self, namespace: str) -> ParameterSet:
         """Effective parameters of one namespace of `SCHEMAS` (every caller
         passes a literal): the manifest's set, or, where the overrides touch
         its declared keys, a set with those keys replaced."""
         params = self.manifest._base_params(namespace)
-        if self.overrides is None or self.overrides.keys().isdisjoint(SCHEMAS[namespace]):
+        if self.owns(namespace):
             return params
         if namespace not in self._params:
             self._params[namespace] = params.with_overrides(self.overrides)
@@ -434,12 +445,12 @@ class Dataset:
         """`builtin_chains` over the carrier parameters at one volume, built
         once per volume: by the manifest for its own parameters."""
         params = self.params("carriers")
-        built = self._chains if "carriers" in self._params else self.manifest._chains
+        built = self.manifest._chains if self.owns("carriers") else self._chains
         if volume not in built:
             built[volume] = MappingProxyType(carriers.builtin_chains(params, volume))
         return built[volume]
 
     def scores(self) -> tuple[gtfp.RegionEfficiency, ...]:
         """`gtfp_scores` of the given regions table, or the manifest's of the bundled one."""
-        return self.manifest._scores if self._regions_path is None else tuple(
+        return self.manifest._scores if self.owns("regions") else tuple(
             gtfp.gtfp_scores(load_regions(self._regions_path)))

@@ -19,6 +19,8 @@ class SolverError(Nh3EconError):
 
 def number_text(value: float) -> str:
     """A number as a message prints it: as `:g` writes it where that reads
-    back as the same float, else as its repr, so that a message never
-    rounds the value it names into a tabulated one."""
-    return f"{value:g}" if float(f"{value:g}") == value else repr(value)
+    back as the same float and is no longer than its repr, else as its repr,
+    so that a message never rounds the value it names into a tabulated one
+    and never writes a subnormal at more digits than it was given."""
+    text = f"{value:g}"
+    return text if float(text) == value and len(text) <= len(repr(value)) else repr(value)

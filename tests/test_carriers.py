@@ -255,6 +255,16 @@ PLANT = carriers.StageSpec(**STAGE)
      "stage 's': hold days must be nonnegative, got -1.0"),
     (carriers.StageSpec, {**STAGE, "hold_days": math.nan},
      "stage 's': hold days must be nonnegative, got nan"),
+    (carriers.StageSpec, {**STAGE, "fixed_opex_rate": -1e-300},
+     "stage 's': fixed opex rate and energy use must be nonnegative, got -1e-300 and 0.0"),
+    (carriers.StageSpec, {**STAGE, "energy_use_mwh_per_t": -0.5},
+     "stage 's': fixed opex rate and energy use must be nonnegative, got 0.03 and -0.5"),
+    (carriers.StageSpec, {**STAGE, "energy_use_mwh_per_t": math.nan},
+     "stage 's': fixed opex rate and energy use must be nonnegative, got 0.03 and nan"),
+    (carriers.CostQuery, {"annual_h2_kt": 10.0, "electricity_usd_per_mwh": -1e-300},
+     "electricity price must be nonnegative"),
+    (carriers.CostQuery, {"annual_h2_kt": 10.0, "electricity_usd_per_mwh": math.nan},
+     "electricity price must be nonnegative"),
 ])
 def test_record_checks_name_the_problem(cls, kwargs, message, params):
     # a query takes the bundled financial context for the fields not given
@@ -264,6 +274,13 @@ def test_record_checks_name_the_problem(cls, kwargs, message, params):
         else:
             cls(**kwargs)
     assert str(excinfo.value) == message
+
+
+def test_records_take_zero_running_costs(params):
+    # no running cost and no process energy is a bound, not an error
+    carriers.StageSpec(**{**STAGE, "fixed_opex_rate": 0.0, "energy_use_mwh_per_t": 0.0})
+    carriers.StageSpec(**{**STAGE, "fixed_opex_rate": -0.0, "energy_use_mwh_per_t": -0.0})
+    assert replaced(query(params, 10.0), electricity_usd_per_mwh=0.0).electricity_usd_per_mwh == 0
 
 
 def test_records_keep_field_order_and_defaults():

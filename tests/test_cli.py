@@ -382,6 +382,7 @@ def test_non_finite_cell_in_the_last_table_exits_2_before_any_write(
     argv = ["report", "--format", output_format, "--output"]
     assert cli.run([*argv, str(tree)]) == 0
     before = {p.name: p.read_bytes() for p in tree.iterdir()}
+    data_io._shared.cache_clear()    # or the manifest's kept texts skip the patched kernel
     monkeypatch.setattr(scenarios, "balance_report", infinite_coverage)
     for out in (tmp_path / "new" / "out", tree):
         assert cli.run([*argv, str(out)]) == 2
@@ -439,22 +440,24 @@ def test_report_hashes_each_manifest_file_once(tmp_path, monkeypatch):
 def test_report_does_each_piece_of_work_once(tmp_path, monkeypatch):
     # chains once per distinct volume (10, 30, 50 and 100 kt/yr), each
     # demand level's breakdown once for its table and once for the balance,
-    # and a program only for the four regions off the ratio frontier; a
-    # second report over the same content builds no chain and solves no
-    # program, and one with a carriers override builds its own chains
+    # a program only for the four regions off the ratio frontier, and each
+    # table rendered once; a second report over the same content takes every
+    # text the manifest kept and does none of that work, and one with a
+    # carriers override builds its own chains and renders the three carrier
+    # tables alone
     from nh3econ import carriers, lp, scenarios
     calls = Counter()
-    for module, name in ((carriers, "builtin_chains"), (scenarios, "demand_breakdown_mt"),
-                         (lp, "solve")):
-        def counting(*args, _original=getattr(module, name), _name=name):
+    for owner, name in ((carriers, "builtin_chains"), (scenarios, "demand_breakdown_mt"),
+                        (lp, "solve"), (cli.Table, "render")):
+        def counting(*args, _original=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _original(*args)
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     override = _params("wacc,0.06,fraction,x")(tmp_path)
-    for extra, expected in (([], {"builtin_chains": 4, "demand_breakdown_mt": 10, "solve": 4}),
-                            ([], {"demand_breakdown_mt": 10}),
-                            (["--params", override],
-                             {"builtin_chains": 4, "demand_breakdown_mt": 10})):
+    for extra, expected in (([], {"builtin_chains": 4, "demand_breakdown_mt": 10, "solve": 4,
+                                  "render": 8}),
+                            ([], {}),
+                            (["--params", override], {"builtin_chains": 4, "render": 3})):
         calls.clear()
         assert cli.run(["report", "--output", str(tmp_path / "out"), *extra]) == 0
         assert calls == expected, extra
@@ -797,6 +800,16 @@ GUARDS = [
     (["cofire", "--params", _params("coal_price_usd_per_tce,1e-200,USD_per_tce,x",
                                     "coal_consumption_tce_per_mwh,1e-200,tce_per_MWh,x")],
      _BASE_LCOE_UNDERFLOWS),
+    # :g writes 5e-324 as 4.94066e-324, which reads back as the same float
+    (["cofire", "--rate", "5e-324"],
+     "no efficiency-loss entry for rate 5e-324; known rates: 0, 0.03, 0.05, 0.1, 0.15, 0.2 "
+     "(pass --interpolate, or interpolate_loss=True, for linear interpolation)"),
+    (["carrier", "delivery", "--volume", "100", "--distance", "500",
+      "--params", _params("electricity_usd_per_mwh,-500,USD_per_MWh,x")],
+     "electricity price must be nonnegative"),
+    (["carrier", "storage", "--params", _params("fixed_opex_rate,-0.5,fraction_per_yr,x")],
+     "stage 'ammonia_plant': fixed opex rate and energy use must be nonnegative, "
+     "got -0.5 and 0.6"),
 ]
 
 # `carrier delivery --volume 100 --distance 500` and `carrier storage

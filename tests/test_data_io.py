@@ -349,6 +349,24 @@ def _tree(root: Path) -> dict[str, bytes]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def _bundled_values() -> dict[str, tuple[float, str]]:
+    """Each distinct key of SCHEMAS with its bundled value and unit."""
+    bundled = {}
+    for namespace, schema in data_io.SCHEMAS.items():
+        params = data_io.load_bundled_params(namespace)
+        for key, unit in schema.items():
+            bundled.setdefault(key, (params[key], unit))
+    return bundled
+
+
+def _override(path: Path, key: str, value: float, unit: str, factor: float) -> Path:
+    """A --params file holding `key` alone at `factor` times `value`, whole
+    years for a year key."""
+    scaled = float(round(value * factor)) if unit == "yr" else value * factor
+    path.write_text(f"key,value,unit,provenance\n{key},{scaled!r},{unit},x\n")
+    return path
+
+
 def test_every_declared_parameter_moves_a_report_byte_or_is_listed(tmp_path):
     # each key, overridden alone at 0.9 and 1.1 times its bundled value
     # (whole years for a year key), must change some byte of the report
@@ -357,17 +375,11 @@ def test_every_declared_parameter_moves_a_report_byte_or_is_listed(tmp_path):
     for fmt in ("csv", "json"):
         assert cli.run(["report", "--output", str(tmp_path / fmt), "--format", fmt]) == 0
         defaults[fmt] = _tree(tmp_path / fmt)
-    bundled = {}
-    for namespace, schema in data_io.SCHEMAS.items():
-        params = data_io.load_bundled_params(namespace)
-        for key, unit in schema.items():
-            bundled.setdefault(key, (params[key], unit))
+    bundled = _bundled_values()
     moved = set()
     for case, (key, (value, unit)) in enumerate(bundled.items()):
         for factor in (0.9, 1.1):
-            scaled = float(round(value * factor)) if unit == "yr" else value * factor
-            path = tmp_path / f"{case}-{factor}.csv"
-            path.write_text(f"key,value,unit,provenance\n{key},{scaled!r},{unit},x\n")
+            path = _override(tmp_path / f"{case}-{factor}.csv", key, value, unit, factor)
             for fmt, default in defaults.items():
                 out = tmp_path / f"{case}-{factor}-{fmt}"
                 code = cli.run(["report", "--output", str(out), "--params", str(path),
@@ -378,3 +390,32 @@ def test_every_declared_parameter_moves_a_report_byte_or_is_listed(tmp_path):
     assert sorted(set(bundled) - moved - set(INERT_KEYS)) == [], "keys that move no byte"
     assert sorted(set(INERT_KEYS) - (set(bundled) - moved)) == [], (
         "listed keys that move a byte, or that no schema declares")
+
+
+def test_kept_report_texts_serve_only_the_runs_they_were_made_for(tmp_path, capsys):
+    # in one process, after default reports in both formats: a report with
+    # each key of SCHEMAS alone at 1.1 times its bundled value, and one with
+    # a --regions table (the bundled one less its last region), each in both
+    # formats, must print and write what the same run does from an emptied
+    # manifest, which keeps no text
+    text = Path(data_io.bundled_regions_path()).read_text()
+    regions = tmp_path / "regions.csv"
+    regions.write_text(text[:text.rstrip("\n").rindex("\n") + 1])
+    cases = {"regions": ["--regions", str(regions)]}
+    for case, (key, (value, unit)) in enumerate(_bundled_values().items()):
+        cases[key] = ["--params", str(_override(tmp_path / f"{case}.csv", key, value, unit, 1.1))]
+
+    def report(name, fmt, kind):
+        out = tmp_path / f"{kind}-{name}-{fmt}"
+        code = cli.run(["report", "--output", str(out), "--format", fmt, *cases.get(name, [])])
+        return code, capsys.readouterr(), _tree(out)
+
+    runs = [(name, fmt) for name in ["default", *cases] for fmt in ("csv", "json")]
+    warm = {run: report(*run, "warm") for run in runs}
+    for run in runs[2:]:
+        data_io._shared.cache_clear()
+        assert report(*run, "cold") == warm[run], run
+    # not vacuous: the regions table, and a key of each namespace, move a byte
+    moved = {name for name, fmt in runs if warm[name, fmt][2] != warm["default", fmt][2]}
+    assert "regions" in moved
+    assert all(moved.intersection(schema) for schema in data_io.SCHEMAS.values())
