@@ -5,13 +5,12 @@ arguments, table function, from (dataset, args) to a `Table`, and the one
 input that table reads. `build_parser` and `run` read it, and so does
 `report`, through `REPORT`.
 
-`report` takes the text of a table whose input is the dataset manifest's
-own (`Dataset.owns`: the bundled regions, or a parameter namespace that no
-override touches) from the texts the manifest keeps, once it keeps one;
-it computes every other table, then renders each, and the manifest keeps
-the new texts of its own inputs. So a second report over the same
-verified content computes and renders no table, and one with a
-`--params` file only those of the namespaces the file touches.
+`report` takes the text of a table from the texts the dataset manifest
+keeps by the value of each table's input, once it keeps one; it computes
+every other table, then renders each, and once every file is written the
+manifest keeps the new texts. So a report that repeats the inputs of an
+earlier one over the same verified content computes and renders no table,
+unless it names a `--regions` table, whose table it computes on every run.
 
 Every subcommand computes and renders every table before its first write, so
 a failing run leaves no partial output. Output is deterministic: fixed row
@@ -294,7 +293,7 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 # Each command, declared once: its path, its help (None: no help line), its
 # table function (None: a group of commands), the one input its table reads
-# ("regions" or a parameter namespace; see Dataset.owns) and its own
+# ("regions" or a parameter namespace; see Dataset.input_value) and its own
 # arguments, each a flag with its add_argument options; a list of them is a
 # group of flags that exclude each other.
 COMMANDS = {
@@ -376,17 +375,17 @@ def _print_table(table, dataset: data_io.Dataset, args) -> None:
 
 
 def _report(dataset: data_io.Dataset, args) -> None:
-    # A table whose input is the manifest's own takes the text the manifest
-    # keeps for it, once there is one. Every other table is computed, then
-    # each is rendered, before anything is checked, created or written.
+    # A table takes the text the manifest keeps for its input's value, once
+    # there is one. Every other table is computed, then each is rendered,
+    # before anything is checked, created or written.
     fmt = args.format
     kept = dataset.manifest.report_texts
-    own = {name for name, path, _ in REPORT if dataset.owns(COMMANDS[path][2])}
+    keys = {name: (name, fmt, dataset.input_value(COMMANDS[path][2])) for name, path, _ in REPORT}
     tables = {name: COMMANDS[path][1](dataset, argparse.Namespace(**fixed))
-              for name, path, fixed in REPORT if name not in own or (name, fmt) not in kept}
-    texts = {name: tables[name].render(fmt) if name in tables else kept[name, fmt]
-             for name, _, _ in REPORT}
-    kept.update(((name, fmt), texts[name]) for name in own)
+              for name, path, fixed in REPORT if keys[name] not in kept}
+    texts = {name: tables[name].render(fmt) if name in tables else kept[keys[name]]
+             for name in keys}
+    used = {key: texts[name] for name, key in keys.items() if key[2] is not None}
     texts = {f"{name}.{fmt}": text for name, text in texts.items()}
     output_dir = data_io.path_text(args.output)
     base = "" if output_dir == "." else output_dir    # as pathlib joins onto "."
@@ -429,6 +428,7 @@ def _report(dataset: data_io.Dataset, args) -> None:
             with contextlib.suppress(OSError):
                 step()
         raise InputError(f"cannot write output: {exc}") from None
+    dataset.manifest.keep_texts(used)    # a run that fails keeps nothing
 
 
 def build_parser() -> argparse.ArgumentParser:

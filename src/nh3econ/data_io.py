@@ -28,13 +28,18 @@ a directory share one manifest, and with it what the manifest derives from
 its bytes, each value on first use: the calibration ledger, each
 namespace's base parameters, the bundled regions' scores, the scenario
 levels, the carrier chains over the base parameters and the text of each
-`report` table whose input is the manifest's own (`Dataset.owns`), per
-report entry and format, so at most 16. Only the most recent content's
-manifest is kept. A value whose computation fails is not kept, so the same
-bad bytes fail the same way on every run. Every shared value is immutable
-or a read-only view. The `--params` and `--regions` files are read and
-parsed on every run, and so is whatever depends on them, which a run's
-`Dataset` keeps for that run only.
+`report` table. A text is kept by report entry, format and the value of
+the table's one input (`Dataset.input_value`): the overridden keys that
+its namespace declares, sorted, each with the exact bits of its value, or
+() for the manifest's own. A given `--regions` table has no such value,
+so no text of it is kept. A manifest keeps at most `KEPT_TEXTS` texts and
+forgets the least recently used first, so the texts that runs go on using
+stay. Only the most recent content's manifest is kept. A value whose
+computation fails is not kept, so the same bad bytes fail the same way on
+every run. Every shared value is immutable or a read-only view. The
+`--params` and `--regions` files are read, parsed and checked on every
+run; what a run derives from them, other than a kept text, its `Dataset`
+keeps for that run only.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .scenarios import DemandAssumptions, DemandLevel, SupplyAssumptions, Supply
 
 ENV_DATA_DIR = "NH3ECON_DATA"
 REGIONS_FILE = "regions_2019.csv"
+KEPT_TEXTS = 64     # report table texts a manifest keeps
 
 REGION_COLUMNS = ("region", "energy_mtce", "labour_m", "capital_busd",
                   "co2_mt", "gdp_busd")
@@ -314,7 +320,8 @@ class DatasetManifest:
         self.files = MappingProxyType(files)
         self._params: dict[str, ParameterSet] = {}
         self._chains: dict[float, MappingProxyType] = {}
-        self.report_texts: dict[tuple[str, str], str] = {}    # (report entry, format) -> text
+        # (report entry, format, input value) -> text, the least recently used first
+        self.report_texts: dict[tuple[str, str, tuple], str] = {}
 
     def __eq__(self, other) -> bool:
         return ((self.directory, self.version, self.files)
@@ -332,6 +339,15 @@ class DatasetManifest:
     def table(self, name: str, columns: tuple[str, ...]) -> _Table:
         """A listed file parsed from its verified bytes."""
         return _read_table(os.path.join(self.directory, name), columns, self.content(name))
+
+    def keep_texts(self, texts: dict[tuple[str, str, tuple], str]) -> None:
+        """Keep each text of `texts` as the most recently used, then forget
+        the least recently used beyond `KEPT_TEXTS`."""
+        for key, text in texts.items():
+            self.report_texts.pop(key, None)
+            self.report_texts[key] = text
+        for key in list(self.report_texts)[:-KEPT_TEXTS]:
+            del self.report_texts[key]
 
     @cached_property
     def calibration(self) -> tuple[CalibrationEntry, ...]:
@@ -422,20 +438,26 @@ class Dataset:
         self._params: dict[str, ParameterSet] = {}    # the namespaces the overrides touch
         self._chains: dict[float, MappingProxyType] = {}    # over overridden carriers
 
-    def owns(self, source: str) -> bool:
-        """Whether an input, "regions" or a namespace of `SCHEMAS`, is the
-        manifest's own: the bundled regions table, or a namespace whose
-        declared keys the overrides leave alone."""
+    def input_value(self, source: str) -> tuple[tuple[str, str], ...] | None:
+        """The value of one input, "regions" or a namespace of `SCHEMAS`, as
+        far as it is not the manifest's own: for a namespace, each overridden
+        key that it declares, sorted, with the exact bits of its value
+        (`float.hex`, so 0.0 and -0.0 differ), and () where there is none;
+        for the regions, () for the bundled table and None for a given one,
+        which no value stands for."""
         if source == "regions":
-            return self._regions_path is None
-        return self.overrides is None or self.overrides.keys().isdisjoint(SCHEMAS[source])
+            return () if self._regions_path is None else None
+        if self.overrides is None:
+            return ()
+        return tuple(sorted((key, value.hex()) for key, value in self.overrides.items()
+                            if key in SCHEMAS[source]))
 
     def params(self, namespace: str) -> ParameterSet:
         """Effective parameters of one namespace of `SCHEMAS` (every caller
         passes a literal): the manifest's set, or, where the overrides touch
         its declared keys, a set with those keys replaced."""
         params = self.manifest._base_params(namespace)
-        if self.owns(namespace):
+        if not self.input_value(namespace):
             return params
         if namespace not in self._params:
             self._params[namespace] = params.with_overrides(self.overrides)
@@ -445,12 +467,12 @@ class Dataset:
         """`builtin_chains` over the carrier parameters at one volume, built
         once per volume: by the manifest for its own parameters."""
         params = self.params("carriers")
-        built = self.manifest._chains if self.owns("carriers") else self._chains
+        built = self._chains if self.input_value("carriers") else self.manifest._chains
         if volume not in built:
             built[volume] = MappingProxyType(carriers.builtin_chains(params, volume))
         return built[volume]
 
     def scores(self) -> tuple[gtfp.RegionEfficiency, ...]:
         """`gtfp_scores` of the given regions table, or the manifest's of the bundled one."""
-        return self.manifest._scores if self.owns("regions") else tuple(
+        return self.manifest._scores if self.input_value("regions") == () else tuple(
             gtfp.gtfp_scores(load_regions(self._regions_path)))

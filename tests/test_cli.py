@@ -444,7 +444,10 @@ def test_report_does_each_piece_of_work_once(tmp_path, monkeypatch):
     # table rendered once; a second report over the same content takes every
     # text the manifest kept and does none of that work, and one with a
     # carriers override builds its own chains and renders the three carrier
-    # tables alone
+    # tables alone, once for each value of the carrier keys that it
+    # overrides: a file with the same values, spelled, sourced and ordered
+    # otherwise, does no work. A copy of the dataset directory is other
+    # content, and the manifest of the bundled dataset is forgotten for it
     from nh3econ import carriers, lp, scenarios
     calls = Counter()
     for owner, name in ((carriers, "builtin_chains"), (scenarios, "demand_breakdown_mt"),
@@ -453,14 +456,28 @@ def test_report_does_each_piece_of_work_once(tmp_path, monkeypatch):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(owner, name, counting)
-    override = _params("wacc,0.06,fraction,x")(tmp_path)
-    for extra, expected in (([], {"builtin_chains": 4, "demand_breakdown_mt": 10, "solve": 4,
-                                  "render": 8}),
-                            ([], {}),
-                            (["--params", override], {"builtin_chains": 4, "render": 3})):
+    header = "key,value,unit,provenance\n"
+    override = _file("wacc.csv", header + "wacc,0.06,fraction,x\n"
+                     "electricity_usd_per_mwh,56,USD_per_MWh,x\n")(tmp_path)
+    same = _file("same.csv", header + "electricity_usd_per_mwh,56.0,USD_per_MWh,y\n"
+                 "wacc,0.060,fraction,another source\n")(tmp_path)
+    other = _file("other.csv", header + "wacc,0.07,fraction,x\n"
+                  "electricity_usd_per_mwh,56,USD_per_MWh,x\n")(tmp_path)
+    copy = _dataset({})(tmp_path)
+    everything = {"builtin_chains": 4, "demand_breakdown_mt": 10, "solve": 4, "render": 8}
+    carrier_tables = {"builtin_chains": 4, "render": 3}
+    report = ["report", "--output", str(tmp_path / "out")]
+    for argv, expected in ((report, everything),
+                           (report, {}),
+                           ([*report, "--params", override], carrier_tables),
+                           ([*report, "--params", override], {}),
+                           ([*report, "--params", same], {}),
+                           ([*report, "--params", other], carrier_tables),
+                           (["--data-dir", copy, *report], everything),
+                           (report, everything)):
         calls.clear()
-        assert cli.run(["report", "--output", str(tmp_path / "out"), *extra]) == 0
-        assert calls == expected, extra
+        assert cli.run(argv) == 0
+        assert calls == expected, argv
 
 
 def _printed(argv, capsys) -> str:
@@ -810,6 +827,8 @@ GUARDS = [
     (["carrier", "storage", "--params", _params("fixed_opex_rate,-0.5,fraction_per_yr,x")],
      "stage 'ammonia_plant': fixed opex rate and energy use must be nonnegative, "
      "got -0.5 and 0.6"),
+    # a rate of 1 is inside [0, 1] but above the last tabulated rate
+    (["cofire", "--rate", "1", "--interpolate"], "rate 1 is above the tabulated range"),
 ]
 
 # `carrier delivery --volume 100 --distance 500` and `carrier storage
@@ -880,6 +899,11 @@ _CARRIER_EDGES = [
      _STORAGE),
 ]
 
+# `scenario supply` and `scenario demand` over the bundled dataset
+_SUPPLY = (GOLDEN / "stdout" / "scenario_supply.csv").read_text()
+_DEMAND = (GOLDEN / "stdout" / "scenario_demand.csv").read_text()
+_CUSTOM_SUPPLY = "\n".join(_SUPPLY.splitlines()[:2]) + "\ncustom,{}\n"
+
 # Inputs at an edge that a command runs through, with what it prints.
 EDGES = [
     # a dataset with no supply level prints an empty table
@@ -899,6 +923,23 @@ EDGES = [
        delivery) for row, delivery, _ in _CARRIER_EDGES),
     *((["carrier", "storage", "--volume", "100", "--days", "30", "--params", _params(row)],
        storage) for row, _, storage in _CARRIER_EDGES),
+    # each end of [0, 1] is a share, given or tabulated, and so is a coal share of 1,
+    # by which the power sector's demand is that of the bundled 0.87 over 0.87
+    (["scenario", "supply", "--share", "0"], _CUSTOM_SUPPLY.format("0,0")),
+    (["scenario", "supply", "--share", "1"], _CUSTOM_SUPPLY.format("1,261.0642")),
+    (["--data-dir", _dataset({"supply_levels.csv": ("Level 1,0.15", "Level 1,0")}),
+      "scenario", "supply"], _edited(_SUPPLY, {"Level 1,0.15,39.1596": "Level 1,0,0"})),
+    (["scenario", "demand", "--params", _params("coal_share,1,fraction,x")],
+     _edited(_DEMAND, {"Level 1,power,24.6477": "Level 1,power,28.3307",
+                       "Level 1,total,31.4051": "Level 1,total,35.0881",
+                       "Level 2,power,73.9431": "Level 2,power,84.992",
+                       "Level 2,total,87.0077": "Level 2,total,98.0567",
+                       "Level 3,power,123.2385": "Level 3,power,141.6534",
+                       "Level 3,total,142.6103": "Level 3,total,161.0253",
+                       "Level 4,power,172.5338": "Level 4,power,198.3148",
+                       "Level 4,total,198.8699": "Level 4,total,224.6509",
+                       "Level 5,power,246.4769": "Level 5,power,283.3068",
+                       "Level 5,total,280.8845": "Level 5,total,317.7144"})),
 ]
 
 

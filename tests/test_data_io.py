@@ -392,18 +392,40 @@ def test_every_declared_parameter_moves_a_report_byte_or_is_listed(tmp_path):
         "listed keys that move a byte, or that no schema declares")
 
 
-def test_kept_report_texts_serve_only_the_runs_they_were_made_for(tmp_path, capsys):
+def _counted_renders(monkeypatch) -> list[str]:
+    """The format of each table rendered from now on, in order."""
+    renders = []
+    render = cli.Table.render
+    monkeypatch.setattr(cli.Table, "render", lambda table, fmt: renders.append(fmt) or
+                        render(table, fmt))
+    return renders
+
+
+def test_kept_report_texts_serve_only_the_runs_they_were_made_for(tmp_path, capsys,
+                                                                 monkeypatch):
     # in one process, after default reports in both formats: a report with
-    # each key of SCHEMAS alone at 1.1 times its bundled value, and one with
+    # each key of SCHEMAS alone at 1.1 times its bundled value, with wacc at
+    # 0.9 times it, with electricity_usd_per_mwh at 0 and at -0.0, and with
     # a --regions table (the bundled one less its last region), each in both
-    # formats, must print and write what the same run does from an emptied
-    # manifest, which keeps no text
+    # formats and each twice, must print and write what the same run does
+    # from an emptied manifest, which keeps no text; every second run takes
+    # the texts that its first kept, and renders no table but that of the
+    # regions table, which no kept text stands for
     text = Path(data_io.bundled_regions_path()).read_text()
     regions = tmp_path / "regions.csv"
     regions.write_text(text[:text.rstrip("\n").rindex("\n") + 1])
     cases = {"regions": ["--regions", str(regions)]}
-    for case, (key, (value, unit)) in enumerate(_bundled_values().items()):
+    bundled = _bundled_values()
+    for case, (key, (value, unit)) in enumerate(bundled.items()):
         cases[key] = ["--params", str(_override(tmp_path / f"{case}.csv", key, value, unit, 1.1))]
+    cases["wacc at 0.9"] = ["--params", str(_override(tmp_path / "wacc.csv", "wacc",
+                                                      *bundled["wacc"], 0.9))]
+    for value in ("0", "-0.0"):
+        path = tmp_path / f"electricity{value}.csv"
+        path.write_text(f"key,value,unit,provenance\n"
+                        f"electricity_usd_per_mwh,{value},USD_per_MWh,x\n")
+        cases[f"electricity at {value}"] = ["--params", str(path)]
+    renders = _counted_renders(monkeypatch)
 
     def report(name, fmt, kind):
         out = tmp_path / f"{kind}-{name}-{fmt}"
@@ -411,11 +433,65 @@ def test_kept_report_texts_serve_only_the_runs_they_were_made_for(tmp_path, caps
         return code, capsys.readouterr(), _tree(out)
 
     runs = [(name, fmt) for name in ["default", *cases] for fmt in ("csv", "json")]
-    warm = {run: report(*run, "warm") for run in runs}
+    warm = {}
+    for run in runs:
+        warm[run] = report(*run, "warm")
+        renders.clear()
+        assert report(*run, "again") == warm[run], run
+        assert len(renders) == (run[0] == "regions"), run
     for run in runs[2:]:
         data_io._shared.cache_clear()
         assert report(*run, "cold") == warm[run], run
-    # not vacuous: the regions table, and a key of each namespace, move a byte
+    # not vacuous: the regions table, and a key of each namespace, move a
+    # byte, and so does a second value of a key; a key that two namespaces
+    # declare moves the tables of both; 0 and -0.0 are two values
     moved = {name for name, fmt in runs if warm[name, fmt][2] != warm["default", fmt][2]}
     assert "regions" in moved
     assert all(moved.intersection(schema) for schema in data_io.SCHEMAS.values())
+    for fmt in ("csv", "json"):
+        assert warm["wacc at 0.9", fmt][2] != warm["wacc", fmt][2]
+        tree, default = warm["coal_consumption_tce_per_mwh", fmt][2], warm["default", fmt][2]
+        assert {f"cofiring_ladder.{fmt}", f"scenario_demand.{fmt}"} <= {
+            name for name in tree if tree[name] != default[name]}
+    assert len({data_io.Dataset(params_path=cases[f"electricity at {value}"][1])
+                .input_value("carriers") for value in ("0", "-0.0")}) == 2
+
+
+def test_kept_report_texts_stay_within_their_bound(tmp_path, capsys, monkeypatch):
+    # in one process, reports with more distinct override values than a
+    # manifest keeps texts for, each keeping one co-firing text, and a
+    # default report after every tenth: the manifest keeps at most
+    # KEPT_TEXTS texts and forgets the least recently used first, so a
+    # default report still takes every text, and so does a repeat of the
+    # last override, while a repeat of the first renders its table again;
+    # every run prints and writes what it does from an emptied manifest
+    renders = _counted_renders(monkeypatch)
+    overrides = []
+    for k in range(data_io.KEPT_TEXTS + 8):
+        path = tmp_path / f"{k}.csv"
+        path.write_text(f"key,value,unit,provenance\n"
+                        f"coal_price_usd_per_tce,{100 + k},USD_per_tce,x\n")
+        overrides.append(["--params", str(path)])
+    runs = []
+    for k, argv in enumerate(overrides):
+        runs += [argv, []] if k % 10 == 9 else [argv]
+    runs += [overrides[-1], overrides[0]]
+
+    def report(k, argv, kind):
+        out = tmp_path / f"{kind}-{k}"
+        code = cli.run(["report", "--output", str(out), *argv])
+        return code, capsys.readouterr(), _tree(out)
+
+    warm, rendered = [], []
+    for k, argv in enumerate(runs):
+        renders.clear()
+        warm.append(report(k, argv, "warm"))
+        rendered.append(len(renders))
+        assert len(data_io.load_manifest().report_texts) <= data_io.KEPT_TEXTS
+    assert len(data_io.load_manifest().report_texts) == data_io.KEPT_TEXTS
+    # the first default report renders the bundled ladder, which no run before it needed
+    assert [n for n, argv in zip(rendered, runs) if not argv] == [1] + [0] * 6
+    assert rendered[-2:] == [0, 1]
+    for k, argv in enumerate(runs):
+        data_io._shared.cache_clear()
+        assert report(k, argv, "cold") == warm[k], argv

@@ -5,9 +5,9 @@ The module runs one fixed corpus in-process under `sys.settrace`, once
 for both of its traced tests: every golden command of test_golden in CSV
 and JSON, the four golden report trees (each twice, the second run over
 the first's tree) and every `--help` text and usage error of `HELP`, then
-test_cli's `GUARDS` and `EDGES` and this module's `ERRORS` and `WRITES`,
-each case in its own directory. Each case must exit 0, or 2 or 3 with one
-line on stderr. Then the first test lists each statement inside a
+test_cli's `GUARDS` and `EDGES` and this module's `ERRORS`, `WRITES` and
+`BOUND`, each case in its own directory. Each case must exit 0, or 2 or 3
+with one line on stderr. Then the first test lists each statement inside a
 function of `src/nh3econ` that no line event reached, and fails on any that
 `ALLOWED` does not name, and on any entry of `ALLOWED` that the corpus
 reaches or that no longer exists.
@@ -127,7 +127,15 @@ WRITES = [
     ["carrier", "delivery", "--output", lambda d: str(d / "out.csv")],
     ["report", "--output", lambda d: str(d / "missing" / "out")],
     ["report", "--output", "."],
+    ["report", "--output", ".", "--regions", _file("regions.csv", REGIONS_HEADER +
+                                                   "North,10,1,1,1,5\nSouth,5,1,1,1,5\n")],
 ]
+
+# Reports over more distinct co-firing values than a manifest keeps texts
+# for, so that it forgets the least recently used.
+BOUND = [["report", "--output", ".",
+          "--params", _params(f"coal_price_usd_per_tce,{100 + k},USD_per_tce,x")]
+         for k in range(data_io.KEPT_TEXTS + 1)]
 
 _LP = ("lp's general paths: phase 1, equality rows, negative right-hand sides, "
        "unbounded and infeasible programs and malformed input. No analysis builds such a "
@@ -177,10 +185,6 @@ ALLOWED = {
         _EXIT_3,
         "except SolverError as exc:",
         'raise SolverError(f"region {record.name!r}: {exc}") from exc'),
-    "cli._number_texts": (
-        "a column that holds -0 beside another number: no command's table has one, and "
-        "test_render's property oracles draw such columns",
-        "... else text"),
     "cli._column_texts": (
         _RENDER,
         "return [_column_texts((cell,), strings, numbers)[0] for cell in column]"),
@@ -353,7 +357,7 @@ def _run_corpus(tmp_path, monkeypatch, capsys) -> None:
     for tree, argv in sorted(TREES.items()):
         for _ in range(2):    # the second run replaces the tree that the first wrote
             assert run(["report", "--output", str(tmp_path / tree), *argv], next(cases))[1] == 0
-    for argv in WRITES:
+    for argv in WRITES + BOUND:
         assert run(argv, next(cases))[1:3] == (0, ""), argv
     monkeypatch.setenv("COLUMNS", "80")
     for name, argv in sorted(HELP.items()):
